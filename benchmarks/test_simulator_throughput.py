@@ -1,34 +1,20 @@
 """Throughput benchmarks for the simulation substrate itself.
 
 Not a paper artifact — these keep the instrumentation overhead honest:
-the bare simulator versus the full six-analyzer stack the experiments
-run with.
+the bare simulator versus the full seven-analyzer stack the experiments
+run with (built by the suite's own ``build_analyzers``).
 """
 
 from __future__ import annotations
 
-from repro.core import (
-    FunctionAnalyzer,
-    GlobalLoadValueProfiler,
-    GlobalSourceAnalyzer,
-    LocalAnalyzer,
-    RepetitionTracker,
-    ReuseBuffer,
-)
+from repro.core import RepetitionTracker
+from repro.harness import SuiteConfig, build_analyzers
 
 from _bench_utils import simulate_with
 
 
 def _full_stack():
-    tracker = RepetitionTracker()
-    return [
-        tracker,
-        GlobalSourceAnalyzer(tracker),
-        FunctionAnalyzer(),
-        LocalAnalyzer(tracker),
-        ReuseBuffer(),
-        GlobalLoadValueProfiler(),
-    ]
+    return build_analyzers(SuiteConfig())
 
 
 def test_bare_simulator_throughput(benchmark):

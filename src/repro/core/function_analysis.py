@@ -22,13 +22,15 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.isa.convention import segment_of
+from repro.isa.convention import DATA_BASE, STACK_LIMIT
+from repro.isa.instructions import Instruction
 from repro.sim.events import CallEvent, ReturnEvent, StepRecord, SyscallEvent
-from repro.sim.observer import Analyzer
+from repro.sim.observer import Analyzer, StepFn
 
-#: Memory segments whose contents persist beyond a call's own frame —
-#: accesses here are the paper's §5.2 purity events.
-IMPURE_SEGMENTS = ("data", "heap")
+#: The data and heap segments (adjacent, so one address range): memory
+#: whose contents persist beyond a call's own frame.  Accesses here are
+#: the paper's §5.2 purity events.
+IMPURE_LOW, IMPURE_HIGH = DATA_BASE, STACK_LIMIT
 
 
 def classify_memory_access(address: int, is_store: bool) -> Optional[str]:
@@ -40,7 +42,7 @@ def classify_memory_access(address: int, is_store: bool) -> Optional[str]:
     filter (:mod:`repro.traces.safety`) reuses this classification for
     its strict no-implicit-inputs mode.
     """
-    if segment_of(address) not in IMPURE_SEGMENTS:
+    if not IMPURE_LOW <= address < IMPURE_HIGH:
         return None
     return "side_effect" if is_store else "implicit_input"
 
@@ -189,14 +191,20 @@ class FunctionAnalyzer(Analyzer):
 
     # -- impurity events -----------------------------------------------------
 
-    def on_step(self, record: StepRecord) -> None:
-        address = record.mem_addr
-        if address is None:
-            return
-        event = classify_memory_access(address, record.store_value is not None)
-        if event == "side_effect":
+    def compile_step(self, pc: int, instr: Instruction) -> Optional[StepFn]:
+        """Loads and stores only: count global/heap accesses."""
+        if instr.is_store:
+            return self._store_step
+        if instr.is_load:
+            return self._load_step
+        return None
+
+    def _store_step(self, record: StepRecord) -> None:
+        if IMPURE_LOW <= record.mem_addr < IMPURE_HIGH:
             self._side_effect_events += 1
-        elif event == "implicit_input":
+
+    def _load_step(self, record: StepRecord) -> None:
+        if IMPURE_LOW <= record.mem_addr < IMPURE_HIGH:
             self._implicit_input_events += 1
 
     def on_syscall(self, event: SyscallEvent) -> None:

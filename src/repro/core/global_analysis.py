@@ -23,14 +23,14 @@ repeated) — the three panels of Table 3.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Optional, Set, Tuple
 
 from repro.asm.program import Program
-from repro.isa.convention import DATA_BASE, segment_of
-from repro.isa.instructions import Format, Kind
-from repro.isa.registers import GP, NUM_REGISTERS, RA, SP, V0, ZERO
+from repro.isa.convention import segment_of
+from repro.isa.instructions import Format, Instruction, Kind
+from repro.isa.registers import A0, GP, NUM_REGISTERS, RA, SP, V0, ZERO
 from repro.sim.events import StepRecord, SyscallEvent
-from repro.sim.observer import Analyzer
+from repro.sim.observer import Analyzer, StepFn
 from repro.core.repetition import RepetitionTracker
 
 # Tag priorities: the supersede rule is combine-by-max.
@@ -92,13 +92,24 @@ class GlobalSourceAnalyzer(Analyzer):
     def __init__(self, tracker: Optional[RepetitionTracker] = None) -> None:
         self.tracker = tracker
         self.reg_tags = [UNINIT] * NUM_REGISTERS
-        self.hilo_tag = UNINIT
+        #: One-element cell: the tag of the hi/lo pair.
+        self._hilo_tag = [UNINIT]
         #: Word-address -> tag, for memory written during execution.
         self.mem_tags: Dict[int, int] = {}
         self.stats = {name: CategoryStats() for name in TAG_NAMES.values()}
-        self.dynamic_total = 0
-        self.dynamic_repeated = 0
-        self._initialized_words: frozenset = frozenset()
+        self._stats_by_tag = [self.stats[TAG_NAMES[tag]] for tag in sorted(TAG_NAMES)]
+        #: Statically initialized data-segment words (filled by on_start).
+        self._initialized_words: Set[int] = set()
+        #: Compiled steps by static shape (opcode and registers).
+        self._shapes: Dict[tuple, StepFn] = {}
+
+    @property
+    def dynamic_total(self) -> int:
+        return sum(stats.total for stats in self.stats.values())
+
+    @property
+    def dynamic_repeated(self) -> int:
+        return sum(stats.repeated for stats in self.stats.values())
 
     def on_start(self, program: Program) -> None:
         # The loader sets $zero/$gp/$sp to program constants.
@@ -108,77 +119,164 @@ class GlobalSourceAnalyzer(Analyzer):
         self.reg_tags[RA] = INTERNAL
         init_flags = program.data_initialized
         base = program.data_base
-        initialized = set()
+        initialized = self._initialized_words
+        initialized.clear()
         for offset in range(0, len(init_flags) - 3, 4):
-            if any(init_flags[offset : offset + 4]):
-                initialized.add(base + offset)
-        self._initialized_words = frozenset(initialized)
+            word = base + offset
+            if any(init_flags[offset : offset + 4]) and segment_of(word) == "data":
+                initialized.add(word)
 
-    # -- tag helpers -------------------------------------------------------
+    # -- step compilation -----------------------------------------------------
 
-    def _memory_tag(self, address: int) -> int:
-        word = address & ~3
-        tag = self.mem_tags.get(word)
-        if tag is not None:
-            return tag
-        if segment_of(word) == "data" and word in self._initialized_words:
-            return GLOBAL_INIT
-        return UNINIT
+    def compile_step(self, pc: int, instr: Instruction) -> StepFn:
+        """One closure per kind; each ends by binning the step's tag.
 
-    # -- event handlers ------------------------------------------------------
-
-    def on_step(self, record: StepRecord) -> None:
-        instr = record.instr
+        Register indices, sources and destinations are fixed here; the
+        closures only read and write tags.  The step does not depend on
+        ``pc``, so instructions of the same shape share one closure.  The
+        closures hold the analyzer's state containers, never the analyzer
+        itself, so the shape memo creates no reference cycle.
+        """
+        shape = (instr.op, instr.rd, instr.rs, instr.rt)
+        step = self._shapes.get(shape)
+        if step is not None:
+            return step
         op = instr.op
         kind = op.kind
+        tracker = self.tracker
         reg_tags = self.reg_tags
+        by_tag = self._stats_by_tag
+        rs, rt = instr.rs, instr.rt
 
         if kind == Kind.LOAD:
-            tag = max(reg_tags[instr.rs], self._memory_tag(record.mem_addr))  # type: ignore[arg-type]
-            reg_tags[instr.rt] = tag if instr.rt != ZERO else INTERNAL
+            mem_tags = self.mem_tags
+            initialized = self._initialized_words
+            # A load into $zero leaves it tagged as a program constant.
+            dest_is_zero = rt == ZERO
+
+            def step(record: StepRecord) -> None:
+                word = record.mem_addr & ~3
+                mem_tag = mem_tags.get(word)
+                if mem_tag is None:
+                    mem_tag = GLOBAL_INIT if word in initialized else UNINIT
+                tag = reg_tags[rs]
+                if mem_tag > tag:
+                    tag = mem_tag
+                reg_tags[rt] = INTERNAL if dest_is_zero else tag
+                stats = by_tag[tag]
+                stats.total += 1
+                if tracker is not None:
+                    if tracker.last_index != record.index:
+                        tracker.was_repeated(record)  # raises: out of order
+                    if tracker.last_was_repeated:
+                        stats.repeated += 1
+
         elif kind == Kind.STORE:
-            tag = max(reg_tags[instr.rt], reg_tags[instr.rs])
-            self.mem_tags[record.mem_addr & ~3] = reg_tags[instr.rt]  # type: ignore[operator]
+            mem_tags = self.mem_tags
+
+            def step(record: StepRecord) -> None:
+                tag = value_tag = reg_tags[rt]
+                base_tag = reg_tags[rs]
+                if base_tag > tag:
+                    tag = base_tag
+                mem_tags[record.mem_addr & ~3] = value_tag
+                stats = by_tag[tag]
+                stats.total += 1
+                if tracker is not None:
+                    if tracker.last_index != record.index:
+                        tracker.was_repeated(record)
+                    if tracker.last_was_repeated:
+                        stats.repeated += 1
+
         elif kind == Kind.MULDIV:
-            tag = max(reg_tags[instr.rs], reg_tags[instr.rt])
-            self.hilo_tag = tag
+            hilo_tag = self._hilo_tag
+
+            def step(record: StepRecord) -> None:
+                tag = reg_tags[rs]
+                other = reg_tags[rt]
+                if other > tag:
+                    tag = other
+                hilo_tag[0] = tag
+                stats = by_tag[tag]
+                stats.total += 1
+                if tracker is not None:
+                    if tracker.last_index != record.index:
+                        tracker.was_repeated(record)
+                    if tracker.last_was_repeated:
+                        stats.repeated += 1
+
         elif kind == Kind.MFHILO:
-            tag = self.hilo_tag
-            if instr.rd != ZERO:
-                reg_tags[instr.rd] = tag
-        elif kind == Kind.SYSCALL:
-            # Category from $v0 (service number) and $a0 (argument); the
-            # external tagging of read results happens in on_syscall.
-            tag = max(reg_tags[V0], reg_tags[4])
-        elif kind in (Kind.JUMP, Kind.NOP):
-            tag = INTERNAL
-        elif kind == Kind.CALL:
-            tag = INTERNAL if op.fmt == Format.J else reg_tags[instr.rs]
-            link = instr.dest_register()
-            if link:
-                reg_tags[link] = INTERNAL
-        elif kind == Kind.JUMP_REG:
-            tag = reg_tags[instr.rs]
+            rd = instr.rd
+            hilo_tag = self._hilo_tag
+
+            def step(record: StepRecord) -> None:
+                tag = hilo_tag[0]
+                if rd != ZERO:
+                    reg_tags[rd] = tag
+                stats = by_tag[tag]
+                stats.total += 1
+                if tracker is not None:
+                    if tracker.last_index != record.index:
+                        tracker.was_repeated(record)
+                    if tracker.last_was_repeated:
+                        stats.repeated += 1
+
         else:
-            sources = instr.source_registers()
-            if sources:
-                tag = reg_tags[sources[0]]
-                for reg in sources[1:]:
-                    other = reg_tags[reg]
+            # The rest take the supersede of their source tags and may
+            # write one destination: the computed tag, or INTERNAL for a
+            # call's link register.
+            if kind == Kind.SYSCALL:
+                # Category from $v0 (service number) and $a0 (argument);
+                # the external tagging of read results is in on_syscall.
+                sources: Tuple[int, ...] = (V0, A0)
+            elif kind == Kind.JUMP or kind == Kind.NOP:
+                sources = ()
+            elif kind == Kind.CALL:
+                sources = () if op.fmt == Format.J else (rs,)
+            elif kind == Kind.JUMP_REG:
+                sources = (rs,)
+            else:
+                sources = instr.source_registers()
+            dest = 0
+            if kind == Kind.CALL or kind == Kind.ALU:
+                dest = instr.dest_register() or 0
+            link = kind == Kind.CALL
+
+            if not sources:
+                # Immediate-only: lui, j, nop, jal.
+                stats = by_tag[INTERNAL]
+
+                def step(record: StepRecord) -> None:
+                    if dest:
+                        reg_tags[dest] = INTERNAL
+                    stats.total += 1
+                    if tracker is not None:
+                        if tracker.last_index != record.index:
+                            tracker.was_repeated(record)
+                        if tracker.last_was_repeated:
+                            stats.repeated += 1
+
+            else:
+                a = sources[0]
+                b = sources[-1]
+
+                def step(record: StepRecord) -> None:
+                    tag = reg_tags[a]
+                    other = reg_tags[b]
                     if other > tag:
                         tag = other
-            else:
-                tag = INTERNAL  # immediate-only (lui)
-            dest = instr.dest_register()
-            if dest:
-                reg_tags[dest] = tag
+                    if dest:
+                        reg_tags[dest] = INTERNAL if link else tag
+                    stats = by_tag[tag]
+                    stats.total += 1
+                    if tracker is not None:
+                        if tracker.last_index != record.index:
+                            tracker.was_repeated(record)
+                        if tracker.last_was_repeated:
+                            stats.repeated += 1
 
-        stats = self.stats[TAG_NAMES[tag]]
-        stats.total += 1
-        self.dynamic_total += 1
-        if self.tracker is not None and self.tracker.was_repeated(record):
-            stats.repeated += 1
-            self.dynamic_repeated += 1
+        self._shapes[shape] = step
+        return step
 
     def on_syscall(self, event: SyscallEvent) -> None:
         if event.is_input and event.result is not None:

@@ -33,14 +33,14 @@ The tag priorities encode the supersede rule so combining is ``max``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.asm.program import FunctionInfo, Program
-from repro.isa.convention import DATA_BASE, HEAP_BASE, segment_of
-from repro.isa.instructions import Format, Kind
+from repro.isa.convention import DATA_BASE, HEAP_BASE, STACK_LIMIT, STACK_TOP
+from repro.isa.instructions import Format, Instruction, Kind
 from repro.isa.registers import A0, GP, NUM_REGISTERS, RA, SP, V0, ZERO
 from repro.sim.events import CallEvent, ReturnEvent, StepRecord, SyscallEvent
-from repro.sim.observer import Analyzer
+from repro.sim.observer import Analyzer, StepFn
 from repro.core.repetition import RepetitionTracker
 
 # Local source tags, priority-ordered for the supersede rule (max-combine):
@@ -161,6 +161,27 @@ class LocalAnalysisReport:
         return 100.0 * sum(c.repeated for c in top) / total
 
 
+def _frame_task_counter(
+    tracker: Optional[RepetitionTracker], proepi: Dict[str, List[int]]
+) -> Callable[[CategoryStats, _LocalFrame, StepRecord], None]:
+    """Counts one prologue/epilogue step, also against its function."""
+
+    def count(stats: CategoryStats, frame: _LocalFrame, record: StepRecord) -> None:
+        stats.total += 1
+        repeated = tracker is not None and tracker.was_repeated(record)
+        if repeated:
+            stats.repeated += 1
+        if frame.function is not None:
+            entry = proepi.get(frame.function.name)
+            if entry is None:
+                entry = proepi[frame.function.name] = [0, 0]
+            entry[0] += 1
+            if repeated:
+                entry[1] += 1
+
+    return count
+
+
 class LocalAnalyzer(Analyzer):
     """Bins instructions into the paper's local categories.
 
@@ -172,14 +193,24 @@ class LocalAnalyzer(Analyzer):
     def __init__(self, tracker: Optional[RepetitionTracker] = None) -> None:
         self.tracker = tracker
         self.stats = {name: CategoryStats() for name in CATEGORY_ORDER}
-        self.dynamic_total = 0
-        self.dynamic_repeated = 0
+        self._stats_by_tag = [self.stats[_TAG_CATEGORY[tag]] for tag in sorted(_TAG_CATEGORY)]
         self._stack: List[_LocalFrame] = [_LocalFrame(None, ())]
         #: Stack-segment word address -> local tag of the stored value.
         self._stack_mem_tags: Dict[int, int] = {}
         self._program: Optional[Program] = None
         #: function name -> [prologue+epilogue total, repeated].
         self._proepi: Dict[str, List[int]] = {}
+        self._count_frame_task = _frame_task_counter(tracker, self._proepi)
+        #: Compiled steps by static shape (opcode, registers, immediate sign).
+        self._shapes: Dict[tuple, StepFn] = {}
+
+    @property
+    def dynamic_total(self) -> int:
+        return sum(stats.total for stats in self.stats.values())
+
+    @property
+    def dynamic_repeated(self) -> int:
+        return sum(stats.repeated for stats in self.stats.values())
 
     def on_start(self, program: Program) -> None:
         self._program = program
@@ -203,109 +234,200 @@ class LocalAnalyzer(Analyzer):
 
     # -- classification --------------------------------------------------------
 
-    def on_step(self, record: StepRecord) -> None:
-        frame = self._stack[-1]
-        tags = frame.reg_tags
-        instr = record.instr
+    def compile_step(self, pc: int, instr: Instruction) -> StepFn:
+        """One closure per kind; each ends by binning the step's category.
+
+        Register indices, sources, destinations, the ``lui`` test and the
+        stack-frame ``addiu`` test are fixed here.  The step does not
+        depend on ``pc``, so instructions of the same shape share one
+        closure.  The closures hold the analyzer's state containers, never
+        the analyzer itself, so the shape memo creates no reference cycle.
+        """
+        shape = (instr.op, instr.rd, instr.rs, instr.rt, instr.imm < 0)
+        step = self._shapes.get(shape)
+        if step is not None:
+            return step
         op = instr.op
         kind = op.kind
-        category: str
+        tracker = self.tracker
+        count_frame_task = self._count_frame_task
+        stack = self._stack
+        stack_mem_tags = self._stack_mem_tags
+        by_tag = self._stats_by_tag
+        rs, rt = instr.rs, instr.rt
 
         if kind == Kind.STORE:
-            address = record.mem_addr
-            value_tag = tags[instr.rt]
-            segment = segment_of(address)  # type: ignore[arg-type]
-            if value_tag == UNINIT and segment == "stack":
-                category = "prologue"
-                frame.prologue_slots.add(address & ~3)
-                self._stack_mem_tags[address & ~3] = UNINIT  # type: ignore[operator]
-            else:
-                # The store belongs to the *data* slice it writes; the
-                # base address (SP/gp-derived) does not reclassify it.
-                category = _TAG_CATEGORY[value_tag]
-                if segment == "stack":
-                    self._stack_mem_tags[address & ~3] = value_tag  # type: ignore[operator]
+            prologue = self.stats["prologue"]
+
+            def step(record: StepRecord) -> None:
+                frame = stack[-1]
+                value_tag = frame.reg_tags[rt]
+                address = record.mem_addr
+                if STACK_LIMIT <= address <= STACK_TOP:
+                    word = address & ~3
+                    if value_tag == UNINIT:
+                        # Saving a still-uninitialized (callee-saved) register.
+                        frame.prologue_slots.add(word)
+                        stack_mem_tags[word] = UNINIT
+                        count_frame_task(prologue, frame, record)
+                        return
+                    stack_mem_tags[word] = value_tag
+                # The store belongs to the *data* slice it writes; the base
+                # address (SP/gp-derived) does not reclassify it.
+                stats = by_tag[value_tag]
+                stats.total += 1
+                if tracker is not None:
+                    if tracker.last_index != record.index:
+                        tracker.was_repeated(record)  # raises: out of order
+                    if tracker.last_was_repeated:
+                        stats.repeated += 1
+
         elif kind == Kind.LOAD:
-            address = record.mem_addr
-            word = address & ~3  # type: ignore[operator]
-            segment = segment_of(address)  # type: ignore[arg-type]
-            if segment == "data":
-                tag = GLOBAL
-                category = "global"
-            elif segment == "heap":
-                tag = HEAP
-                category = "heap"
-            elif word in frame.prologue_slots:
-                tag = UNINIT
-                category = "epilogue"
-            else:
-                tag = self._stack_mem_tags.get(word, UNINIT)
-                category = _TAG_CATEGORY[tag]
-            if instr.rt != ZERO:
-                tags[instr.rt] = tag
-        elif kind == Kind.ALU and instr.rt == SP and instr.rs == SP and op.name == "addiu":
+            epilogue = self.stats["epilogue"]
+
+            def step(record: StepRecord) -> None:
+                frame = stack[-1]
+                address = record.mem_addr
+                if DATA_BASE <= address < HEAP_BASE:
+                    tag = GLOBAL
+                elif HEAP_BASE <= address < STACK_LIMIT:
+                    tag = HEAP
+                else:
+                    word = address & ~3
+                    if word in frame.prologue_slots:
+                        if rt:
+                            frame.reg_tags[rt] = UNINIT
+                        count_frame_task(epilogue, frame, record)
+                        return
+                    tag = stack_mem_tags.get(word, UNINIT)
+                if rt:
+                    frame.reg_tags[rt] = tag
+                stats = by_tag[tag]
+                stats.total += 1
+                if tracker is not None:
+                    if tracker.last_index != record.index:
+                        tracker.was_repeated(record)
+                    if tracker.last_was_repeated:
+                        stats.repeated += 1
+
+        elif kind == Kind.ALU and rt == SP and rs == SP and op.name == "addiu":
             # Stack frame allocation / deallocation.
-            category = "prologue" if instr.imm < 0 else "epilogue"
-        elif kind == Kind.JUMP_REG:
-            if instr.rs == RA:
-                category = "return"
-            else:
-                category = _TAG_CATEGORY[tags[instr.rs]]
-        elif kind in (Kind.JUMP, Kind.NOP):
-            category = "function internals"
-        elif kind == Kind.CALL:
-            if op.fmt == Format.J:
-                category = "function internals"
-            else:
-                category = _TAG_CATEGORY[tags[instr.rs]]
-            link = instr.dest_register()
-            if link:
-                tags[link] = INTERNAL
+            frame_stats = self.stats["prologue" if instr.imm < 0 else "epilogue"]
+
+            def step(record: StepRecord) -> None:
+                count_frame_task(frame_stats, stack[-1], record)
+
         elif kind == Kind.MULDIV:
-            tag = max(tags[instr.rs], tags[instr.rt])
-            frame.hilo_tag = tag
-            category = _TAG_CATEGORY[tag]
+
+            def step(record: StepRecord) -> None:
+                frame = stack[-1]
+                tags = frame.reg_tags
+                tag = tags[rs]
+                other = tags[rt]
+                if other > tag:
+                    tag = other
+                frame.hilo_tag = tag
+                stats = by_tag[tag]
+                stats.total += 1
+                if tracker is not None:
+                    if tracker.last_index != record.index:
+                        tracker.was_repeated(record)
+                    if tracker.last_was_repeated:
+                        stats.repeated += 1
+
         elif kind == Kind.MFHILO:
-            tag = frame.hilo_tag
-            category = _TAG_CATEGORY[tag]
-            if instr.rd != ZERO:
-                tags[instr.rd] = tag
-        elif kind == Kind.SYSCALL:
-            category = _TAG_CATEGORY[max(tags[V0], tags[A0])]
+            rd = instr.rd
+
+            def step(record: StepRecord) -> None:
+                frame = stack[-1]
+                tag = frame.hilo_tag
+                if rd:
+                    frame.reg_tags[rd] = tag
+                stats = by_tag[tag]
+                stats.total += 1
+                if tracker is not None:
+                    if tracker.last_index != record.index:
+                        tracker.was_repeated(record)
+                    if tracker.last_was_repeated:
+                        stats.repeated += 1
+
+        elif op.name == "lui":
+            dest = instr.dest_register() or 0
+
+            def step(record: StepRecord) -> None:
+                if DATA_BASE <= record.dest_value < HEAP_BASE:
+                    # Synthesizing the upper half of a global address.
+                    tag = GLB_ADDR
+                else:
+                    tag = INTERNAL
+                if dest:
+                    stack[-1].reg_tags[dest] = tag
+                stats = by_tag[tag]
+                stats.total += 1
+                if tracker is not None:
+                    if tracker.last_index != record.index:
+                        tracker.was_repeated(record)
+                    if tracker.last_was_repeated:
+                        stats.repeated += 1
+
         else:
-            tag = INTERNAL
-            sources = instr.source_registers()
-            if sources:
-                tag = tags[sources[0]]
-                for reg in sources[1:]:
-                    other = tags[reg]
+            # The rest are binned by the supersede of their source tags,
+            # or by a fixed category when they read none.
+            category = None
+            if kind == Kind.SYSCALL:
+                sources: Tuple[int, ...] = (V0, A0)
+            elif kind == Kind.JUMP_REG:
+                sources = (rs,)
+                if rs == RA:
+                    category = "return"
+            elif kind == Kind.CALL:
+                sources = () if op.fmt == Format.J else (rs,)
+            elif kind == Kind.JUMP or kind == Kind.NOP:
+                sources = ()
+            else:  # ALU and branches
+                sources = instr.source_registers()
+            if category is None and not sources:
+                category = "function internals"
+            # A call's link register starts a fresh internal slice; an
+            # ALU result takes its slice's tag (uninit counts as internal).
+            link = kind == Kind.CALL
+            dest = (instr.dest_register() or 0) if link or kind == Kind.ALU else 0
+
+            if category is not None:
+                stats = self.stats[category]
+
+                def step(record: StepRecord) -> None:
+                    if dest:
+                        stack[-1].reg_tags[dest] = INTERNAL
+                    stats.total += 1
+                    if tracker is not None:
+                        if tracker.last_index != record.index:
+                            tracker.was_repeated(record)
+                        if tracker.last_was_repeated:
+                            stats.repeated += 1
+
+            else:
+                a = sources[0]
+                b = sources[-1]
+
+                def step(record: StepRecord) -> None:
+                    tags = stack[-1].reg_tags
+                    tag = tags[a]
+                    other = tags[b]
                     if other > tag:
                         tag = other
-            if op.name == "lui" and DATA_BASE <= record.dest_value < HEAP_BASE:
-                # Synthesizing the upper half of a global address.
-                tag = GLB_ADDR
-            if tag == UNINIT:
-                tag = INTERNAL
-            category = _TAG_CATEGORY[tag]
-            dest = instr.dest_register()
-            if dest:
-                tags[dest] = tag
+                    if dest:
+                        tags[dest] = INTERNAL if link or tag == UNINIT else tag
+                    stats = by_tag[tag]
+                    stats.total += 1
+                    if tracker is not None:
+                        if tracker.last_index != record.index:
+                            tracker.was_repeated(record)
+                        if tracker.last_was_repeated:
+                            stats.repeated += 1
 
-        stats = self.stats[category]
-        stats.total += 1
-        self.dynamic_total += 1
-        repeated = self.tracker is not None and self.tracker.was_repeated(record)
-        if repeated:
-            stats.repeated += 1
-            self.dynamic_repeated += 1
-        if category in ("prologue", "epilogue") and frame.function is not None:
-            entry = self._proepi.get(frame.function.name)
-            if entry is None:
-                entry = [0, 0]
-                self._proepi[frame.function.name] = entry
-            entry[0] += 1
-            if repeated:
-                entry[1] += 1
+        self._shapes[shape] = step
+        return step
 
     # -- reporting ------------------------------------------------------------
 

@@ -23,8 +23,9 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
 from repro.analysis.coverage import bucket_label, bucket_shares
+from repro.isa.instructions import Instruction
 from repro.sim.events import StepRecord
-from repro.sim.observer import Analyzer
+from repro.sim.observer import Analyzer, StepFn
 
 #: The paper buffers up to 2000 unique instances per static instruction.
 DEFAULT_BUFFER_CAPACITY = 2000
@@ -89,35 +90,46 @@ class RepetitionTracker(Analyzer):
         if buffer_capacity < 1:
             raise ValueError("buffer_capacity must be positive")
         self.buffer_capacity = buffer_capacity
-        self.dynamic_total = 0
-        self.dynamic_repeated = 0
+        #: pc -> state, in first-execution order (report lists follow it).
         self._static: Dict[int, _StaticEntry] = {}
         #: True iff the most recent step was classified repeated.
         self.last_was_repeated = False
         #: Index of the most recent step (for composition sanity checks).
         self.last_index = -1
 
-    def on_step(self, record: StepRecord) -> None:
-        entry = self._static.get(record.pc)
+    @property
+    def dynamic_total(self) -> int:
+        return sum(entry.executed for entry in self._static.values())
+
+    @property
+    def dynamic_repeated(self) -> int:
+        return sum(entry.repeated for entry in self._static.values())
+
+    def compile_step(self, pc: int, instr: Instruction) -> StepFn:
+        # Compilation happens at the instruction's first step, so creating
+        # the entry here keeps _static in first-execution order.
+        entry = self._static.get(pc)
         if entry is None:
-            entry = _StaticEntry()
-            self._static[record.pc] = entry
-        entry.executed += 1
-        self.dynamic_total += 1
-        key = (record.inputs, record.outputs)
+            entry = self._static[pc] = _StaticEntry()
         instances = entry.instances
-        count = instances.get(key)
-        if count is not None:
-            instances[key] = count + 1
-            entry.repeated += 1
-            self.dynamic_repeated += 1
-            repeated = True
-        else:
-            if len(instances) < self.buffer_capacity:
-                instances[key] = 0
-            repeated = False
-        self.last_was_repeated = repeated
-        self.last_index = record.index
+        capacity = self.buffer_capacity
+        tracker = self
+
+        def step(record: StepRecord) -> None:
+            entry.executed += 1
+            key = (record.inputs, record.outputs)
+            count = instances.get(key)
+            if count is not None:
+                instances[key] = count + 1
+                entry.repeated += 1
+                tracker.last_was_repeated = True
+            else:
+                if len(instances) < capacity:
+                    instances[key] = 0
+                tracker.last_was_repeated = False
+            tracker.last_index = record.index
+
+        return step
 
     # -- reporting ---------------------------------------------------------
 

@@ -19,29 +19,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
+from repro.isa.instructions import Instruction
 from repro.obs import metrics as obs_metrics
 from repro.sim.events import StepRecord
-from repro.sim.observer import Analyzer
+from repro.sim.observer import Analyzer, StepFn
 
 #: Paper configuration: 8K entries, 4-way set associative.
 DEFAULT_ENTRIES = 8192
 DEFAULT_ASSOCIATIVITY = 4
 
-
-class _Entry:
-    __slots__ = ("pc", "inputs", "outputs", "mem_word")
-
-    def __init__(
-        self,
-        pc: int,
-        inputs: Tuple[int, ...],
-        outputs: Tuple[int, ...],
-        mem_word: Optional[int],
-    ) -> None:
-        self.pc = pc
-        self.inputs = inputs
-        self.outputs = outputs
-        self.mem_word = mem_word
+#: Probe sentinel: no entry for this instance.
+_MISS = object()
 
 
 @dataclass
@@ -79,18 +67,27 @@ class ReuseBuffer(Analyzer):
             raise ValueError("entries must be a multiple of associativity")
         self.num_sets = entries // associativity
         self.associativity = associativity
-        #: Sets are MRU-first lists.
-        self._sets: List[List[_Entry]] = [[] for _ in range(self.num_sets)]
-        #: memory word -> entries caching a load of that word.
-        self._by_word: Dict[int, Set[_Entry]] = {}
-        self.dynamic_total = 0
+        #: Each set maps ``(pc, inputs)`` to the buffered load's memory word
+        #: (``None`` for other instructions).  Insertion order is the LRU
+        #: order, least recent first.  A key is entered only on a miss, so
+        #: a set never holds two entries for the same instance.
+        self._sets: List[Dict[Tuple[int, Tuple[int, ...]], Optional[int]]] = [
+            {} for _ in range(self.num_sets)
+        ]
+        #: memory word -> keys of buffered loads of that word.
+        self._by_word: Dict[int, Set[Tuple[int, Tuple[int, ...]]]] = {}
         self.reuse_hits = 0
+        self.misses = 0
         self.invalidations = 0
         self.evictions = 0
         #: Per-step flag for composition (e.g. the timing model): True iff
         #: the most recent step reused; valid for that step only.
         self.last_was_hit = False
         self.last_index = -1
+
+    @property
+    def dynamic_total(self) -> int:
+        return self.reuse_hits + self.misses
 
     def was_reused(self, record: StepRecord) -> bool:
         """Reuse flag for ``record`` (must be the most recent step)."""
@@ -101,58 +98,66 @@ class ReuseBuffer(Analyzer):
             )
         return self.last_was_hit
 
-    def _set_for(self, pc: int) -> List[_Entry]:
+    def _set_for(self, pc: int) -> Dict[Tuple[int, Tuple[int, ...]], Optional[int]]:
         return self._sets[(pc >> 2) % self.num_sets]
 
-    def _drop_word_link(self, entry: _Entry) -> None:
-        if entry.mem_word is None:
-            return
-        linked = self._by_word.get(entry.mem_word)
-        if linked is not None:
-            linked.discard(entry)
+    def _invalidate(self, linked: Set[Tuple[int, Tuple[int, ...]]]) -> None:
+        """Drop the buffered loads ``linked`` to a word a store just wrote."""
+        for key in linked:
+            del self._set_for(key[0])[key]
+        self.invalidations += len(linked)
+
+    def _evict(self, bucket: Dict) -> None:
+        """Drop the set's least recently used entry."""
+        key = next(iter(bucket))
+        word = bucket.pop(key)
+        if word is not None:
+            linked = self._by_word[word]
+            linked.discard(key)
             if not linked:
-                del self._by_word[entry.mem_word]
+                del self._by_word[word]
+        self.evictions += 1
 
-    def on_step(self, record: StepRecord) -> None:
-        self.dynamic_total += 1
-        self.last_index = record.index
-        self.last_was_hit = False
-        pc = record.pc
+    def compile_step(self, pc: int, instr: Instruction) -> StepFn:
+        buffer = self
         bucket = self._set_for(pc)
+        associativity = self.associativity
+        by_word = self._by_word
+        is_load = instr.is_load
+        is_store = instr.is_store
 
-        # Stores invalidate any buffered load of the written word (before
-        # the store itself could be entered, order is irrelevant for it).
-        if record.store_value is not None:
-            word = record.mem_addr & ~3  # type: ignore[operator]
-            linked = self._by_word.pop(word, None)
-            if linked:
-                for entry in linked:
-                    entry_set = self._set_for(entry.pc)
-                    if entry in entry_set:
-                        entry_set.remove(entry)
-                        self.invalidations += 1
-
-        for index, entry in enumerate(bucket):
-            if entry.pc == pc and entry.inputs == record.inputs:
-                # Reuse hit; refresh LRU position.
-                if index:
-                    bucket.insert(0, bucket.pop(index))
-                self.reuse_hits += 1
-                self.last_was_hit = True
+        def step(record: StepRecord) -> None:
+            buffer.last_index = record.index
+            # Stores invalidate any buffered load of the written word
+            # before the probe (a store never hits a load's entry).
+            if is_store:
+                linked = by_word.pop(record.mem_addr & ~3, None)
+                if linked:
+                    buffer._invalidate(linked)
+            key = (pc, record.inputs)
+            word = bucket.pop(key, _MISS)
+            if word is not _MISS:
+                bucket[key] = word  # reuse hit: now most recently used
+                buffer.reuse_hits += 1
+                buffer.last_was_hit = True
                 return
+            # Miss: insert this instance, evicting the LRU entry if needed.
+            buffer.last_was_hit = False
+            buffer.misses += 1
+            if len(bucket) >= associativity:
+                buffer._evict(bucket)
+            if is_load:
+                word = record.mem_addr & ~3
+                bucket[key] = word
+                linked = by_word.get(word)
+                if linked is None:
+                    by_word[word] = {key}
+                else:
+                    linked.add(key)
+            else:
+                bucket[key] = None
 
-        # Miss: insert this instance, evicting the LRU entry if needed.
-        mem_word = None
-        if record.instr.is_load:
-            mem_word = record.mem_addr & ~3  # type: ignore[operator]
-        new_entry = _Entry(pc, record.inputs, record.outputs, mem_word)
-        if len(bucket) >= self.associativity:
-            victim = bucket.pop()
-            self._drop_word_link(victim)
-            self.evictions += 1
-        bucket.insert(0, new_entry)
-        if mem_word is not None:
-            self._by_word.setdefault(mem_word, set()).add(new_entry)
+        return step
 
     @property
     def occupancy(self) -> int:

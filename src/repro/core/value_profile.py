@@ -15,11 +15,12 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict, Optional, Tuple
 
-from repro.isa.convention import segment_of
+from repro.core.function_analysis import IMPURE_HIGH, IMPURE_LOW
+from repro.isa.instructions import Instruction
 from repro.sim.events import StepRecord
-from repro.sim.observer import Analyzer
+from repro.sim.observer import Analyzer, StepFn
 
 #: Per-static-load cap on distinct profiled values, bounding memory on
 #: pathological loads (e.g. a pointer-chasing scan).  Values beyond the
@@ -49,21 +50,23 @@ class GlobalLoadValueProfiler(Analyzer):
         self._overflow: Dict[int, int] = {}
         self.loads_profiled = 0
 
-    def on_step(self, record: StepRecord) -> None:
-        if not record.instr.is_load:
-            return
-        if segment_of(record.mem_addr) not in ("data", "heap"):  # type: ignore[arg-type]
+    def compile_step(self, pc: int, instr: Instruction) -> Optional[StepFn]:
+        """Loads only: profile values loaded from global or heap memory."""
+        return self._load_step if instr.is_load else None
+
+    def _load_step(self, record: StepRecord) -> None:
+        if not IMPURE_LOW <= record.mem_addr < IMPURE_HIGH:
             return
         self.loads_profiled += 1
-        profile = self._profiles.get(record.pc)
+        pc = record.pc
+        profile = self._profiles.get(pc)
         if profile is None:
-            profile = Counter()
-            self._profiles[record.pc] = profile
+            profile = self._profiles[pc] = Counter()
         value = record.dest_value
         if value in profile or len(profile) < self.value_cap:
             profile[value] += 1
         else:
-            self._overflow[record.pc] = self._overflow.get(record.pc, 0) + 1
+            self._overflow[pc] = self._overflow.get(pc, 0) + 1
 
     def report(self) -> ValueProfileReport:
         covered = [0] * 5

@@ -16,6 +16,7 @@ from repro.harness.parallel import run_suite_parallel
 from repro.harness.runner import (
     SuiteConfig,
     WorkloadResult,
+    build_analyzers,
     cache_directory,
     clear_cache,
     run_suite,
@@ -37,6 +38,7 @@ __all__ = [
     "SuiteReport",
     "WorkloadResult",
     "WorkloadTimeout",
+    "build_analyzers",
     "cache_directory",
     "clear_cache",
     "result_digest",

@@ -47,6 +47,7 @@ from repro.obs import metrics as obs_metrics
 from repro.obs import profiling as obs_profiling
 from repro.obs import tracing as obs_tracing
 from repro.obs.manifest import RunManifest, build_workload_manifest
+from repro.sim.observer import Analyzer
 from repro.sim.simulator import DEFAULT_ENGINE, RunResult, Simulator
 from repro.traces.analyzer import TraceReuseAnalyzer, TraceReuseReport
 from repro.workloads import WORKLOAD_ORDER, Workload, get_workload
@@ -190,6 +191,25 @@ def install_result(
                 )
 
 
+def build_analyzers(config: SuiteConfig) -> List[Analyzer]:
+    """The suite's seven-analyzer stack for ``config``, in dependency order.
+
+    The repetition tracker comes first: the global and local analyzers
+    read its per-step flag.  Order: tracker, global, function, local,
+    reuse buffer, value profiler, trace reuse.
+    """
+    tracker = RepetitionTracker(config.buffer_capacity)
+    return [
+        tracker,
+        GlobalSourceAnalyzer(tracker),
+        FunctionAnalyzer(),
+        LocalAnalyzer(tracker),
+        ReuseBuffer(config.reuse_entries, config.reuse_associativity),
+        GlobalLoadValueProfiler(),
+        TraceReuseAnalyzer(config.trace_capacity, config.trace_ways, config.trace_max_len),
+    ]
+
+
 def run_workload(
     workload: Workload,
     config: SuiteConfig = SuiteConfig(),
@@ -229,17 +249,8 @@ def _compute_workload(
         program = workload.program()
     timing["assemble"] = time.perf_counter() - started
 
-    tracker = RepetitionTracker(config.buffer_capacity)
-    global_analyzer = GlobalSourceAnalyzer(tracker)
-    function_analyzer = FunctionAnalyzer()
-    local_analyzer = LocalAnalyzer(tracker)
-    reuse = ReuseBuffer(config.reuse_entries, config.reuse_associativity)
-    value_profiler = GlobalLoadValueProfiler()
-    trace_analyzer = TraceReuseAnalyzer(
-        config.trace_capacity, config.trace_ways, config.trace_max_len
-    )
-    # Tracker first: downstream analyzers read its per-step flag.
-    analyzers = [
+    analyzers = build_analyzers(config)
+    (
         tracker,
         global_analyzer,
         function_analyzer,
@@ -247,7 +258,7 @@ def _compute_workload(
         reuse,
         value_profiler,
         trace_analyzer,
-    ]
+    ) = analyzers
     profiles = None
     if profile:
         analyzers, profiles = obs_profiling.wrap_all(analyzers)

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Dict, List, Tuple, Type
 
-from repro.sim.observer import Analyzer
+from repro.sim.observer import Analyzer, takes_steps
 
 #: Every hook the simulator can deliver.
 HOOKS = ("on_start", "on_step", "on_call", "on_return", "on_syscall", "on_finish")
@@ -74,9 +74,17 @@ _PROXY_CLASSES: Dict[Tuple[str, ...], Type[Analyzer]] = {}
 
 
 def _overridden_hooks(analyzer: Analyzer) -> Tuple[str, ...]:
+    """Hooks the proxy must forward.
+
+    A compiled analyzer (one overriding ``compile_step``) takes steps
+    through its ``on_step`` adapter, so its proxy forwards ``on_step``.
+    """
     cls = type(analyzer)
     return tuple(
-        name for name in HOOKS if getattr(cls, name) is not getattr(Analyzer, name)
+        name
+        for name in HOOKS
+        if getattr(cls, name) is not getattr(Analyzer, name)
+        or (name == "on_step" and takes_steps(cls))
     )
 
 

@@ -9,15 +9,32 @@ event stream directly in tests).  The simulator delivers:
   boundaries — *including* during any warm-up (skip) window, flagged via
   the event's ``warmup`` attribute, so analyzers can keep structural
   state (call stacks) consistent without counting warm-up activity;
-* ``on_step(record)`` for every retired instruction after the warm-up
-  window;
+* one step per retired instruction after the warm-up window;
 * ``on_finish()`` once after execution.
+
+Step work comes in two shapes.  An analyzer may override ``on_step`` and
+be called with every record.  Or it may override ``compile_step(pc,
+instr)``, which runs once per static instruction and returns the
+closure that does that instruction's per-step work (or ``None`` to skip
+the instruction entirely); every static decision — opcode kind, register
+indices, reuse-buffer set, trace boundary — is taken there, not per
+step.  The predecoded engine dispatches those closures directly from a
+per-pc table; everything else (the reference interpreter, trace replay,
+synthetic streams in tests, a caller invoking ``on_step`` by hand) goes
+through the base-class ``on_step`` adapter, which runs the same closure.
 """
 
 from __future__ import annotations
 
+from typing import Callable, Optional
+
 from repro.asm.program import Program
+from repro.isa.instructions import Instruction
 from repro.sim.events import CallEvent, ReturnEvent, StepRecord, SyscallEvent
+
+#: A compiled per-instruction step: called with each record of that
+#: static instruction.
+StepFn = Callable[[StepRecord], None]
 
 
 class Analyzer:
@@ -26,8 +43,36 @@ class Analyzer:
     def on_start(self, program: Program) -> None:
         """Called once before the first instruction executes."""
 
+    def compile_step(self, pc: int, instr: Instruction) -> Optional[StepFn]:
+        """Bind the per-step work for the static instruction at ``pc``.
+
+        Called once per static instruction, just before its first step
+        is delivered, so first-compilation order is first-execution
+        order.  Returns ``None`` when the analyzer ignores ``instr``.
+        Only static facts may be decided here: anything that depends on
+        run-time values stays inside the returned closure.
+        """
+        return None
+
     def on_step(self, record: StepRecord) -> None:
-        """Called for every retired instruction (after any skip window)."""
+        """Called for every retired instruction (after any skip window).
+
+        This default is the adapter for compiled analyzers: it runs the
+        closure :meth:`compile_step` built for ``record.instr``, compiling
+        it on first sight of that instruction at that pc.
+        """
+        try:
+            compiled = self._compiled_steps
+        except AttributeError:
+            compiled = self._compiled_steps = {}
+        pc = record.pc
+        instr = record.instr
+        entry = compiled.get(pc)
+        if entry is None or entry[0] is not instr:
+            entry = compiled[pc] = (instr, self.compile_step(pc, instr))
+        step = entry[1]
+        if step is not None:
+            step(record)
 
     def on_call(self, event: CallEvent) -> None:
         """Called at every function call boundary."""
@@ -40,3 +85,25 @@ class Analyzer:
 
     def on_finish(self) -> None:
         """Called once when execution stops."""
+
+
+def overrides_on_step(cls: type) -> bool:
+    """True iff ``cls`` replaces the base ``on_step`` adapter."""
+    return cls.on_step is not Analyzer.on_step
+
+
+def takes_steps(cls: type) -> bool:
+    """True iff instances of ``cls`` do per-step work, in either shape."""
+    return overrides_on_step(cls) or cls.compile_step is not Analyzer.compile_step
+
+
+def step_compiler(analyzer: Analyzer) -> Callable[[int, Instruction], Optional[StepFn]]:
+    """``(pc, instr) -> step`` for one analyzer.
+
+    Analyzers that override ``on_step`` (no ``compile_step``, or a proxy
+    wrapping one) get their bound ``on_step`` for every instruction.
+    """
+    if overrides_on_step(type(analyzer)):
+        hook = analyzer.on_step
+        return lambda pc, instr: hook
+    return analyzer.compile_step

@@ -38,7 +38,7 @@ from repro.sim import predecode
 from repro.sim.errors import SimError
 from repro.sim.events import CallEvent, ReturnEvent, StepRecord, SyscallEvent
 from repro.sim.memory import Memory
-from repro.sim.observer import Analyzer
+from repro.sim.observer import Analyzer, step_compiler, takes_steps
 from repro.sim.syscalls import InputStream, SyscallHandler
 
 #: ``jr $ra`` to this address halts the machine (initial $ra value).
@@ -80,8 +80,12 @@ def _hooks_for(analyzers: Sequence[Analyzer], name: str) -> tuple:
     """Bound methods of analyzers that actually override ``name``.
 
     Analyzers that inherit the base-class no-op are skipped entirely, so
-    the per-event fan-out only touches observers that do work.
+    the per-event fan-out only touches observers that do work.  For
+    ``on_step``, overriding ``compile_step`` counts as participation too
+    (the bound ``on_step`` is then the base-class adapter).
     """
+    if name == "on_step":
+        return tuple(a.on_step for a in analyzers if takes_steps(type(a)))
     base = getattr(Analyzer, name)
     return tuple(
         getattr(analyzer, name)
@@ -140,6 +144,9 @@ class Simulator:
         self._fast_code: Optional[list] = None
         self._full_code: Optional[list] = None
         self._step_hooks: tuple = ()
+        self._step_compilers: tuple = ()
+        #: Per text index: the compiled step hooks, built on first execution.
+        self._step_table: Optional[list] = None
         self._call_hooks: tuple = ()
         self._return_hooks: tuple = ()
         self._syscall_hooks: tuple = ()
@@ -236,6 +243,9 @@ class Simulator:
 
         program = self.program
         self._step_hooks = _hooks_for(self._analyzers, "on_step")
+        self._step_compilers = tuple(
+            step_compiler(a) for a in self._analyzers if takes_steps(type(a))
+        )
         self._call_hooks = _hooks_for(self._analyzers, "on_call")
         self._return_hooks = _hooks_for(self._analyzers, "on_return")
         self._syscall_hooks = _hooks_for(self._analyzers, "on_syscall")
@@ -315,6 +325,11 @@ class Simulator:
         else:
             for analyzer in self._analyzers:
                 analyzer.on_finish()
+            # A finished run cannot resume. Drop the code and hook tables:
+            # their closures refer back to this simulator, and without the
+            # cycle the run's state (analyzers included) is freed as soon
+            # as the caller lets go, not at the next full collection.
+            self._fast_code = self._full_code = self._step_table = None
         registry = obs_metrics.REGISTRY
         if registry.enabled:
             self._publish_metrics(registry)
@@ -403,101 +418,108 @@ class Simulator:
         analyzed_start = analyzed
         stop: Optional[str] = None
 
-        while True:
-            if pc == HALT_ADDRESS:
-                stop = "halt"
-                break
-            index = (pc - text_base) >> 2
-            if index < 0 or index >= text_len or pc & 3:
-                raise SimError("pc outside text segment", pc)
-            if analyzed >= bound:
-                stop = "limit"
-                break
-            if check_pause and self._pause_requested:
-                self._pause_requested = False
-                stop = "paused"
-                break
-            if warmup and total >= skip:
-                break  # warm-up complete; caller continues in analysis mode
+        try:
+            while True:
+                if pc == HALT_ADDRESS:
+                    stop = "halt"
+                    break
+                index = (pc - text_base) >> 2
+                if index < 0 or index >= text_len or pc & 3:
+                    raise SimError("pc outside text segment", pc)
+                if analyzed >= bound:
+                    stop = "limit"
+                    break
+                if check_pause and self._pause_requested:
+                    self._pause_requested = False
+                    stop = "paused"
+                    break
+                if warmup and total >= skip:
+                    break  # warm-up complete; caller continues in analysis mode
 
-            r = code[index]()
-            if r.__class__ is int:
-                if warmup:
-                    total += 1
-                else:
-                    analyzed += 1
-                pc = r
-                continue
-
-            tag = r[1]
-            if tag is trace_hit:
-                # A replay is only taken when the whole trace fits inside
-                # the current window; otherwise execute the anchor
-                # normally and let the loop re-probe next time around.
-                trace = r[2]
-                remaining = (skip - total) if warmup else (bound - analyzed)
-                if trace.length <= remaining:
-                    trace.apply(self)
-                    trace_engine.note_hit(trace)
-                    if warmup:
-                        total += trace.length
-                    else:
-                        analyzed += trace.length
-                    pc = r[0]
-                    continue
-                r = r[3]()
-                if warmup:
-                    total += 1
-                else:
-                    analyzed += 1
+                r = code[index]()
                 if r.__class__ is int:
+                    if warmup:
+                        total += 1
+                    else:
+                        analyzed += 1
                     pc = r
                     continue
-                tag = r[1]  # anchors are never excluded kinds, but be safe
-            elif tag is trace_rec:
-                remaining = (skip - total) if warmup else (bound - analyzed)
-                executed, pc = trace_engine.record_from(r[3], pc, remaining)
-                if warmup:
-                    total += executed
-                else:
-                    analyzed += executed
-                continue
-            else:
-                if warmup:
-                    total += 1
-                else:
-                    analyzed += 1
 
-            if tag is ctrl_call:
-                self._emit_call(pc, r[2], r[3], warmup)
-            elif tag is ctrl_return:
-                self._emit_return(pc, r[2], warmup)
-            else:  # syscall
-                if syscall_hooks:
-                    service = r[2]
-                    event = SyscallEvent(
-                        pc,
-                        service,
-                        r[3],
-                        r[4],
-                        service in input_services,
-                        service in output_services,
-                        warmup,
-                    )
-                    for hook in syscall_hooks:
-                        hook(event)
-                if r[5]:
-                    stop = "exit"
-                    break
-            pc = r[0]
+                tag = r[1]
+                if tag is trace_hit:
+                    # A replay is only taken when the whole trace fits inside
+                    # the current window; otherwise execute the anchor
+                    # normally and let the loop re-probe next time around.
+                    trace = r[2]
+                    remaining = (skip - total) if warmup else (bound - analyzed)
+                    if trace.length <= remaining:
+                        trace.apply(self)
+                        trace_engine.note_hit(trace)
+                        if warmup:
+                            total += trace.length
+                        else:
+                            analyzed += trace.length
+                        pc = r[0]
+                        continue
+                    r = r[3]()
+                    if warmup:
+                        total += 1
+                    else:
+                        analyzed += 1
+                    if r.__class__ is int:
+                        pc = r
+                        continue
+                    tag = r[1]  # anchors are never excluded kinds, but be safe
+                elif tag is trace_rec:
+                    remaining = (skip - total) if warmup else (bound - analyzed)
+                    executed, pc = trace_engine.record_from(r[3], pc, remaining)
+                    if warmup:
+                        total += executed
+                    else:
+                        analyzed += executed
+                    continue
+                else:
+                    if warmup:
+                        total += 1
+                    else:
+                        analyzed += 1
 
-        self.pc = pc
-        self._analyzed = analyzed
-        self._total = total + (analyzed - analyzed_start)
+                if tag is ctrl_call:
+                    self._emit_call(pc, r[2], r[3], warmup)
+                elif tag is ctrl_return:
+                    self._emit_return(pc, r[2], warmup)
+                else:  # syscall
+                    if syscall_hooks:
+                        service = r[2]
+                        event = SyscallEvent(
+                            pc,
+                            service,
+                            r[3],
+                            r[4],
+                            service in input_services,
+                            service in output_services,
+                            warmup,
+                        )
+                        for hook in syscall_hooks:
+                            hook(event)
+                    if r[5]:
+                        stop = "exit"
+                        break
+                pc = r[0]
+        finally:
+            # Also on a trap, so SimError carries the retired counts.
+            self.pc = pc
+            self._analyzed = analyzed
+            self._total = total + (analyzed - analyzed_start)
         return stop
 
     def _run_full(self) -> str:
-        """Analysis-mode execution: step records delivered per retire."""
+        """Analysis-mode execution: step records delivered per retire.
+
+        Each text index carries a tuple of compiled step hooks, built
+        from the analyzers' ``compile_step`` when the instruction first
+        executes (see :mod:`repro.sim.observer`).
+        """
         code = self._full_code
         if code is None:
             if self._kind_counts is not None:
@@ -507,10 +529,14 @@ class Simulator:
             else:
                 code = self._full_code = predecode.bind_full(self)
         program = self.program
+        text = program.text
         text_base = program.text_base
-        text_len = len(program.text)
+        text_len = len(text)
+        step_table = self._step_table
+        if step_table is None:
+            step_table = self._step_table = [None] * text_len
+        compilers = self._step_compilers
         bound = self._limit if self._limit is not None else _NO_LIMIT
-        step_hooks = self._step_hooks
         syscall_hooks = self._syscall_hooks
         input_services = SyscallHandler.INPUT_SERVICES
         output_services = SyscallHandler.OUTPUT_SERVICES
@@ -522,53 +548,62 @@ class Simulator:
         analyzed_start = analyzed
         stop = "halt"
 
-        while True:
-            if pc == HALT_ADDRESS:
-                stop = "halt"
-                break
-            index = (pc - text_base) >> 2
-            if index < 0 or index >= text_len or pc & 3:
-                raise SimError("pc outside text segment", pc)
-            if analyzed >= bound:
-                stop = "limit"
-                break
-            if self._pause_requested:
-                self._pause_requested = False
-                stop = "paused"
-                break
+        try:
+            while True:
+                if pc == HALT_ADDRESS:
+                    stop = "halt"
+                    break
+                index = (pc - text_base) >> 2
+                if index < 0 or index >= text_len or pc & 3:
+                    raise SimError("pc outside text segment", pc)
+                if analyzed >= bound:
+                    stop = "limit"
+                    break
+                if self._pause_requested:
+                    self._pause_requested = False
+                    stop = "paused"
+                    break
 
-            analyzed += 1
-            record, next_pc, ctrl = code[index](analyzed)
-            for hook in step_hooks:
-                hook(record)
-            if ctrl is not None:
-                tag = ctrl[0]
-                if tag is ctrl_call:
-                    self._emit_call(pc, ctrl[1], ctrl[2], False)
-                elif tag is ctrl_return:
-                    self._emit_return(pc, ctrl[1], False)
-                else:  # syscall
-                    if syscall_hooks:
-                        service = ctrl[1]
-                        event = SyscallEvent(
-                            pc,
-                            service,
-                            ctrl[2],
-                            ctrl[3],
-                            service in input_services,
-                            service in output_services,
-                            False,
-                        )
-                        for hook in syscall_hooks:
-                            hook(event)
-                    if ctrl[4]:
-                        stop = "exit"
-                        break
-            pc = next_pc
-
-        self.pc = pc
-        self._analyzed = analyzed
-        self._total += analyzed - analyzed_start
+                record, next_pc, ctrl = code[index](analyzed + 1)
+                analyzed += 1
+                hooks = step_table[index]
+                if hooks is None:
+                    instr = text[index]
+                    hooks = step_table[index] = tuple(
+                        hook
+                        for hook in (make(pc, instr) for make in compilers)
+                        if hook is not None
+                    )
+                for hook in hooks:
+                    hook(record)
+                if ctrl is not None:
+                    tag = ctrl[0]
+                    if tag is ctrl_call:
+                        self._emit_call(pc, ctrl[1], ctrl[2], False)
+                    elif tag is ctrl_return:
+                        self._emit_return(pc, ctrl[1], False)
+                    else:  # syscall
+                        if syscall_hooks:
+                            service = ctrl[1]
+                            event = SyscallEvent(
+                                pc,
+                                service,
+                                ctrl[2],
+                                ctrl[3],
+                                service in input_services,
+                                service in output_services,
+                                False,
+                            )
+                            for hook in syscall_hooks:
+                                hook(event)
+                        if ctrl[4]:
+                            stop = "exit"
+                            break
+                pc = next_pc
+        finally:
+            self.pc = pc
+            self._analyzed = analyzed
+            self._total += analyzed - analyzed_start
         return stop
 
     # ------------------------------------------------------------------
@@ -594,301 +629,303 @@ class Simulator:
         text_base = program.text_base
         text_len = len(text)
         analyzers = self._analyzers
+        step_hooks = self._step_hooks
         syscalls = self.syscalls
         trace_engine = self._trace_engine
         # Replay skips step-record delivery by construction, so the trace
         # fast path only engages while nobody consumes step records
         # (warm-up always qualifies: records are never built there).
-        step_consumers = bool(self._step_hooks)
+        step_consumers = bool(step_hooks)
 
         pc = self.pc
         total = self._total
         analyzed = self._analyzed
         stop_reason = "halt"
 
-        while True:
-            if pc == HALT_ADDRESS:
-                stop_reason = "halt"
-                break
-            index = (pc - text_base) >> 2
-            if index < 0 or index >= text_len or pc & 3:
-                raise SimError("pc outside text segment", pc)
-            if limit is not None and analyzed >= limit:
-                stop_reason = "limit"
-                break
-            if self._pause_requested:
-                self._pause_requested = False
-                stop_reason = "paused"
-                break
+        try:
+            while True:
+                if pc == HALT_ADDRESS:
+                    stop_reason = "halt"
+                    break
+                index = (pc - text_base) >> 2
+                if index < 0 or index >= text_len or pc & 3:
+                    raise SimError("pc outside text segment", pc)
+                if limit is not None and analyzed >= limit:
+                    stop_reason = "limit"
+                    break
+                if self._pause_requested:
+                    self._pause_requested = False
+                    stop_reason = "paused"
+                    break
 
-            if trace_engine is not None:
-                in_warmup = total < skip
-                if in_warmup or not step_consumers:
-                    if in_warmup:
-                        remaining = skip - total
-                    elif limit is not None:
-                        remaining = limit - analyzed
+                if trace_engine is not None:
+                    in_warmup = total < skip
+                    if in_warmup or not step_consumers:
+                        if in_warmup:
+                            remaining = skip - total
+                        elif limit is not None:
+                            remaining = limit - analyzed
+                        else:
+                            remaining = _NO_LIMIT
+                        consumed = trace_engine.interp_step(pc, index, remaining)
+                        if consumed is not None:
+                            count, pc = consumed
+                            total += count
+                            if not in_warmup:
+                                analyzed += count
+                            continue
+
+                instr = text[index]
+                op = instr.op
+                name = op.name
+                kind = op.kind
+                next_pc = pc + 4
+                warmup = total < skip
+
+                inputs: Tuple[int, ...] = _EMPTY
+                outputs: Tuple[int, ...] = _EMPTY
+                dest_reg: Optional[int] = None
+                dest_value = 0
+                mem_addr: Optional[int] = None
+                store_value: Optional[int] = None
+                call_edge: Optional[Tuple[int, int]] = None  # (target, return_addr)
+                return_edge: Optional[int] = None
+                syscall_event: Optional[SyscallEvent] = None
+                halt_after = False
+
+                fmt = op.fmt
+                if fmt == Format.I2:
+                    a = regs[instr.rs]
+                    imm = instr.imm
+                    inputs = (a,)
+                    if name == "addiu" or name == "addi":
+                        result = (a + imm) & 0xFFFFFFFF
+                    elif name == "andi":
+                        result = a & imm
+                    elif name == "ori":
+                        result = a | imm
+                    elif name == "xori":
+                        result = a ^ imm
+                    elif name == "slti":
+                        result = 1 if bits.to_s32(a) < imm else 0
+                    else:  # sltiu
+                        result = 1 if a < bits.to_u32(imm) else 0
+                    outputs = (result,)
+                    dest_reg, dest_value = instr.rt, result
+                    if dest_reg:
+                        regs[dest_reg] = result
+                elif kind == Kind.LOAD:
+                    if kind_counts is not None:
+                        kind_counts[1] += 1
+                    base = regs[instr.rs]
+                    address = (base + instr.imm) & 0xFFFFFFFF
+                    inputs = (base,)
+                    mem_addr = address
+                    width = op.mem_width
+                    if width == 4:
+                        value = memory.read_word(address)
+                    elif width == 2:
+                        value = memory.read_half(address)
+                        if op.signed_load:
+                            value = bits.to_u32(bits.to_s16(value))
                     else:
-                        remaining = _NO_LIMIT
-                    consumed = trace_engine.interp_step(pc, index, remaining)
-                    if consumed is not None:
-                        count, pc = consumed
-                        total += count
-                        if not in_warmup:
-                            analyzed += count
-                        continue
-
-            instr = text[index]
-            op = instr.op
-            name = op.name
-            kind = op.kind
-            next_pc = pc + 4
-            warmup = total < skip
-
-            inputs: Tuple[int, ...] = _EMPTY
-            outputs: Tuple[int, ...] = _EMPTY
-            dest_reg: Optional[int] = None
-            dest_value = 0
-            mem_addr: Optional[int] = None
-            store_value: Optional[int] = None
-            call_edge: Optional[Tuple[int, int]] = None  # (target, return_addr)
-            return_edge: Optional[int] = None
-            syscall_event: Optional[SyscallEvent] = None
-            halt_after = False
-
-            fmt = op.fmt
-            if fmt == Format.I2:
-                a = regs[instr.rs]
-                imm = instr.imm
-                inputs = (a,)
-                if name == "addiu" or name == "addi":
-                    result = (a + imm) & 0xFFFFFFFF
-                elif name == "andi":
-                    result = a & imm
-                elif name == "ori":
-                    result = a | imm
-                elif name == "xori":
-                    result = a ^ imm
-                elif name == "slti":
-                    result = 1 if bits.to_s32(a) < imm else 0
-                else:  # sltiu
-                    result = 1 if a < bits.to_u32(imm) else 0
-                outputs = (result,)
-                dest_reg, dest_value = instr.rt, result
-                if dest_reg:
-                    regs[dest_reg] = result
-            elif kind == Kind.LOAD:
-                if kind_counts is not None:
-                    kind_counts[1] += 1
-                base = regs[instr.rs]
-                address = (base + instr.imm) & 0xFFFFFFFF
-                inputs = (base,)
-                mem_addr = address
-                width = op.mem_width
-                if width == 4:
-                    value = memory.read_word(address)
-                elif width == 2:
-                    value = memory.read_half(address)
-                    if op.signed_load:
-                        value = bits.to_u32(bits.to_s16(value))
-                else:
-                    value = memory.read_byte(address)
-                    if op.signed_load:
-                        value = bits.to_u32(bits.to_s8(value))
-                outputs = (value,)
-                dest_reg, dest_value = instr.rt, value
-                if dest_reg:
-                    regs[dest_reg] = value
-            elif kind == Kind.STORE:
-                if kind_counts is not None:
-                    kind_counts[1] += 1
-                data = regs[instr.rt]
-                base = regs[instr.rs]
-                address = (base + instr.imm) & 0xFFFFFFFF
-                inputs = (data, base)
-                mem_addr = address
-                store_value = data
-                width = op.mem_width
-                if width == 4:
-                    memory.write_word(address, data)
-                elif width == 2:
-                    memory.write_half(address, data)
-                else:
-                    memory.write_byte(address, data)
-            elif fmt == Format.R3:
-                a = regs[instr.rs]
-                b = regs[instr.rt]
-                inputs = (a, b)
-                if name == "addu" or name == "add":
-                    result = (a + b) & 0xFFFFFFFF
-                elif name == "subu" or name == "sub":
-                    result = (a - b) & 0xFFFFFFFF
-                elif name == "and":
-                    result = a & b
-                elif name == "or":
-                    result = a | b
-                elif name == "xor":
-                    result = a ^ b
-                elif name == "nor":
-                    result = (~(a | b)) & 0xFFFFFFFF
-                elif name == "slt":
-                    result = 1 if bits.to_s32(a) < bits.to_s32(b) else 0
-                else:  # sltu
-                    result = 1 if a < b else 0
-                outputs = (result,)
-                dest_reg, dest_value = instr.rd, result
-                if dest_reg:
-                    regs[dest_reg] = result
-            elif fmt == Format.SHIFT:
-                value = regs[instr.rt]
-                inputs = (value,)
-                if name == "sll":
-                    result = (value << instr.shamt) & 0xFFFFFFFF
-                elif name == "srl":
-                    result = value >> instr.shamt
-                else:  # sra
-                    result = bits.sra32(value, instr.shamt)
-                outputs = (result,)
-                dest_reg, dest_value = instr.rd, result
-                if dest_reg:
-                    regs[dest_reg] = result
-            elif fmt == Format.R3_SHIFTV:
-                value = regs[instr.rt]
-                amount = regs[instr.rs]
-                inputs = (value, amount)
-                if name == "sllv":
-                    result = (value << (amount & 31)) & 0xFFFFFFFF
-                elif name == "srlv":
-                    result = value >> (amount & 31)
-                else:  # srav
-                    result = bits.sra32(value, amount)
-                outputs = (result,)
-                dest_reg, dest_value = instr.rd, result
-                if dest_reg:
-                    regs[dest_reg] = result
-            elif kind == Kind.BRANCH:
-                if kind_counts is not None:
-                    kind_counts[0] += 1
-                a = regs[instr.rs]
-                if fmt == Format.BR2:
+                        value = memory.read_byte(address)
+                        if op.signed_load:
+                            value = bits.to_u32(bits.to_s8(value))
+                    outputs = (value,)
+                    dest_reg, dest_value = instr.rt, value
+                    if dest_reg:
+                        regs[dest_reg] = value
+                elif kind == Kind.STORE:
+                    if kind_counts is not None:
+                        kind_counts[1] += 1
+                    data = regs[instr.rt]
+                    base = regs[instr.rs]
+                    address = (base + instr.imm) & 0xFFFFFFFF
+                    inputs = (data, base)
+                    mem_addr = address
+                    store_value = data
+                    width = op.mem_width
+                    if width == 4:
+                        memory.write_word(address, data)
+                    elif width == 2:
+                        memory.write_half(address, data)
+                    else:
+                        memory.write_byte(address, data)
+                elif fmt == Format.R3:
+                    a = regs[instr.rs]
                     b = regs[instr.rt]
                     inputs = (a, b)
-                    taken = (a == b) if name == "beq" else (a != b)
-                else:
-                    inputs = (a,)
-                    signed = bits.to_s32(a)
-                    if name == "blez":
-                        taken = signed <= 0
-                    elif name == "bgtz":
-                        taken = signed > 0
-                    elif name == "bltz":
-                        taken = signed < 0
-                    else:  # bgez
-                        taken = signed >= 0
-                outputs = (1,) if taken else (0,)
-                if taken:
+                    if name == "addu" or name == "add":
+                        result = (a + b) & 0xFFFFFFFF
+                    elif name == "subu" or name == "sub":
+                        result = (a - b) & 0xFFFFFFFF
+                    elif name == "and":
+                        result = a & b
+                    elif name == "or":
+                        result = a | b
+                    elif name == "xor":
+                        result = a ^ b
+                    elif name == "nor":
+                        result = (~(a | b)) & 0xFFFFFFFF
+                    elif name == "slt":
+                        result = 1 if bits.to_s32(a) < bits.to_s32(b) else 0
+                    else:  # sltu
+                        result = 1 if a < b else 0
+                    outputs = (result,)
+                    dest_reg, dest_value = instr.rd, result
+                    if dest_reg:
+                        regs[dest_reg] = result
+                elif fmt == Format.SHIFT:
+                    value = regs[instr.rt]
+                    inputs = (value,)
+                    if name == "sll":
+                        result = (value << instr.shamt) & 0xFFFFFFFF
+                    elif name == "srl":
+                        result = value >> instr.shamt
+                    else:  # sra
+                        result = bits.sra32(value, instr.shamt)
+                    outputs = (result,)
+                    dest_reg, dest_value = instr.rd, result
+                    if dest_reg:
+                        regs[dest_reg] = result
+                elif fmt == Format.R3_SHIFTV:
+                    value = regs[instr.rt]
+                    amount = regs[instr.rs]
+                    inputs = (value, amount)
+                    if name == "sllv":
+                        result = (value << (amount & 31)) & 0xFFFFFFFF
+                    elif name == "srlv":
+                        result = value >> (amount & 31)
+                    else:  # srav
+                        result = bits.sra32(value, amount)
+                    outputs = (result,)
+                    dest_reg, dest_value = instr.rd, result
+                    if dest_reg:
+                        regs[dest_reg] = result
+                elif kind == Kind.BRANCH:
+                    if kind_counts is not None:
+                        kind_counts[0] += 1
+                    a = regs[instr.rs]
+                    if fmt == Format.BR2:
+                        b = regs[instr.rt]
+                        inputs = (a, b)
+                        taken = (a == b) if name == "beq" else (a != b)
+                    else:
+                        inputs = (a,)
+                        signed = bits.to_s32(a)
+                        if name == "blez":
+                            taken = signed <= 0
+                        elif name == "bgtz":
+                            taken = signed > 0
+                        elif name == "bltz":
+                            taken = signed < 0
+                        else:  # bgez
+                            taken = signed >= 0
+                    outputs = (1,) if taken else (0,)
+                    if taken:
+                        next_pc = instr.target
+                elif fmt == Format.LUI:
+                    result = (instr.imm << 16) & 0xFFFFFFFF
+                    outputs = (result,)
+                    dest_reg, dest_value = instr.rt, result
+                    if dest_reg:
+                        regs[dest_reg] = result
+                elif kind == Kind.JUMP:
                     next_pc = instr.target
-            elif fmt == Format.LUI:
-                result = (instr.imm << 16) & 0xFFFFFFFF
-                outputs = (result,)
-                dest_reg, dest_value = instr.rt, result
-                if dest_reg:
-                    regs[dest_reg] = result
-            elif kind == Kind.JUMP:
-                next_pc = instr.target
-            elif kind == Kind.CALL:
-                if fmt == Format.J:  # jal
-                    target = instr.target
-                    link_reg = RA
-                else:  # jalr
+                elif kind == Kind.CALL:
+                    if fmt == Format.J:  # jal
+                        target = instr.target
+                        link_reg = RA
+                    else:  # jalr
+                        target = regs[instr.rs]
+                        inputs = (target,)
+                        link_reg = instr.rd
+                    return_addr = pc + 4
+                    dest_reg, dest_value = link_reg, return_addr
+                    if link_reg:
+                        regs[link_reg] = return_addr
+                    next_pc = target
+                    call_edge = (target, return_addr)
+                elif kind == Kind.JUMP_REG:
                     target = regs[instr.rs]
                     inputs = (target,)
-                    link_reg = instr.rd
-                return_addr = pc + 4
-                dest_reg, dest_value = link_reg, return_addr
-                if link_reg:
-                    regs[link_reg] = return_addr
-                next_pc = target
-                call_edge = (target, return_addr)
-            elif kind == Kind.JUMP_REG:
-                target = regs[instr.rs]
-                inputs = (target,)
-                next_pc = target
-                if instr.rs == RA:
-                    return_edge = target
-            elif kind == Kind.MULDIV:
-                a = regs[instr.rs]
-                b = regs[instr.rt]
-                inputs = (a, b)
-                if name == "mult":
-                    self.hi, self.lo = bits.mult32(a, b)
-                elif name == "multu":
-                    self.hi, self.lo = bits.multu32(a, b)
-                elif name == "div":
-                    self.hi, self.lo = bits.div32(a, b)
-                else:  # divu
-                    self.hi, self.lo = bits.divu32(a, b)
-                outputs = (self.hi, self.lo)
-            elif kind == Kind.MFHILO:
-                value = self.hi if name == "mfhi" else self.lo
-                inputs = (value,)
-                outputs = (value,)
-                dest_reg, dest_value = instr.rd, value
-                if dest_reg:
-                    regs[dest_reg] = value
-            elif kind == Kind.SYSCALL:
-                service = regs[V0]
-                arg = regs[A0]
-                inputs = (service, arg)
-                result, halt_after = syscalls.handle(service, arg, memory)
-                if result is not None:
-                    outputs = (result,)
-                    dest_reg, dest_value = V0, result
-                    regs[V0] = result
-                syscall_event = SyscallEvent(
-                    pc,
-                    service,
-                    arg,
-                    result,
-                    service in SyscallHandler.INPUT_SERVICES,
-                    service in SyscallHandler.OUTPUT_SERVICES,
-                    warmup,
-                )
-            elif kind == Kind.NOP:
-                pass
-            else:  # pragma: no cover - opcode table is exhaustive
-                raise SimError(f"unimplemented opcode {name}", pc)
+                    next_pc = target
+                    if instr.rs == RA:
+                        return_edge = target
+                elif kind == Kind.MULDIV:
+                    a = regs[instr.rs]
+                    b = regs[instr.rt]
+                    inputs = (a, b)
+                    if name == "mult":
+                        self.hi, self.lo = bits.mult32(a, b)
+                    elif name == "multu":
+                        self.hi, self.lo = bits.multu32(a, b)
+                    elif name == "div":
+                        self.hi, self.lo = bits.div32(a, b)
+                    else:  # divu
+                        self.hi, self.lo = bits.divu32(a, b)
+                    outputs = (self.hi, self.lo)
+                elif kind == Kind.MFHILO:
+                    value = self.hi if name == "mfhi" else self.lo
+                    inputs = (value,)
+                    outputs = (value,)
+                    dest_reg, dest_value = instr.rd, value
+                    if dest_reg:
+                        regs[dest_reg] = value
+                elif kind == Kind.SYSCALL:
+                    service = regs[V0]
+                    arg = regs[A0]
+                    inputs = (service, arg)
+                    result, halt_after = syscalls.handle(service, arg, memory)
+                    if result is not None:
+                        outputs = (result,)
+                        dest_reg, dest_value = V0, result
+                        regs[V0] = result
+                    syscall_event = SyscallEvent(
+                        pc,
+                        service,
+                        arg,
+                        result,
+                        service in SyscallHandler.INPUT_SERVICES,
+                        service in SyscallHandler.OUTPUT_SERVICES,
+                        warmup,
+                    )
+                elif kind == Kind.NOP:
+                    pass
+                else:  # pragma: no cover - opcode table is exhaustive
+                    raise SimError(f"unimplemented opcode {name}", pc)
 
-            total += 1
-            if not warmup:
-                analyzed += 1
-                record = StepRecord(
-                    analyzed,
-                    pc,
-                    instr,
-                    inputs,
-                    outputs,
-                    dest_reg,
-                    dest_value,
-                    mem_addr,
-                    store_value,
-                )
-                for analyzer in analyzers:
-                    analyzer.on_step(record)
-            if syscall_event is not None:
-                for analyzer in analyzers:
-                    analyzer.on_syscall(syscall_event)
-            if call_edge is not None:
-                self._emit_call(pc, call_edge[0], call_edge[1], warmup)
-            elif return_edge is not None:
-                self._emit_return(pc, return_edge, warmup)
+                total += 1
+                if not warmup:
+                    analyzed += 1
+                    record = StepRecord(
+                        analyzed,
+                        pc,
+                        instr,
+                        inputs,
+                        outputs,
+                        dest_reg,
+                        dest_value,
+                        mem_addr,
+                        store_value,
+                    )
+                    for hook in step_hooks:
+                        hook(record)
+                if syscall_event is not None:
+                    for analyzer in analyzers:
+                        analyzer.on_syscall(syscall_event)
+                if call_edge is not None:
+                    self._emit_call(pc, call_edge[0], call_edge[1], warmup)
+                elif return_edge is not None:
+                    self._emit_return(pc, return_edge, warmup)
 
-            if halt_after:
-                stop_reason = "exit"
-                break
-            pc = next_pc
-
-        self.pc = pc
-        self._total = total
-        self._analyzed = analyzed
+                if halt_after:
+                    stop_reason = "exit"
+                    break
+                pc = next_pc
+        finally:
+            self.pc = pc
+            self._total = total
+            self._analyzed = analyzed
         return stop_reason

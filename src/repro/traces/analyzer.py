@@ -22,14 +22,20 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from repro.isa.instructions import Kind
-from repro.isa.registers import A0, NUM_REGISTERS, V0
+from repro.isa.instructions import Instruction, Kind
+from repro.isa.registers import NUM_REGISTERS
 from repro.obs import metrics as obs_metrics
 from repro.sim.events import StepRecord
-from repro.sim.observer import Analyzer
-from repro.traces.builder import TraceBuilder, step_next_pc
+from repro.sim.observer import Analyzer, StepFn
+from repro.traces.builder import (
+    Feed,
+    TraceBuilder,
+    compile_feed,
+    compile_next_pc,
+    register_reads,
+)
 from repro.traces.safety import SafetyPolicy, check_candidate
 from repro.traces.table import (
     DEFAULT_MAX_TRACE_LEN,
@@ -42,6 +48,7 @@ from repro.traces.trace import (
     BOUNDARY_EXCLUDE,
     CLASS_NAMES,
     NUM_CLASSES,
+    Trace,
     boundary_kind,
 )
 
@@ -137,10 +144,12 @@ class TraceReuseAnalyzer(Analyzer):
         self.policy = policy if policy is not None else SafetyPolicy()
         self._shadow: list = [None] * NUM_REGISTERS
         self._shadow[0] = 0
-        self._shadow_hi: Optional[int] = None
-        self._shadow_lo: Optional[int] = None
+        #: Shadow [hi, lo].
+        self._shadow_hilo: List[Optional[int]] = [None, None]
         self._replaying = 0
         self._builder: Optional[TraceBuilder] = None
+        #: (feed, shadow hi/lo update) by static shape: opcode and registers.
+        self._shapes: Dict[tuple, Tuple[Feed, Optional[StepFn]]] = {}
         self.dynamic_total = 0
         self.probes = 0
         self.hits = 0
@@ -153,58 +162,130 @@ class TraceReuseAnalyzer(Analyzer):
         self.recorded_length_total = 0
         self.recorded_length_max = 0
 
-    def on_step(self, record: StepRecord) -> None:
-        self.dynamic_total += 1
-        instr = record.instr
+    def compile_step(self, pc: int, instr: Instruction) -> StepFn:
+        """Bind one static instruction's region logic and shadow update.
 
-        # Store-based invalidation keeps resident memory live-ins fresh
-        # (before the probe, mirroring the instruction buffer's order).
-        if record.store_value is not None:
-            self.table.invalidate_store(record.mem_addr, instr.op.mem_width)
+        The boundary kind, builder feed, successor-pc rule, register
+        reads and hi/lo effects are fixed here.  Store-based invalidation
+        runs before the probe, mirroring the instruction buffer's order.
+        Every observed operand read and register write lands in the
+        shadow after the region logic.
+        """
+        analyzer = self
+        table = self.table
+        shadow = self._shadow
+        shadow_hilo = self._shadow_hilo
+        max_len = table.max_trace_len
+        kind = instr.op.kind
+        bk = boundary_kind(instr)
+        shape = (instr.op, instr.rd, instr.rs, instr.rt)
+        shared = self._shapes.get(shape)
+        if shared is None:
+            shared = self._shapes[shape] = (compile_feed(instr), self._hilo_update(instr))
+        feed, hilo_update = shared
+        next_pc = compile_next_pc(pc, instr)
+        reads = register_reads(instr)
 
-        if self._replaying:
-            # Inside a hit trace's body: already accounted at the probe.
-            self._replaying -= 1
-        else:
-            builder = self._builder
-            bk = boundary_kind(instr)
-            if builder is not None:
-                if bk == BOUNDARY_EXCLUDE:
-                    # Region ends *before* this instruction.
-                    self._finalize(builder, record.pc)
-                    self._builder = None
+        if bk == BOUNDARY_EXCLUDE:
+
+            def step(record: StepRecord) -> None:
+                analyzer.dynamic_total += 1
+                if analyzer._replaying:
+                    # Inside a hit trace's body: already accounted.
+                    analyzer._replaying -= 1
                 else:
-                    builder.feed(record)
-                    if bk == BOUNDARY_END or builder.length >= self.table.max_trace_len:
-                        self._finalize(builder, step_next_pc(record))
-                        self._builder = None
-            elif bk != BOUNDARY_EXCLUDE:
-                # Region start: probe, then start recording on a miss.
-                self.probes += 1
-                hit = self.table.lookup(
-                    record.pc, self._shadow, self._shadow_hi, self._shadow_lo
-                )
-                if hit is not None:
-                    self.hits += 1
-                    self.covered_instructions += hit.length
-                    self.hit_lengths[hit.length] += 1
-                    covered = self.class_covered
-                    for index, count in enumerate(hit.class_counts):
-                        covered[index] += count
-                    self._replaying = hit.length - 1
-                else:
-                    self.misses += 1
-                    builder = self._builder = TraceBuilder(
-                        record.pc, self.table.max_trace_len
+                    builder = analyzer._builder
+                    if builder is not None:
+                        # The region ends *before* this instruction.
+                        analyzer._builder = None
+                        analyzer._finalize(builder, pc)
+                    # At a region start, it is its own (unprobeable)
+                    # region; the next step starts fresh.
+                inputs = record.inputs
+                if len(inputs) >= len(reads):
+                    for reg, position in reads:
+                        shadow[reg] = inputs[position]
+                dest = record.dest_reg
+                if dest:
+                    shadow[dest] = record.dest_value
+
+            return step
+
+        ends = bk == BOUNDARY_END
+        store_width = instr.op.mem_width if kind is Kind.STORE else 0
+        invalidate_store = table.invalidate_store
+
+        def step(record: StepRecord) -> None:
+            analyzer.dynamic_total += 1
+            if store_width:
+                invalidate_store(record.mem_addr, store_width)
+            if analyzer._replaying:
+                analyzer._replaying -= 1
+            else:
+                builder = analyzer._builder
+                if builder is None:
+                    # Region start: probe, then start recording on a miss.
+                    analyzer.probes += 1
+                    hit = table.lookup(
+                        pc, shadow, shadow_hilo[0], shadow_hilo[1]
                     )
-                    builder.feed(record)
-                    if bk == BOUNDARY_END or builder.length >= self.table.max_trace_len:
-                        self._finalize(builder, step_next_pc(record))
-                        self._builder = None
-            # An excluded instruction at a region start is its own
-            # (unprobeable) region; the next step starts fresh.
+                    if hit is not None:
+                        analyzer._note_hit(hit)
+                        builder = None
+                    else:
+                        analyzer.misses += 1
+                        builder = analyzer._builder = TraceBuilder(pc, max_len)
+                if builder is not None:
+                    feed(builder, record)
+                    if ends or builder.length >= max_len:
+                        analyzer._builder = None
+                        analyzer._finalize(builder, next_pc(record))
+            inputs = record.inputs
+            for reg, position in reads:
+                shadow[reg] = inputs[position]
+            if hilo_update is not None:
+                hilo_update(record)
+            dest = record.dest_reg
+            if dest:
+                shadow[dest] = record.dest_value
 
-        self._update_shadow(record)
+        return step
+
+    def _hilo_update(self, instr: Instruction) -> Optional[StepFn]:
+        """The shadow hi/lo effect of ``instr``, if it has one.
+
+        It holds the shadow cell, not the analyzer: the shape memo keeps
+        it, and must not form a reference cycle with the analyzer.
+        """
+        shadow_hilo = self._shadow_hilo
+        kind = instr.op.kind
+        if kind is Kind.MULDIV:
+
+            def update(record: StepRecord) -> None:
+                shadow_hilo[0], shadow_hilo[1] = record.outputs
+
+        elif kind is Kind.MFHILO and instr.op.name == "mfhi":
+
+            def update(record: StepRecord) -> None:
+                shadow_hilo[0] = record.inputs[0]
+
+        elif kind is Kind.MFHILO:
+
+            def update(record: StepRecord) -> None:
+                shadow_hilo[1] = record.inputs[0]
+
+        else:
+            return None
+        return update
+
+    def _note_hit(self, hit: Trace) -> None:
+        self.hits += 1
+        self.covered_instructions += hit.length
+        self.hit_lengths[hit.length] += 1
+        covered = self.class_covered
+        for index, count in enumerate(hit.class_counts):
+            covered[index] += count
+        self._replaying = hit.length - 1
 
     def _finalize(self, builder: TraceBuilder, end_pc: int) -> None:
         reason = check_candidate(builder, self.policy)
@@ -217,30 +298,6 @@ class TraceReuseAnalyzer(Analyzer):
                 self.recorded_length_max = trace.length
         else:
             self.rejections[reason] += 1
-
-    def _update_shadow(self, record: StepRecord) -> None:
-        shadow = self._shadow
-        instr = record.instr
-        kind = instr.op.kind
-        inputs = record.inputs
-        if kind is Kind.MFHILO:
-            if instr.op.name == "mfhi":
-                self._shadow_hi = inputs[0]
-            else:
-                self._shadow_lo = inputs[0]
-        elif kind is Kind.SYSCALL:
-            if len(inputs) >= 2:
-                shadow[V0] = inputs[0]
-                shadow[A0] = inputs[1]
-        else:
-            for reg, value in zip(instr.source_registers(), inputs):
-                if reg:
-                    shadow[reg] = value
-        if kind is Kind.MULDIV:
-            self._shadow_hi, self._shadow_lo = record.outputs
-        dest = record.dest_reg
-        if dest:
-            shadow[dest] = record.dest_value
 
     def on_finish(self) -> None:
         registry = obs_metrics.REGISTRY

@@ -25,11 +25,12 @@ candidate assembled any other way still cannot slip through.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.isa.convention import segment_of
-from repro.isa.instructions import Kind
+from repro.isa.instructions import Instruction, Kind
 from repro.isa.registers import A0, V0
+from repro.sim.events import StepRecord
 from repro.traces.trace import NUM_CLASSES, Trace, class_of
 
 #: Rejection reasons (shared with :mod:`repro.traces.safety`).
@@ -48,17 +49,157 @@ TRACKED_SEGMENTS = ("data", "heap", "stack")
 _WIDTH_MASK = {1: 0xFF, 2: 0xFFFF, 4: 0xFFFFFFFF}
 
 
-def step_next_pc(record) -> int:
-    """Reconstruct the successor pc of an observed step record."""
-    instr = record.instr
+def compile_next_pc(pc: int, instr: Instruction) -> Callable[[StepRecord], int]:
+    """The successor-pc rule of the static instruction at ``pc``."""
     kind = instr.op.kind
     if kind is Kind.BRANCH:
-        return instr.target if record.outputs[0] else record.pc + 4
+        target = instr.target
+        fallthrough = pc + 4
+        return lambda record: target if record.outputs[0] else fallthrough
     if kind is Kind.JUMP:
-        return instr.target
+        target = instr.target
+        return lambda record: target
     if kind is Kind.JUMP_REG:
-        return record.inputs[0]
-    return record.pc + 4
+        return lambda record: record.inputs[0]
+    fallthrough = pc + 4
+    return lambda record: fallthrough
+
+
+def step_next_pc(record: StepRecord) -> int:
+    """Reconstruct the successor pc of an observed step record."""
+    return compile_next_pc(record.pc, record.instr)(record)
+
+
+def register_reads(instr: Instruction) -> Tuple[Tuple[int, int], ...]:
+    """``(register, position in the step's inputs)`` per non-``$zero`` read.
+
+    A syscall reads its service number and argument from ``$v0``/``$a0``.
+    """
+    if instr.op.kind is Kind.SYSCALL:
+        return ((V0, 0), (A0, 1))
+    return tuple(
+        (reg, position)
+        for position, reg in enumerate(instr.source_registers())
+        if reg
+    )
+
+
+Feed = Callable[["TraceBuilder", StepRecord], None]
+
+
+def compile_feed(instr: Instruction) -> Feed:
+    """Bind :meth:`TraceBuilder.feed` for one static instruction.
+
+    The boundary reason, register reads, memory width and class slot
+    are fixed here; the returned ``feed(builder, record)`` folds one
+    executed instance into ``builder``.
+    """
+    op = instr.op
+    kind = op.kind
+    reads = register_reads(instr)
+    slot = class_of(instr)
+    width = op.mem_width
+    mask = _WIDTH_MASK.get(width, 0)
+
+    if kind is Kind.SYSCALL:
+        unsafe = REASON_SYSCALL
+    elif kind is Kind.CALL:
+        unsafe = REASON_CALL
+    elif instr.is_return:
+        unsafe = REASON_RETURN
+    else:
+        unsafe = None
+
+    if kind is Kind.LOAD:
+
+        def feed(builder: TraceBuilder, record: StepRecord) -> None:
+            inputs = record.inputs
+            reg_in = builder._reg_in
+            reg_out = builder._reg_out
+            for reg, position in reads:
+                if reg not in reg_out and reg not in reg_in:
+                    reg_in[reg] = inputs[position]
+            address = record.mem_addr
+            written = builder._written_bytes
+            covered = (
+                sum(1 for b in range(address, address + width) if b in written)
+                if written
+                else 0
+            )
+            if covered == 0:
+                key = (address, width)
+                if key not in builder._mem_in_seen:
+                    builder._mem_in_seen.add(key)
+                    builder._mem_in.append((address, width, record.outputs[0] & mask))
+            elif covered != width and builder.unsafe is None:
+                builder.unsafe = REASON_OVERLAP
+            dest = record.dest_reg
+            if dest:
+                reg_out[dest] = record.dest_value
+            builder._class_counts[slot] += 1
+            builder.length += 1
+
+    elif kind is Kind.STORE:
+
+        def feed(builder: TraceBuilder, record: StepRecord) -> None:
+            inputs = record.inputs
+            reg_in = builder._reg_in
+            reg_out = builder._reg_out
+            for reg, position in reads:
+                if reg not in reg_out and reg not in reg_in:
+                    reg_in[reg] = inputs[position]
+            address = record.mem_addr
+            if builder.unsafe is None and segment_of(address) not in TRACKED_SEGMENTS:
+                builder.unsafe = REASON_UNTRACKED_STORE
+            builder._stores.append((address, width, record.store_value & mask))
+            builder._written_bytes.update(range(address, address + width))
+            dest = record.dest_reg
+            if dest:
+                reg_out[dest] = record.dest_value
+            builder._class_counts[slot] += 1
+            builder.length += 1
+
+    elif kind is Kind.MFHILO:
+        from_hi = op.name == "mfhi"
+
+        def feed(builder: TraceBuilder, record: StepRecord) -> None:
+            if not builder._hilo_written:
+                if from_hi and not builder._hi_in_seen:
+                    builder._hi_in_seen = True
+                    builder._hi_lo_in.append((True, record.inputs[0]))
+                elif not from_hi and not builder._lo_in_seen:
+                    builder._lo_in_seen = True
+                    builder._hi_lo_in.append((False, record.inputs[0]))
+            dest = record.dest_reg
+            if dest:
+                builder._reg_out[dest] = record.dest_value
+            builder._class_counts[slot] += 1
+            builder.length += 1
+
+    else:
+        is_muldiv = kind is Kind.MULDIV
+        is_syscall = kind is Kind.SYSCALL
+
+        def feed(builder: TraceBuilder, record: StepRecord) -> None:
+            if unsafe is not None and builder.unsafe is None:
+                builder.unsafe = unsafe
+            inputs = record.inputs
+            reg_in = builder._reg_in
+            reg_out = builder._reg_out
+            if not is_syscall or len(inputs) >= 2:
+                for reg, position in reads:
+                    if reg not in reg_out and reg not in reg_in:
+                        reg_in[reg] = inputs[position]
+            if is_muldiv:
+                builder._hilo_written = True
+                builder._hi_out, builder._lo_out = record.outputs
+            dest = record.dest_reg
+            if dest:
+                reg_out[dest] = record.dest_value
+            builder._class_counts[slot] += 1
+            builder.length += 1
+
+    return feed
 
 
 class TraceBuilder:
@@ -71,8 +212,8 @@ class TraceBuilder:
         #: First structural-safety violation seen, or ``None``.
         self.unsafe: Optional[str] = None
         self._reg_in: Dict[int, int] = {}
+        #: Last write per register; its keys are the registers written.
         self._reg_out: Dict[int, int] = {}
-        self._written_regs: Set[int] = set()
         self._mem_in: List[Tuple[int, int, int]] = []
         self._mem_in_seen: Set[Tuple[int, int]] = set()
         self._written_bytes: Set[int] = set()
@@ -89,77 +230,9 @@ class TraceBuilder:
     def mem_live_ins(self) -> Tuple[Tuple[int, int, int], ...]:
         return tuple(self._mem_in)
 
-    def _note_reg_reads(self, pairs) -> None:
-        reg_in = self._reg_in
-        written = self._written_regs
-        for reg, value in pairs:
-            if reg and reg not in written and reg not in reg_in:
-                reg_in[reg] = value
-
-    def feed(self, record) -> None:
+    def feed(self, record: StepRecord) -> None:
         """Fold one executed step into the candidate."""
-        instr = record.instr
-        op = instr.op
-        kind = op.kind
-        inputs = record.inputs
-
-        if kind is Kind.SYSCALL:
-            if self.unsafe is None:
-                self.unsafe = REASON_SYSCALL
-            if len(inputs) >= 2:
-                self._note_reg_reads(((V0, inputs[0]), (A0, inputs[1])))
-        elif kind is Kind.CALL:
-            if self.unsafe is None:
-                self.unsafe = REASON_CALL
-            self._note_reg_reads(zip(instr.source_registers(), inputs))
-        elif instr.is_return:
-            if self.unsafe is None:
-                self.unsafe = REASON_RETURN
-            self._note_reg_reads(zip(instr.source_registers(), inputs))
-        elif kind is Kind.MFHILO:
-            if not self._hilo_written:
-                from_hi = op.name == "mfhi"
-                if from_hi and not self._hi_in_seen:
-                    self._hi_in_seen = True
-                    self._hi_lo_in.append((True, inputs[0]))
-                elif not from_hi and not self._lo_in_seen:
-                    self._lo_in_seen = True
-                    self._hi_lo_in.append((False, inputs[0]))
-        else:
-            self._note_reg_reads(zip(instr.source_registers(), inputs))
-
-        if kind is Kind.LOAD:
-            address = record.mem_addr
-            width = op.mem_width
-            covered = sum(
-                1 for b in range(address, address + width) if b in self._written_bytes
-            )
-            if covered == 0:
-                key = (address, width)
-                if key not in self._mem_in_seen:
-                    self._mem_in_seen.add(key)
-                    raw = record.outputs[0] & _WIDTH_MASK[width]
-                    self._mem_in.append((address, width, raw))
-            elif covered != width and self.unsafe is None:
-                self.unsafe = REASON_OVERLAP
-        elif kind is Kind.STORE:
-            address = record.mem_addr
-            width = op.mem_width
-            if self.unsafe is None and segment_of(address) not in TRACKED_SEGMENTS:
-                self.unsafe = REASON_UNTRACKED_STORE
-            self._stores.append((address, width, record.store_value & _WIDTH_MASK[width]))
-            self._written_bytes.update(range(address, address + width))
-        elif kind is Kind.MULDIV:
-            self._hilo_written = True
-            self._hi_out, self._lo_out = record.outputs
-
-        dest = record.dest_reg
-        if dest:
-            self._written_regs.add(dest)
-            self._reg_out[dest] = record.dest_value
-
-        self._class_counts[class_of(instr)] += 1
-        self.length += 1
+        compile_feed(record.instr)(self, record)
 
     def build(self, end_pc: int) -> Trace:
         """Materialize the finished candidate as an immutable trace."""

@@ -48,7 +48,7 @@ from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 from repro.isa.instructions import Format, Kind
 from repro.sim import predecode
 from repro.sim.predecode import CTRL_TRACE_HIT, CTRL_TRACE_REC
-from repro.traces.builder import TraceBuilder
+from repro.traces.builder import Feed, TraceBuilder, compile_feed
 from repro.traces.safety import SafetyPolicy, check_candidate
 from repro.traces.table import (
     DEFAULT_MAX_TRACE_LEN,
@@ -151,8 +151,10 @@ class TraceExecutionEngine:
         self.sim = sim
         self.state = state
         self.anchors = anchor_candidates(sim.program)
-        # Record-building closures, bound lazily on the first miss.
+        # Record-building closures, bound lazily on the first miss, and
+        # the builder feed per text index, compiled on first recording.
         self._record_code: Optional[list] = None
+        self._feeds: List[Optional[Feed]] = [None] * len(sim.program.text)
         # The live fast-path code list and the wrappers planted in it
         # (index -> original closure), so a ban can unwrap in place.
         self._code: Optional[list] = None
@@ -245,6 +247,7 @@ class TraceExecutionEngine:
         text = program.text
         text_base = program.text_base
         text_len = len(text)
+        feeds = self._feeds
         max_len = self.state.table.max_trace_len
         budget = max_len if max_len <= remaining else remaining
         anchor_pc = pc
@@ -262,7 +265,10 @@ class TraceExecutionEngine:
                 natural_end = executed >= max_len
                 break
             record, pc, _ctrl = code[index](0)  # ctrl is None: no EXCLUDE here
-            builder.feed(record)
+            feed = feeds[index]
+            if feed is None:
+                feed = feeds[index] = compile_feed(text[index])
+            feed(builder, record)
             executed += 1
             if kind == BOUNDARY_END:
                 natural_end = True
