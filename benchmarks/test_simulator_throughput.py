@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from repro.core import RepetitionTracker
 from repro.harness import SuiteConfig, build_analyzers
+from repro.traces import TraceReuseAnalyzer
 
 from _bench_utils import simulate_with
 
@@ -40,6 +41,11 @@ def test_bare_simulator_throughput_metrics_enabled(benchmark):
 
 def test_repetition_tracker_throughput(benchmark):
     benchmark(simulate_with, lambda: [RepetitionTracker()], "m88ksim", 25_000)
+
+
+def test_trace_analyzer_throughput(benchmark):
+    """The Table 10T measurement pass (shadow state, recording, table)."""
+    benchmark(simulate_with, lambda: [TraceReuseAnalyzer()], "m88ksim", 25_000)
 
 
 def test_full_analysis_stack_throughput(benchmark):

@@ -8,28 +8,42 @@ accounts for a given fraction of the total.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Dict, List, Sequence, Tuple
 
 
-def contributors_for_fraction(weights: Sequence[int], fraction: float) -> int:
-    """Smallest number of largest-weight contributors covering ``fraction``.
+def contributors_for_fractions(
+    weights: Sequence[int], fractions: Sequence[float]
+) -> List[int]:
+    """Per fraction, the smallest number of largest-weight contributors
+    covering it.
 
     ``weights`` need not be sorted; zero weights never count as
-    contributors.  Returns 0 when the total weight is 0.
+    contributors.  Every count is 0 when the total weight is 0.  The
+    weights are sorted once and walked once, answering the fractions in
+    increasing order.  (A prefix-sum list searched with ``bisect`` is
+    faster, but holds one int object per weight and raises peak memory.)
     """
-    if not 0.0 <= fraction <= 1.0:
-        raise ValueError(f"fraction must be in [0, 1], got {fraction}")
+    for fraction in fractions:
+        if not 0.0 <= fraction <= 1.0:
+            raise ValueError(f"fraction must be in [0, 1], got {fraction}")
     positive = sorted((w for w in weights if w > 0), reverse=True)
+    if not positive:
+        return [0] * len(fractions)
     total = sum(positive)
-    if total == 0:
-        return 0
-    target = total * fraction
-    covered = 0
-    for index, weight in enumerate(positive, start=1):
-        covered += weight
-        if covered >= target - 1e-9:
-            return index
-    return len(positive)
+    pending = sorted(range(len(fractions)), key=fractions.__getitem__)
+    needed = [len(positive)] * len(fractions)
+    for count, covered in enumerate(accumulate(positive), start=1):
+        while pending and covered >= total * fractions[pending[0]] - 1e-9:
+            needed[pending.pop(0)] = count
+        if not pending:
+            break
+    return needed
+
+
+def contributors_for_fraction(weights: Sequence[int], fraction: float) -> int:
+    """Smallest number of largest-weight contributors covering ``fraction``."""
+    return contributors_for_fractions(weights, (fraction,))[0]
 
 
 def coverage_curve(
@@ -45,9 +59,8 @@ def coverage_curve(
     count = len(positive)
     if count == 0:
         return [(f, 0.0) for f in fractions]
-    return [
-        (f, contributors_for_fraction(positive, f) / count) for f in fractions
-    ]
+    needed = contributors_for_fractions(positive, fractions)
+    return [(f, n / count) for f, n in zip(fractions, needed)]
 
 
 def cumulative_share_curve(

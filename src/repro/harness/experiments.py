@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Sequence
 
-from repro.analysis.coverage import INSTANCE_BUCKETS, contributors_for_fraction
+from repro.analysis.coverage import INSTANCE_BUCKETS, contributors_for_fractions
 from repro.analysis.tables import format_panels, format_table
 from repro.core.global_analysis import CATEGORY_ORDER as GLOBAL_CATEGORIES
 from repro.core.local_analysis import CATEGORY_ORDER as LOCAL_CATEGORIES
@@ -70,11 +70,8 @@ def build_fig1(results: Results) -> str:
     for name, result in results.items():
         weights = result.repetition.static_repeat_weights
         count = len(weights)
-        cells: List[object] = [name]
-        for target in _FIG1_TARGETS:
-            needed = contributors_for_fraction(weights, target)
-            cells.append(100.0 * needed / count if count else 0.0)
-        rows.append(cells)
+        needed = contributors_for_fractions(weights, _FIG1_TARGETS)
+        rows.append([name] + [100.0 * n / count if count else 0.0 for n in needed])
     headers = ("Benchmark",) + tuple(f"% insns for {int(t*100)}% rep" for t in _FIG1_TARGETS)
     return format_table(headers, rows)
 
@@ -108,11 +105,8 @@ def build_fig4(results: Results) -> str:
     for name, result in results.items():
         counts = result.repetition.instance_repeat_counts
         total = len(counts)
-        cells: List[object] = [name]
-        for target in _FIG4_TARGETS:
-            needed = contributors_for_fraction(counts, target)
-            cells.append(100.0 * needed / total if total else 0.0)
-        rows.append(cells)
+        needed = contributors_for_fractions(counts, _FIG4_TARGETS)
+        rows.append([name] + [100.0 * n / total if total else 0.0 for n in needed])
     headers = ("Benchmark",) + tuple(
         f"% instances for {int(t*100)}% rep" for t in _FIG4_TARGETS
     )

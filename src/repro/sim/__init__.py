@@ -20,7 +20,7 @@ from repro.sim.simulator import (
 )
 from repro.sim.syscalls import EOF_WORD, InputStream, SyscallHandler
 from repro.sim.timing import TimingConfig, TimingModel, TimingReport
-from repro.sim.trace import Trace, TraceRecorder
+from repro.sim.trace import EventTrace, TraceRecorder
 
 __all__ = [
     "Analyzer",
@@ -30,6 +30,7 @@ __all__ = [
     "Debugger",
     "ENGINES",
     "EOF_WORD",
+    "EventTrace",
     "HALT_ADDRESS",
     "InputStream",
     "Memory",
@@ -43,6 +44,5 @@ __all__ = [
     "TimingConfig",
     "TimingModel",
     "TimingReport",
-    "Trace",
     "TraceRecorder",
 ]

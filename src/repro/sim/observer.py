@@ -87,6 +87,18 @@ class Analyzer:
         """Called once when execution stops."""
 
 
+def release_compiled_steps(analyzer: Analyzer) -> None:
+    """Drop the closures the ``on_step`` adapter cached on ``analyzer``.
+
+    They refer back to the analyzer, so once its stream is over they
+    only keep it alive until the next cycle collection.  The emptied
+    cache stays, so a later ``on_step`` compiles afresh.
+    """
+    compiled = getattr(analyzer, "_compiled_steps", None)
+    if compiled is not None:
+        compiled.clear()
+
+
 def overrides_on_step(cls: type) -> bool:
     """True iff ``cls`` replaces the base ``on_step`` adapter."""
     return cls.on_step is not Analyzer.on_step

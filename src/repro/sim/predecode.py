@@ -67,14 +67,6 @@ CTRL_CALL = "call"
 CTRL_RETURN = "return"
 CTRL_SYSCALL = "syscall"
 
-#: Markers used by the trace-memoization wrappers that
-#: :mod:`repro.traces.engine` plants over fast closures at trace anchors:
-#: ``(end_pc, CTRL_TRACE_HIT, trace, inner)`` offers a validated replay,
-#: ``(pc, CTRL_TRACE_REC, inner, index)`` asks the run loop to record.
-#: Defined here with their siblings so the run loops import one module.
-CTRL_TRACE_HIT = "trace-hit"
-CTRL_TRACE_REC = "trace-record"
-
 _M = 0xFFFFFFFF
 _SIGN = 0x80000000
 _TWO32 = 0x100000000

@@ -38,7 +38,12 @@ from repro.sim import predecode
 from repro.sim.errors import SimError
 from repro.sim.events import CallEvent, ReturnEvent, StepRecord, SyscallEvent
 from repro.sim.memory import Memory
-from repro.sim.observer import Analyzer, step_compiler, takes_steps
+from repro.sim.observer import (
+    Analyzer,
+    release_compiled_steps,
+    step_compiler,
+    takes_steps,
+)
 from repro.sim.syscalls import InputStream, SyscallHandler
 
 #: ``jr $ra`` to this address halts the machine (initial $ra value).
@@ -103,7 +108,6 @@ class Simulator:
         input_data: bytes = b"",
         analyzers: Sequence[Analyzer] = (),
         engine: str = DEFAULT_ENGINE,
-        trace_reuse=None,
     ) -> None:
         if engine not in ENGINES:
             raise SimError(f"unknown engine {engine!r} (choose from {ENGINES})")
@@ -135,11 +139,6 @@ class Simulator:
         self.return_count = 0
         self._kind_counts: Optional[List[int]] = None
         self._published: Optional[List[int]] = None
-        # Trace memoization (repro.traces): a TraceReuseConfig or a
-        # shared TraceReuseState; the engine is built lazily in run() so
-        # merely importing this module never pulls in repro.traces.
-        self._trace_reuse = trace_reuse
-        self._trace_engine = None
         # Predecoded engine state, bound lazily on first use.
         self._fast_code: Optional[list] = None
         self._full_code: Optional[list] = None
@@ -251,10 +250,6 @@ class Simulator:
         self._syscall_hooks = _hooks_for(self._analyzers, "on_syscall")
         if obs_metrics.REGISTRY.enabled:
             self._kind_counts = [0, 0]
-        if self._trace_reuse is not None:
-            from repro.traces.engine import TraceExecutionEngine
-
-            self._trace_engine = TraceExecutionEngine(self, self._trace_reuse)
         for analyzer in self._analyzers:
             analyzer.on_start(program)
         # Program entry is modelled as a call so the call stack is rooted.
@@ -325,6 +320,7 @@ class Simulator:
         else:
             for analyzer in self._analyzers:
                 analyzer.on_finish()
+                release_compiled_steps(analyzer)
             # A finished run cannot resume. Drop the code and hook tables:
             # their closures refer back to this simulator, and without the
             # cycle the run's state (analyzers included) is freed as soon
@@ -333,8 +329,6 @@ class Simulator:
         registry = obs_metrics.REGISTRY
         if registry.enabled:
             self._publish_metrics(registry)
-            if self._trace_engine is not None:
-                self._trace_engine.publish(registry)
         syscalls = self.syscalls
         return RunResult(
             analyzed_instructions=self._analyzed,
@@ -383,7 +377,6 @@ class Simulator:
         Returns the stop reason, or ``None`` when the warm-up window
         completed and execution should continue in analysis mode.
         """
-        trace_engine = self._trace_engine
         code = self._fast_code
         if code is None:
             if self._kind_counts is not None:
@@ -392,8 +385,6 @@ class Simulator:
                 )
             else:
                 code = self._fast_code = predecode.bind_fast(self)
-            if trace_engine is not None:
-                trace_engine.wrap_fast(code)
         program = self.program
         text_base = program.text_base
         text_len = len(program.text)
@@ -409,8 +400,6 @@ class Simulator:
         ) or self._pause_requested
         ctrl_call = predecode.CTRL_CALL
         ctrl_return = predecode.CTRL_RETURN
-        trace_hit = predecode.CTRL_TRACE_HIT
-        trace_rec = predecode.CTRL_TRACE_REC
 
         pc = self.pc
         total = self._total
@@ -445,45 +434,11 @@ class Simulator:
                     pc = r
                     continue
 
-                tag = r[1]
-                if tag is trace_hit:
-                    # A replay is only taken when the whole trace fits inside
-                    # the current window; otherwise execute the anchor
-                    # normally and let the loop re-probe next time around.
-                    trace = r[2]
-                    remaining = (skip - total) if warmup else (bound - analyzed)
-                    if trace.length <= remaining:
-                        trace.apply(self)
-                        trace_engine.note_hit(trace)
-                        if warmup:
-                            total += trace.length
-                        else:
-                            analyzed += trace.length
-                        pc = r[0]
-                        continue
-                    r = r[3]()
-                    if warmup:
-                        total += 1
-                    else:
-                        analyzed += 1
-                    if r.__class__ is int:
-                        pc = r
-                        continue
-                    tag = r[1]  # anchors are never excluded kinds, but be safe
-                elif tag is trace_rec:
-                    remaining = (skip - total) if warmup else (bound - analyzed)
-                    executed, pc = trace_engine.record_from(r[3], pc, remaining)
-                    if warmup:
-                        total += executed
-                    else:
-                        analyzed += executed
-                    continue
+                if warmup:
+                    total += 1
                 else:
-                    if warmup:
-                        total += 1
-                    else:
-                        analyzed += 1
-
+                    analyzed += 1
+                tag = r[1]
                 if tag is ctrl_call:
                     self._emit_call(pc, r[2], r[3], warmup)
                 elif tag is ctrl_return:
@@ -631,11 +586,6 @@ class Simulator:
         analyzers = self._analyzers
         step_hooks = self._step_hooks
         syscalls = self.syscalls
-        trace_engine = self._trace_engine
-        # Replay skips step-record delivery by construction, so the trace
-        # fast path only engages while nobody consumes step records
-        # (warm-up always qualifies: records are never built there).
-        step_consumers = bool(step_hooks)
 
         pc = self.pc
         total = self._total
@@ -657,23 +607,6 @@ class Simulator:
                     self._pause_requested = False
                     stop_reason = "paused"
                     break
-
-                if trace_engine is not None:
-                    in_warmup = total < skip
-                    if in_warmup or not step_consumers:
-                        if in_warmup:
-                            remaining = skip - total
-                        elif limit is not None:
-                            remaining = limit - analyzed
-                        else:
-                            remaining = _NO_LIMIT
-                        consumed = trace_engine.interp_step(pc, index, remaining)
-                        if consumed is not None:
-                            count, pc = consumed
-                            total += count
-                            if not in_warmup:
-                                analyzed += count
-                            continue
 
                 instr = text[index]
                 op = instr.op

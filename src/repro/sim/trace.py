@@ -3,7 +3,7 @@
 The paper's methodology separates *generating* the dynamic instruction
 stream (slow: functional simulation) from *analyzing* it.  A
 :class:`TraceRecorder` captures the full event stream once; the resulting
-:class:`Trace` replays into any set of analyzers without re-simulating —
+:class:`EventTrace` replays into any set of analyzers without re-simulating —
 useful when sweeping analysis parameters (buffer capacities, predictor
 geometries) over an identical instruction stream, and for serializing
 regression traces to disk.
@@ -22,7 +22,7 @@ from typing import BinaryIO, List, Optional, Sequence, Tuple, Union
 
 from repro.asm.program import Program
 from repro.sim.events import CallEvent, ReturnEvent, StepRecord, SyscallEvent
-from repro.sim.observer import Analyzer
+from repro.sim.observer import Analyzer, release_compiled_steps
 
 _MAGIC = b"RTRC"
 _VERSION = 2
@@ -55,7 +55,7 @@ def _program_fingerprint(program: Program) -> int:
 Event = Union[StepRecord, CallEvent, ReturnEvent, SyscallEvent]
 
 
-class Trace:
+class EventTrace:
     """A recorded event stream bound to its program."""
 
     def __init__(self, program: Program, events: Optional[List[Event]] = None) -> None:
@@ -90,6 +90,7 @@ class Trace:
                     analyzer.on_syscall(event)
         for analyzer in analyzers:
             analyzer.on_finish()
+            release_compiled_steps(analyzer)
 
     # -- serialization ------------------------------------------------------
 
@@ -169,7 +170,7 @@ class Trace:
                 )
 
     @classmethod
-    def load(cls, stream: BinaryIO, program: Program) -> "Trace":
+    def load(cls, stream: BinaryIO, program: Program) -> "EventTrace":
         magic = stream.read(4)
         if magic != _MAGIC:
             raise ValueError("not a trace file")
@@ -254,7 +255,7 @@ class Trace:
 
 
 class TraceRecorder(Analyzer):
-    """Records the complete event stream into a :class:`Trace`."""
+    """Records the complete event stream into an :class:`EventTrace`."""
 
     def __init__(self) -> None:
         self._program: Optional[Program] = None
@@ -275,7 +276,7 @@ class TraceRecorder(Analyzer):
     def on_syscall(self, event: SyscallEvent) -> None:
         self._events.append(event)
 
-    def trace(self) -> Trace:
+    def trace(self) -> EventTrace:
         if self._program is None:
             raise RuntimeError("recorder was never attached to a run")
-        return Trace(self._program, self._events)
+        return EventTrace(self._program, self._events)

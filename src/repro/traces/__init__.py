@@ -1,11 +1,10 @@
-"""Dynamic trace memoization (DTM).
+"""Trace-level reuse characterization (Table 10T).
 
 Trace-level reuse on top of the paper's instruction-level reuse buffer:
 straight-line fragments of the dynamic stream are recorded with their
-live-in registers/memory and live-outs, kept in an associative table,
-and — when live-ins validate — replayed wholesale instead of re-executed
-(execution fast path) or counted as covered (analyzer mode, Table 10T).
-See DESIGN.md §6d.
+live-in registers/memory, kept in an associative table, and counted as
+covered when a later region start finds a resident trace whose live-ins
+hold.  See DESIGN.md §6d.
 """
 
 from repro.traces.analyzer import (
@@ -13,32 +12,23 @@ from repro.traces.analyzer import (
     TraceReuseAnalyzer,
     TraceReuseReport,
 )
-from repro.traces.builder import (
-    REASON_CALL,
+from repro.traces.safety import (
+    DEFAULT_MIN_TRACE_LEN,
     REASON_IMPLICIT_INPUT,
     REASON_OVERLAP,
-    REASON_RETURN,
-    REASON_SYSCALL,
     REASON_TOO_LONG,
     REASON_TOO_SHORT,
     REASON_UNTRACKED_STORE,
-    TraceBuilder,
-    step_next_pc,
+    SafetyPolicy,
+    check_candidate,
 )
-from repro.traces.engine import (
-    DEFAULT_MAX_FUTILE_RECORDINGS,
-    TraceExecutionEngine,
-    TraceReuseConfig,
-    TraceReuseState,
-    anchor_candidates,
-)
-from repro.traces.safety import DEFAULT_MIN_TRACE_LEN, SafetyPolicy, check_candidate
 from repro.traces.table import (
     DEFAULT_MAX_TRACE_LEN,
     DEFAULT_TRACE_CAPACITY,
     DEFAULT_TRACE_WAYS,
     TraceReuseTable,
 )
+from repro.traces.template import RegionTemplate
 from repro.traces.trace import (
     CLASS_NAMES,
     NUM_CLASSES,
@@ -49,33 +39,24 @@ from repro.traces.trace import (
 
 __all__ = [
     "CLASS_NAMES",
-    "DEFAULT_MAX_FUTILE_RECORDINGS",
     "DEFAULT_MAX_TRACE_LEN",
     "DEFAULT_MIN_TRACE_LEN",
     "DEFAULT_TRACE_CAPACITY",
     "DEFAULT_TRACE_WAYS",
     "LENGTH_BUCKET_LABELS",
     "NUM_CLASSES",
-    "REASON_CALL",
     "REASON_IMPLICIT_INPUT",
     "REASON_OVERLAP",
-    "REASON_RETURN",
-    "REASON_SYSCALL",
     "REASON_TOO_LONG",
     "REASON_TOO_SHORT",
     "REASON_UNTRACKED_STORE",
+    "RegionTemplate",
     "SafetyPolicy",
     "Trace",
-    "TraceBuilder",
-    "TraceExecutionEngine",
     "TraceReuseAnalyzer",
-    "TraceReuseConfig",
     "TraceReuseReport",
-    "TraceReuseState",
     "TraceReuseTable",
-    "anchor_candidates",
     "boundary_kind",
     "check_candidate",
     "class_of",
-    "step_next_pc",
 ]

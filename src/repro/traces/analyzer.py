@@ -16,6 +16,11 @@ misses).  Memory live-ins are not shadowed at all; instead every
 observed store invalidates resident traces whose live-ins it touches
 (word granularity), so a resident trace's memory live-ins are always
 fresh and probes skip memory validation entirely.
+
+A missed region is recorded by keeping its step records; when it ends,
+its :class:`~repro.traces.template.RegionTemplate` (cached per start pc
+and length, since a straight-line region's instructions are fixed by
+them) says which record values are its live-ins.
 """
 
 from __future__ import annotations
@@ -29,20 +34,14 @@ from repro.isa.registers import NUM_REGISTERS
 from repro.obs import metrics as obs_metrics
 from repro.sim.events import StepRecord
 from repro.sim.observer import Analyzer, StepFn
-from repro.traces.builder import (
-    Feed,
-    TraceBuilder,
-    compile_feed,
-    compile_next_pc,
-    register_reads,
-)
-from repro.traces.safety import SafetyPolicy, check_candidate
+from repro.traces.safety import SafetyPolicy
 from repro.traces.table import (
     DEFAULT_MAX_TRACE_LEN,
     DEFAULT_TRACE_CAPACITY,
     DEFAULT_TRACE_WAYS,
     TraceReuseTable,
 )
+from repro.traces.template import RegionTemplate, register_reads
 from repro.traces.trace import (
     BOUNDARY_END,
     BOUNDARY_EXCLUDE,
@@ -147,13 +146,18 @@ class TraceReuseAnalyzer(Analyzer):
         #: Shadow [hi, lo].
         self._shadow_hilo: List[Optional[int]] = [None, None]
         self._replaying = 0
-        self._builder: Optional[TraceBuilder] = None
-        #: (feed, shadow hi/lo update) by static shape: opcode and registers.
-        self._shapes: Dict[tuple, Tuple[Feed, Optional[StepFn]]] = {}
+        #: Records of the region being recorded, or ``None``.
+        self._region: Optional[List[StepRecord]] = None
+        #: The pc the region's next step has if the region is straight-line.
+        self._next_pc = 0
+        self._straight = True
+        #: Templates of straight-line regions by ``(start pc, length)``.
+        self._templates: Dict[Tuple[int, int], RegionTemplate] = {}
+        #: The instruction each pc was compiled for.
+        self._compiled_instrs: Dict[int, Instruction] = {}
         self.dynamic_total = 0
         self.probes = 0
         self.hits = 0
-        self.misses = 0
         self.covered_instructions = 0
         self.traces_recorded = 0
         self.rejections: Counter = Counter()
@@ -165,12 +169,22 @@ class TraceReuseAnalyzer(Analyzer):
     def compile_step(self, pc: int, instr: Instruction) -> StepFn:
         """Bind one static instruction's region logic and shadow update.
 
-        The boundary kind, builder feed, successor-pc rule, register
-        reads and hi/lo effects are fixed here.  Store-based invalidation
-        runs before the probe, mirroring the instruction buffer's order.
-        Every observed operand read and register write lands in the
-        shadow after the region logic.
+        The boundary kind, register reads and hi/lo effects are fixed
+        here.  Store-based invalidation runs before the probe, mirroring
+        the instruction buffer's order.
+
+        A step recorded into a region only appends its record and checks
+        that it sits at the fall-through pc of the step before; when the
+        region ends, its template gathers the live-ins and applies the
+        region's shadow effects.  Every other step updates the shadow
+        itself after the region logic.  Templates are cached per
+        ``(start pc, length)``, so they are dropped when a pc is compiled
+        again for a different instruction.
         """
+        compiled = self._compiled_instrs
+        if compiled.setdefault(pc, instr) is not instr:
+            compiled[pc] = instr
+            self._templates.clear()
         analyzer = self
         table = self.table
         shadow = self._shadow
@@ -178,12 +192,7 @@ class TraceReuseAnalyzer(Analyzer):
         max_len = table.max_trace_len
         kind = instr.op.kind
         bk = boundary_kind(instr)
-        shape = (instr.op, instr.rd, instr.rs, instr.rt)
-        shared = self._shapes.get(shape)
-        if shared is None:
-            shared = self._shapes[shape] = (compile_feed(instr), self._hilo_update(instr))
-        feed, hilo_update = shared
-        next_pc = compile_next_pc(pc, instr)
+        hilo_update = self._hilo_update(instr)
         reads = register_reads(instr)
 
         if bk == BOUNDARY_EXCLUDE:
@@ -193,14 +202,11 @@ class TraceReuseAnalyzer(Analyzer):
                 if analyzer._replaying:
                     # Inside a hit trace's body: already accounted.
                     analyzer._replaying -= 1
-                else:
-                    builder = analyzer._builder
-                    if builder is not None:
-                        # The region ends *before* this instruction.
-                        analyzer._builder = None
-                        analyzer._finalize(builder, pc)
-                    # At a region start, it is its own (unprobeable)
-                    # region; the next step starts fresh.
+                elif analyzer._region is not None:
+                    # The region ends *before* this instruction.  At a
+                    # region start, it is its own (unprobeable) region;
+                    # the next step starts fresh.
+                    analyzer._finalize()
                 inputs = record.inputs
                 if len(inputs) >= len(reads):
                     for reg, position in reads:
@@ -214,32 +220,38 @@ class TraceReuseAnalyzer(Analyzer):
         ends = bk == BOUNDARY_END
         store_width = instr.op.mem_width if kind is Kind.STORE else 0
         invalidate_store = table.invalidate_store
+        lookup = table.lookup
+        fallthrough = pc + 4
 
         def step(record: StepRecord) -> None:
             analyzer.dynamic_total += 1
             if store_width:
                 invalidate_store(record.mem_addr, store_width)
+            region = analyzer._region
+            if region is not None:
+                if pc != analyzer._next_pc:
+                    analyzer._straight = False
+                region.append(record)
+                if ends or len(region) >= max_len:
+                    analyzer._finalize()
+                else:
+                    analyzer._next_pc = fallthrough
+                return
             if analyzer._replaying:
                 analyzer._replaying -= 1
             else:
-                builder = analyzer._builder
-                if builder is None:
-                    # Region start: probe, then start recording on a miss.
-                    analyzer.probes += 1
-                    hit = table.lookup(
-                        pc, shadow, shadow_hilo[0], shadow_hilo[1]
-                    )
-                    if hit is not None:
-                        analyzer._note_hit(hit)
-                        builder = None
+                # Region start: probe, then start recording on a miss.
+                analyzer.probes += 1
+                hit = lookup(pc, shadow, shadow_hilo[0], shadow_hilo[1])
+                if hit is None:
+                    analyzer._region = [record]
+                    analyzer._straight = True
+                    if ends or max_len == 1:
+                        analyzer._finalize()
                     else:
-                        analyzer.misses += 1
-                        builder = analyzer._builder = TraceBuilder(pc, max_len)
-                if builder is not None:
-                    feed(builder, record)
-                    if ends or builder.length >= max_len:
-                        analyzer._builder = None
-                        analyzer._finalize(builder, next_pc(record))
+                        analyzer._next_pc = fallthrough
+                    return
+                analyzer._note_hit(hit)
             inputs = record.inputs
             for reg, position in reads:
                 shadow[reg] = inputs[position]
@@ -252,11 +264,7 @@ class TraceReuseAnalyzer(Analyzer):
         return step
 
     def _hilo_update(self, instr: Instruction) -> Optional[StepFn]:
-        """The shadow hi/lo effect of ``instr``, if it has one.
-
-        It holds the shadow cell, not the analyzer: the shape memo keeps
-        it, and must not form a reference cycle with the analyzer.
-        """
+        """The shadow hi/lo effect of ``instr``, if it has one."""
         shadow_hilo = self._shadow_hilo
         kind = instr.op.kind
         if kind is Kind.MULDIV:
@@ -287,17 +295,30 @@ class TraceReuseAnalyzer(Analyzer):
             covered[index] += count
         self._replaying = hit.length - 1
 
-    def _finalize(self, builder: TraceBuilder, end_pc: int) -> None:
-        reason = check_candidate(builder, self.policy)
-        if reason is None:
-            trace = builder.build(end_pc)
-            self.table.install(trace)
-            self.traces_recorded += 1
-            self.recorded_length_total += trace.length
-            if trace.length > self.recorded_length_max:
-                self.recorded_length_max = trace.length
+    def _finalize(self) -> None:
+        """End the region being recorded; install it if it is admitted.
+
+        Its steps reach the shadow here, in one go.
+        """
+        records = self._region
+        self._region = None
+        if self._straight:
+            key = (records[0].pc, len(records))
+            template = self._templates.get(key)
+            if template is None:
+                template = self._templates[key] = RegionTemplate(records)
         else:
+            template = RegionTemplate(records)
+        template.update_shadow(records, self._shadow, self._shadow_hilo)
+        trace, reason = template.record(records, self.table.max_trace_len, self.policy)
+        if trace is None:
             self.rejections[reason] += 1
+            return
+        self.table.install(trace)
+        self.traces_recorded += 1
+        self.recorded_length_total += trace.length
+        if trace.length > self.recorded_length_max:
+            self.recorded_length_max = trace.length
 
     def on_finish(self) -> None:
         registry = obs_metrics.REGISTRY
@@ -321,7 +342,7 @@ class TraceReuseAnalyzer(Analyzer):
             dynamic_total=self.dynamic_total,
             probes=self.probes,
             hits=self.hits,
-            misses=self.misses,
+            misses=self.probes - self.hits,
             covered_instructions=self.covered_instructions,
             traces_recorded=self.traces_recorded,
             rejections=dict(self.rejections),

@@ -3,16 +3,15 @@
 Mirrors the geometry API of :class:`repro.core.reuse_buffer.ReuseBuffer`
 — ``capacity`` entries split into ``capacity // ways`` sets indexed by
 ``(start_pc >> 2) % num_sets``, MRU-first lists with LRU eviction — plus
-two side indexes the trace level needs:
+a ``memory word -> entries`` side index so a store can invalidate every
+resident trace whose memory live-ins it touches (the analyzer's
+freshness mechanism, analogous to the buffer's scheme ``Sv``).
 
-* ``start_pc -> entries`` for O(1) probes without touching the set (the
-  execution fast path runs this on every anchor dispatch), and
-* ``memory word -> entries`` so a store can invalidate every resident
-  trace whose memory live-ins it touches (the analyzer's freshness
-  mechanism, analogous to the buffer's scheme ``Sv``).
+All traces starting at one pc live in that pc's set, so a probe scans
+the set (at most ``ways`` entries) in MRU order.
 
-``max_trace_len`` is table geometry, not policy: it bounds the replay
-payload per entry and every builder driving this table splits at it.
+``max_trace_len`` is table geometry, not policy: it bounds the length of
+an entry, and the recorder driving this table splits regions at it.
 """
 
 from __future__ import annotations
@@ -46,7 +45,6 @@ class TraceReuseTable:
         self.max_trace_len = max_trace_len
         self.num_sets = capacity // ways
         self._sets: List[List[Trace]] = [[] for _ in range(self.num_sets)]
-        self._by_pc: Dict[int, List[Trace]] = {}
         self._by_word: Dict[int, Set[Trace]] = {}
         self.installs = 0
         self.evictions = 0
@@ -57,40 +55,24 @@ class TraceReuseTable:
 
     def entries_at(self, pc: int) -> Optional[List[Trace]]:
         """Resident traces starting at ``pc`` (MRU-first), or ``None``."""
-        return self._by_pc.get(pc)
+        return [trace for trace in self._set_for(pc) if trace.start_pc == pc] or None
 
-    def lookup(self, pc: int, regs, hi, lo, memory=None) -> Optional[Trace]:
-        """First resident trace at ``pc`` whose live-ins validate."""
-        entries = self._by_pc.get(pc)
-        if not entries:
-            return None
-        for trace in entries:
-            if trace.matches(regs, hi, lo, memory):
-                self.promote(trace)
+    def lookup(self, pc: int, regs, hi, lo) -> Optional[Trace]:
+        """First resident trace at ``pc`` whose register live-ins validate.
+
+        A hit becomes the MRU entry of its set.
+        """
+        bucket = self._set_for(pc)
+        for trace in bucket:
+            if trace.start_pc == pc and trace.matches(regs, hi, lo):
+                if bucket[0] is not trace:
+                    bucket.remove(trace)
+                    bucket.insert(0, trace)
                 return trace
         return None
 
-    def promote(self, trace: Trace) -> None:
-        """Refresh ``trace``'s MRU position after a hit."""
-        bucket = self._set_for(trace.start_pc)
-        index = bucket.index(trace)
-        if index:
-            bucket.insert(0, bucket.pop(index))
-        entries = self._by_pc[trace.start_pc]
-        index = entries.index(trace)
-        if index:
-            entries.insert(0, entries.pop(index))
-
     def _unlink(self, trace: Trace) -> None:
-        """Drop ``trace`` from the side indexes (not from its set)."""
-        entries = self._by_pc.get(trace.start_pc)
-        if entries is not None:
-            try:
-                entries.remove(trace)
-            except ValueError:
-                pass
-            if not entries:
-                del self._by_pc[trace.start_pc]
+        """Drop ``trace`` from the memory-word index (not from its set)."""
         for address, width, _raw in trace.mem_in:
             for word in range(address & ~3, address + width, 4):
                 linked = self._by_word.get(word)
@@ -103,8 +85,8 @@ class TraceReuseTable:
         """Insert ``trace``, evicting the set's LRU entry if full.
 
         An entry with the same live-in signature is replaced in place
-        (determinism makes its live-outs identical, so the newer copy
-        adds nothing and would waste a way).
+        (determinism makes it the same trace, so a second copy would
+        waste a way).
         """
         bucket = self._set_for(trace.start_pc)
         signature = trace.live_in_signature
@@ -122,7 +104,6 @@ class TraceReuseTable:
                 self._unlink(victim)
                 self.evictions += 1
         bucket.insert(0, trace)
-        self._by_pc.setdefault(trace.start_pc, []).insert(0, trace)
         for address, width, _raw in trace.mem_in:
             for word in range(address & ~3, address + width, 4):
                 self._by_word.setdefault(word, set()).add(trace)

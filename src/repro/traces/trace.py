@@ -2,11 +2,10 @@
 
 A *trace* is a straight-line fragment of the dynamic instruction stream
 together with everything needed to decide whether re-executing it would
-be redundant (its live-in registers, memory words, and hi/lo values) and
-everything needed to skip it when it would be (its register live-outs,
-ordered stores, and hi/lo result).  This is the trace-level analogue of
-the paper's per-instruction reuse buffer entry, following Coppieters et
-al.'s trace-reuse formulation (see PAPERS.md).
+be redundant: its live-in registers, memory words, and hi/lo values.
+This is the trace-level analogue of the paper's per-instruction reuse
+buffer entry, following Coppieters et al.'s trace-reuse formulation (see
+PAPERS.md).  Table 10T only counts reuse, so a trace keeps no live-outs.
 
 Boundary rules
 --------------
@@ -15,10 +14,13 @@ Traces are cut from the stream at control and side-effect boundaries:
 
 * branches, ``j``, and computed ``jr`` (non-return) *end* a trace and are
   part of it — their outcome is a pure function of the trace's live-ins,
-  so the recorded ``end_pc`` is exact on a live-in match;
+  so a live-in match means the whole trace repeats;
 * calls (``jal``/``jalr``), returns (``jr $ra``), and syscalls are
   *excluded*: they raise events the simulator must deliver (and syscalls
   touch external state), so a trace always ends before them.
+
+Every instruction of a trace but the last falls through, so a trace is
+the run of static instructions ``start_pc, start_pc + 4, ...``.
 
 The numeric constants here are compared with ``is``/``==`` in hot loops;
 keep them small ints.
@@ -26,7 +28,7 @@ keep them small ints.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 from repro.isa.instructions import Instruction, Kind
 from repro.isa.registers import RA
@@ -80,68 +82,50 @@ def boundary_kind(instr: Instruction) -> int:
 
 
 class Trace:
-    """One memoized trace: live-ins to validate, live-outs to replay.
+    """One recorded trace: where it starts, how long it is, what it reads.
 
-    ``reg_in``/``reg_out`` are ``(reg, value)`` tuples; ``mem_in`` holds
-    ``(address, width, raw_value)`` with the *unextended* memory bytes
-    (so validation can compare against a raw read regardless of the
-    load's sign extension); ``stores`` is the ordered ``(address, width,
-    value)`` sequence the trace performs; ``hi_lo_in`` holds ``(from_hi,
-    value)`` reads of hi/lo not produced in-trace and ``hi_lo_out`` the
-    final ``(hi, lo)`` pair when the trace writes them.  ``class_counts``
-    is indexed by ``CLASS_*``.
+    ``reg_in`` holds ``(reg, value)`` pairs sorted by register; ``mem_in``
+    holds ``(address, width, raw_value)`` with the *unextended* memory
+    bytes (a signed byte load of 0xFF records 0xFF); ``hi_lo_in`` holds
+    ``(from_hi, value)`` reads of hi/lo not produced in-trace, in program
+    order.  ``class_counts`` is indexed by ``CLASS_*``.
+    ``live_in_signature`` identifies the validation condition (the table
+    replaces a resident entry with the same one); it is built once here.
     """
 
     __slots__ = (
         "start_pc",
-        "end_pc",
         "length",
         "reg_in",
         "mem_in",
         "hi_lo_in",
-        "reg_out",
-        "hi_lo_out",
-        "stores",
         "class_counts",
+        "live_in_signature",
     )
 
     def __init__(
         self,
         start_pc: int,
-        end_pc: int,
         length: int,
         reg_in: Tuple[Tuple[int, int], ...],
         mem_in: Tuple[Tuple[int, int, int], ...],
         hi_lo_in: Tuple[Tuple[bool, int], ...],
-        reg_out: Tuple[Tuple[int, int], ...],
-        hi_lo_out: Optional[Tuple[int, int]],
-        stores: Tuple[Tuple[int, int, int], ...],
         class_counts: Tuple[int, ...],
     ) -> None:
         self.start_pc = start_pc
-        self.end_pc = end_pc
         self.length = length
         self.reg_in = reg_in
         self.mem_in = mem_in
         self.hi_lo_in = hi_lo_in
-        self.reg_out = reg_out
-        self.hi_lo_out = hi_lo_out
-        self.stores = stores
         self.class_counts = class_counts
+        self.live_in_signature = (start_pc, reg_in, mem_in, hi_lo_in)
 
-    @property
-    def live_in_signature(self) -> tuple:
-        """Identity of this trace's validation condition (for dedup)."""
-        return (self.start_pc, self.reg_in, self.mem_in, self.hi_lo_in)
+    def matches(self, regs, hi, lo) -> bool:
+        """Do the register and hi/lo live-ins hold in ``regs``/``hi``/``lo``?
 
-    def matches(self, regs, hi, lo, memory=None) -> bool:
-        """Would re-executing from ``start_pc`` reproduce this trace?
-
-        ``regs``/``hi``/``lo`` may be a shadow state holding ``None`` for
-        unknown values — an unknown live-in conservatively fails.  When
-        ``memory`` is given, memory live-ins are re-validated against it;
-        when it is ``None`` the caller guarantees freshness some other
-        way (the analyzer's store-based invalidation).
+        These may be a shadow state holding ``None`` for unknown values:
+        an unknown live-in conservatively fails.  Memory live-ins are not
+        checked; the table's store invalidation keeps them fresh.
         """
         for reg, value in self.reg_in:
             if regs[reg] != value:
@@ -149,43 +133,10 @@ class Trace:
         for from_hi, value in self.hi_lo_in:
             if (hi if from_hi else lo) != value:
                 return False
-        if memory is not None:
-            for address, width, raw in self.mem_in:
-                if width == 4:
-                    if memory.read_word(address) != raw:
-                        return False
-                elif width == 2:
-                    if memory.read_half(address) != raw:
-                        return False
-                elif memory.read_byte(address) != raw:
-                    return False
         return True
-
-    def apply(self, sim) -> None:
-        """Replay the trace's architectural effects onto ``sim``.
-
-        Register live-outs, the ordered store sequence, and the hi/lo
-        result together are the trace's complete effect on machine state
-        (the safety filter guarantees there is nothing else).
-        """
-        regs = sim.regs
-        for reg, value in self.reg_out:
-            regs[reg] = value
-        memory = sim.memory
-        for address, width, value in self.stores:
-            if width == 4:
-                memory.write_word(address, value)
-            elif width == 2:
-                memory.write_half(address, value)
-            else:
-                memory.write_byte(address, value)
-        hi_lo = self.hi_lo_out
-        if hi_lo is not None:
-            sim.hi, sim.lo = hi_lo
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
-            f"Trace(start={self.start_pc:#x}, end={self.end_pc:#x}, "
-            f"len={self.length}, reg_in={len(self.reg_in)}, "
-            f"mem_in={len(self.mem_in)}, stores={len(self.stores)})"
+            f"Trace(start={self.start_pc:#x}, len={self.length}, "
+            f"reg_in={len(self.reg_in)}, mem_in={len(self.mem_in)})"
         )

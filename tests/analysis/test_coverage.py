@@ -11,6 +11,7 @@ from repro.analysis.coverage import (
     bucket_label,
     bucket_shares,
     contributors_for_fraction,
+    contributors_for_fractions,
     coverage_curve,
     cumulative_share_curve,
 )
@@ -54,6 +55,39 @@ class TestContributorsForFraction:
         needed = contributors_for_fraction(values, 0.75)
         top = sorted((v for v in values if v > 0), reverse=True)[:needed]
         assert sum(top) >= 0.75 * sum(values) - 1e-6
+
+
+def _walk(values, fraction):
+    """One target at a time: walk the sorted weights until covered."""
+    positive = sorted((v for v in values if v > 0), reverse=True)
+    total = sum(positive)
+    covered = 0
+    for index, weight in enumerate(positive, start=1):
+        covered += weight
+        if covered >= total * fraction - 1e-9:
+            return index
+    return len(positive)
+
+
+#: Few distinct small values: many zeros and ties.
+tied_weights = st.lists(st.integers(min_value=0, max_value=4), max_size=60)
+fractions = st.lists(
+    st.sampled_from([0.0, 0.25, 0.5, 0.75, 0.9, 0.95, 1.0])
+    | st.floats(min_value=0.0, max_value=1.0),
+    max_size=8,
+)
+
+
+class TestContributorsForFractions:
+    @given(tied_weights, fractions)
+    def test_equals_one_target_walk(self, values, targets):
+        assert contributors_for_fractions(values, targets) == [
+            _walk(values, target) for target in targets
+        ]
+
+    def test_validates_every_fraction(self):
+        with pytest.raises(ValueError):
+            contributors_for_fractions([1, 2], [0.5, -0.1])
 
 
 class TestCoverageCurve:

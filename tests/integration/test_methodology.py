@@ -11,7 +11,7 @@ import pytest
 
 from repro.core import RepetitionTracker
 from repro.harness import SuiteConfig, run_workload
-from repro.sim import Simulator, Trace, TraceRecorder
+from repro.sim import EventTrace, Simulator, TraceRecorder
 from repro.workloads import get_workload
 
 
@@ -103,7 +103,7 @@ class TestTraceEquivalence:
         buffer = io.BytesIO()
         trace.save(buffer)
         buffer.seek(0)
-        loaded = Trace.load(buffer, program)
+        loaded = EventTrace.load(buffer, program)
         a, b = RepetitionTracker(), RepetitionTracker()
         trace.replay([a])
         loaded.replay([b])

@@ -8,7 +8,7 @@ import pytest
 
 from repro.core import FunctionAnalyzer, RepetitionTracker
 from repro.lang import compile_source
-from repro.sim import Simulator, Trace, TraceRecorder
+from repro.sim import EventTrace, Simulator, TraceRecorder
 
 SOURCE = """
 int table[4] = {2, 4, 6, 8};
@@ -85,7 +85,7 @@ class TestSerialization:
         buffer = io.BytesIO()
         trace.save(buffer)
         buffer.seek(0)
-        loaded = Trace.load(buffer, program)
+        loaded = EventTrace.load(buffer, program)
         assert len(loaded) == len(trace)
 
         original = RepetitionTracker()
@@ -100,7 +100,7 @@ class TestSerialization:
         buffer = io.BytesIO()
         trace.save(buffer)
         buffer.seek(0)
-        loaded = Trace.load(buffer, program)
+        loaded = EventTrace.load(buffer, program)
         from repro.sim.events import StepRecord
 
         original_steps = [e for e in trace.events if isinstance(e, StepRecord)]
@@ -121,12 +121,12 @@ class TestSerialization:
         trace.save(buffer)
         buffer.seek(0)
         with pytest.raises(ValueError, match="different program"):
-            Trace.load(buffer, other)
+            EventTrace.load(buffer, other)
 
     def test_bad_magic_rejected(self):
         _, program, _ = record()
         with pytest.raises(ValueError, match="not a trace"):
-            Trace.load(io.BytesIO(b"JUNKJUNKJUNKJUNK"), program)
+            EventTrace.load(io.BytesIO(b"JUNKJUNKJUNKJUNK"), program)
 
     def test_trace_with_input_syscalls(self):
         source = """
@@ -144,7 +144,7 @@ int main() {
         buffer = io.BytesIO()
         trace.save(buffer)
         buffer.seek(0)
-        loaded = Trace.load(buffer, program)
+        loaded = EventTrace.load(buffer, program)
         from repro.sim.events import SyscallEvent
 
         syscalls = [e for e in loaded.events if isinstance(e, SyscallEvent)]

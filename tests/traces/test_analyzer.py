@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
-from repro.isa.convention import DATA_BASE, TEXT_BASE
-from repro.traces.analyzer import TraceReuseAnalyzer, length_bucket
-from repro.traces.builder import REASON_SYSCALL, REASON_TOO_SHORT
+import dataclasses
 
-from tests.helpers import make_step
+from repro.isa.convention import DATA_BASE, TEXT_BASE
+from repro.traces.analyzer import TraceReuseAnalyzer, TraceReuseReport, length_bucket
+from repro.traces.safety import REASON_TOO_SHORT
+
+from tests.helpers import make_instruction, make_step
 
 PC = TEXT_BASE
 
@@ -141,7 +143,7 @@ class TestBoundaries:
         ])
         report = analyzer.report()
         assert report.probes == 2  # the two branches; not the syscall
-        assert REASON_SYSCALL not in report.rejections
+        assert report.rejections == {REASON_TOO_SHORT: 2}
 
     def test_single_instruction_region_rejected_too_short(self):
         analyzer = TraceReuseAnalyzer()
@@ -160,6 +162,109 @@ class TestBoundaries:
         assert report.traces_recorded == 3
         assert report.hits == 3
         assert report.covered_instructions == 11
+
+
+def hand_report(hit_length_hist=(), **fields) -> TraceReuseReport:
+    """An empty analyzer's report with ``fields`` filled in by hand."""
+    empty = TraceReuseAnalyzer().report()
+    hist = dict(empty.hit_length_hist, **dict(hit_length_hist))
+    return dataclasses.replace(empty, hit_length_hist=hist, **fields)
+
+
+class TestTemplates:
+    """Region templates are cached only for straight-line regions."""
+
+    def test_region_that_is_not_straight_line(self):
+        # Instructions are shared between passes, as in a real program,
+        # so nothing is recompiled and cached templates stay live.
+        add = make_instruction("addu", rd=8, rs=9, rt=10)
+        add2 = make_instruction("addu", rd=11, rs=8, rt=9)
+        beq = make_instruction("beq", rs=11, rt=10, target=PC + 32)
+        sub = make_instruction("subu", rd=12, rs=13, rt=8)
+        bne = make_instruction("bne", rs=12, rt=14, target=PC + 32)
+
+        def step(pc, instr, inputs, outputs=(0,), dest=None, value=0):
+            return make_step(pc=pc, instr=instr, inputs=inputs, outputs=outputs,
+                             dest_reg=dest, dest_value=value)
+
+        straight = [
+            step(PC, add, (5, 7), (12,), 8, 12),
+            step(PC + 4, add2, (12, 5), (17,), 11, 17),
+            step(PC + 8, beq, (17, 7)),
+        ]
+        # Same start pc and length, but the second step sits at PC + 0x40:
+        # only a synthetic stream does this.
+        scattered = [
+            step(PC, add, (6, 7), (13,), 8, 13),
+            step(PC + 0x40, sub, (3, 13), (0xFFFFFFF6,), 12, 0xFFFFFFF6),
+            step(PC + 0x44, bne, (0xFFFFFFF6, 0)),
+        ]
+        analyzer = TraceReuseAnalyzer()
+        feed(analyzer, straight)   # miss: records (PC, 3), caches its template
+        feed(analyzer, scattered)  # hits that trace; r9 becomes 6
+        feed(analyzer, scattered)  # miss: recorded with a template of its own
+        entries = analyzer.table.entries_at(PC)
+        # The scattered trace reads r13 and r14 too, which the cached
+        # template of the straight region would have missed.
+        assert [trace.reg_in for trace in entries] == [
+            ((9, 6), (10, 7), (13, 3), (14, 0)),
+            ((9, 5), (10, 7)),
+        ]
+        assert analyzer.report() == hand_report(
+            dynamic_total=9, probes=3, hits=1, misses=2, covered_instructions=3,
+            traces_recorded=2, occupancy=2, hit_length_hist={"3": 1},
+            class_coverage=(2, 0, 0, 1, 0, 0),
+            recorded_length_total=6, recorded_length_max=3,
+        )
+
+    def test_one_instruction_object_at_two_pcs(self):
+        # r10 = r8 + r9 at PC and at PC + 4, from the same Instruction object.
+        add = make_instruction("addu", rd=10, rs=8, rt=9)
+        beq = make_instruction("beq", rs=10, rt=9, target=PC)
+
+        def region(start):
+            adds = [
+                make_step(pc=pc, instr=add, inputs=(1, 2), outputs=(3,),
+                          dest_reg=10, dest_value=3)
+                for pc in range(start, PC + 8, 4)
+            ]
+            return adds + [make_step(pc=PC + 8, instr=beq, inputs=(3, 2), outputs=(0,))]
+
+        analyzer = TraceReuseAnalyzer()
+        feed(analyzer, region(PC))        # miss: records (PC, 3)
+        feed(analyzer, region(PC))        # hit
+        feed(analyzer, region(PC + 4))    # miss: records (PC + 4, 2)
+        feed(analyzer, region(PC + 4))    # hit
+        for start, length in ((PC, 3), (PC + 4, 2)):
+            (trace,) = analyzer.table.entries_at(start)
+            assert (trace.length, trace.reg_in) == (length, ((8, 1), (9, 2)))
+        assert analyzer.report() == hand_report(
+            dynamic_total=10, probes=4, hits=2, misses=2, covered_instructions=5,
+            traces_recorded=2, occupancy=2, hit_length_hist={"2": 1, "3": 1},
+            class_coverage=(3, 0, 0, 2, 0, 0),
+            recorded_length_total=5, recorded_length_max=3,
+        )
+
+    def test_new_instruction_at_a_pc_gets_a_new_template(self):
+        beq = make_instruction("beq", rs=8, rt=0, target=PC)
+        # A region of its own that zeroes r9, so the second pass misses.
+        clear_r9 = [
+            make_step(pc=PC + 0x100, op="addu", rd=9, rs=0, rt=0, inputs=(0, 0),
+                      outputs=(0,), dest_reg=9, dest_value=0),
+            branch(PC + 0x104, rs=0, rt=0, a=0, b=0),
+        ]
+        analyzer = TraceReuseAnalyzer()
+        for rs, rt in ((9, 10), (11, 12)):
+            feed(analyzer, [
+                make_step(pc=PC, op="addu", rd=8, rs=rs, rt=rt, inputs=(1, 2),
+                          outputs=(3,), dest_reg=8, dest_value=3),
+                make_step(pc=PC + 4, instr=beq, inputs=(3, 0), outputs=(0,)),
+                *clear_r9,
+            ])
+        assert [trace.reg_in for trace in analyzer.table.entries_at(PC)] == [
+            ((11, 1), (12, 2)),
+            ((9, 1), (10, 2)),
+        ]
 
 
 class TestInvalidation:

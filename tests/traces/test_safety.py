@@ -2,69 +2,50 @@
 
 from __future__ import annotations
 
-from repro.isa.convention import DATA_BASE, STACK_TOP, TEXT_BASE
-from repro.traces.builder import (
+import pytest
+
+from repro.isa.convention import DATA_BASE, STACK_TOP
+from repro.traces.safety import (
     REASON_IMPLICIT_INPUT,
-    REASON_SYSCALL,
+    REASON_OVERLAP,
     REASON_TOO_LONG,
     REASON_TOO_SHORT,
-    TraceBuilder,
+    SafetyPolicy,
+    check_candidate,
 )
-from repro.traces.safety import SafetyPolicy, check_candidate
 
-from tests.helpers import make_step
-
-PC = TEXT_BASE
-
-
-def _alu(pc):
-    return make_step(pc=pc, op="addu", inputs=(1, 2), outputs=(3,),
-                     dest_reg=8, dest_value=3, rd=8, rs=9, rt=10)
-
-
-def _load(pc, addr):
-    return make_step(pc=pc, op="lw", inputs=(addr,), outputs=(7,),
-                     dest_reg=8, dest_value=7, mem_addr=addr, rt=8, rs=9)
-
-
-def _fed(records, max_len=16):
-    builder = TraceBuilder(records[0].pc, max_len=max_len)
-    for record in records:
-        builder.feed(record)
-    return builder
+STRICT = SafetyPolicy(allow_memory_live_ins=False)
+GLOBAL_LIVE_IN = ((DATA_BASE, 4, 7),)
 
 
 class TestCheckCandidate:
     def test_clean_candidate_passes(self):
-        builder = _fed([_alu(PC), _alu(PC + 4)])
-        assert check_candidate(builder) is None
+        assert check_candidate(None, 2, 16, ()) is None
 
     def test_unsafe_marker_wins_over_length(self):
-        # A single syscall is both unsafe and too short; the structural
-        # violation is the reported reason.
-        builder = _fed([make_step(pc=PC, op="syscall", inputs=(1, 42))])
-        assert check_candidate(builder) == REASON_SYSCALL
+        # A one-instruction candidate is both unsafe and too short; the
+        # structural violation is the reported reason.
+        assert check_candidate(REASON_OVERLAP, 1, 16, ()) == REASON_OVERLAP
 
     def test_too_short(self):
-        builder = _fed([_alu(PC)])
-        assert check_candidate(builder) == REASON_TOO_SHORT
+        assert check_candidate(None, 1, 16, ()) == REASON_TOO_SHORT
 
     def test_min_len_configurable(self):
-        builder = _fed([_alu(PC)])
-        assert check_candidate(builder, SafetyPolicy(min_len=1)) is None
+        assert check_candidate(None, 1, 16, (), SafetyPolicy(min_len=1)) is None
 
     def test_too_long(self):
-        builder = _fed([_alu(PC + 4 * i) for i in range(3)], max_len=2)
-        assert check_candidate(builder) == REASON_TOO_LONG
+        assert check_candidate(None, 3, 2, ()) == REASON_TOO_LONG
+
+    @pytest.mark.parametrize(
+        "length,max_len,reason", [(1, 16, REASON_TOO_SHORT), (3, 2, REASON_TOO_LONG)]
+    )
+    def test_length_wins_over_implicit_input(self, length, max_len, reason):
+        assert check_candidate(None, length, max_len, GLOBAL_LIVE_IN, STRICT) == reason
 
     def test_strict_policy_rejects_global_live_in(self):
-        builder = _fed([_alu(PC), _load(PC + 4, DATA_BASE)])
-        assert check_candidate(builder) is None
-        strict = SafetyPolicy(allow_memory_live_ins=False)
-        assert check_candidate(builder, strict) == REASON_IMPLICIT_INPUT
+        assert check_candidate(None, 2, 16, GLOBAL_LIVE_IN) is None
+        assert check_candidate(None, 2, 16, GLOBAL_LIVE_IN, STRICT) == REASON_IMPLICIT_INPUT
 
     def test_strict_policy_admits_stack_live_in(self):
         # Stack loads are explicit inputs in the paper's §5.2 sense.
-        builder = _fed([_alu(PC), _load(PC + 4, STACK_TOP - 64)])
-        strict = SafetyPolicy(allow_memory_live_ins=False)
-        assert check_candidate(builder, strict) is None
+        assert check_candidate(None, 2, 16, ((STACK_TOP - 64, 4, 7),), STRICT) is None

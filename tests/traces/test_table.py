@@ -5,10 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.isa.convention import DATA_BASE, TEXT_BASE
-from repro.traces.builder import TraceBuilder
 from repro.traces.table import TraceReuseTable
-
-from tests.helpers import make_step
+from repro.traces.trace import CLASS_ALU, CLASS_LOAD, NUM_CLASSES, Trace
 
 PC = TEXT_BASE
 NUM_REGS = 32
@@ -16,24 +14,15 @@ NUM_REGS = 32
 
 def make_trace(start_pc, reg=9, value=5, mem_addr=None):
     """A two-instruction trace reading ``reg`` (and optionally memory)."""
-    builder = TraceBuilder(start_pc, max_len=16)
+    counts = [0] * NUM_CLASSES
+    counts[CLASS_ALU] = 2
     if mem_addr is not None:
-        builder.feed(
-            make_step(pc=start_pc, op="lw", inputs=(mem_addr,), outputs=(7,),
-                      dest_reg=8, dest_value=7, mem_addr=mem_addr, rt=8, rs=reg)
-        )
-    else:
-        builder.feed(
-            make_step(pc=start_pc, op="addu", inputs=(value, 1),
-                      outputs=(value + 1,), dest_reg=8, dest_value=value + 1,
-                      rd=8, rs=reg, rt=10)
-        )
-    builder.feed(
-        make_step(pc=start_pc + 4, op="addu", inputs=(value, value),
-                  outputs=(2 * value,), dest_reg=11, dest_value=2 * value,
-                  rd=11, rs=reg, rt=reg)
-    )
-    return builder.build(start_pc + 8)
+        # lw $8, 0($reg); addu $11, $reg, $reg
+        counts[CLASS_ALU] -= 1
+        counts[CLASS_LOAD] += 1
+        return Trace(start_pc, 2, ((reg, mem_addr),), ((mem_addr, 4, 7),), (), tuple(counts))
+    # addu $8, $reg, $10; addu $11, $reg, $reg
+    return Trace(start_pc, 2, ((reg, value), (10, 1)), (), (), tuple(counts))
 
 
 def regs_for(trace):
@@ -135,18 +124,3 @@ class TestInvalidation:
         # A store to the neighbouring word touches nothing.
         assert table.invalidate_store(DATA_BASE + 8, 4) == 0
         assert table.occupancy == 0
-
-    def test_memory_validation_in_lookup(self):
-        table = TraceReuseTable()
-        trace = make_trace(PC, mem_addr=DATA_BASE)
-        table.install(trace)
-
-        class Memory:
-            def __init__(self, value):
-                self.value = value
-
-            def read_word(self, address):
-                return self.value
-
-        assert table.lookup(PC, regs_for(trace), 0, 0, Memory(7)) is trace
-        assert table.lookup(PC, regs_for(trace), 0, 0, Memory(8)) is None
