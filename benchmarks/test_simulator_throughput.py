@@ -25,8 +25,10 @@ def test_bare_simulator_throughput(benchmark):
 def test_bare_simulator_throughput_metrics_enabled(benchmark):
     """Same bare run with the metrics registry armed.
 
-    Keeps the hot-loop counting closures honest: CI derives
-    ``telemetry_overhead_pct`` from this pair and fails above 5%.
+    Keeps the counting in the hot loop honest: CI derives
+    ``telemetry_overhead_pct`` from this pair and fails above 5%.  The
+    counts are checked too, so the gate cannot pass by timing a path
+    that counts nothing.
     """
     from repro.obs import metrics as obs_metrics
 
@@ -34,6 +36,8 @@ def test_bare_simulator_throughput_metrics_enabled(benchmark):
     obs_metrics.REGISTRY.reset()
     try:
         benchmark(simulate_with, lambda: [], "m88ksim", 25_000)
+        assert obs_metrics.REGISTRY.value("sim.branches") > 0
+        assert obs_metrics.REGISTRY.value("sim.memory_ops") > 0
     finally:
         obs_metrics.disable()
         obs_metrics.REGISTRY.reset()

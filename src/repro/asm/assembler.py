@@ -455,6 +455,10 @@ class Assembler:
                 raise AsmError(
                     f"immediate {imm} out of signed 16-bit range", lineno, self.filename
                 )
+        if info.fmt == Format.SHIFT and not 0 <= proto.shamt <= 31:
+            raise AsmError(
+                f"shift amount {proto.shamt} out of range 0..31", lineno, self.filename
+            )
         return Instruction(
             info,
             rd=proto.rd,

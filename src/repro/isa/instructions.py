@@ -70,9 +70,26 @@ class OpcodeInfo:
     signed_load: bool = False
     #: Immediate is zero-extended (logical ops) rather than sign-extended.
     unsigned_imm: bool = False
+    #: What the opcode computes, as a Python expression: the result (ALU),
+    #: the taken condition (branch), the ``(hi, lo)`` pair (mult/div), or
+    #: the register read (``hi``/``lo``).  Operands are ``a`` and ``b`` in
+    #: :meth:`Instruction.source_registers` order; ``imm``, ``shamt`` and
+    #: the names in :data:`BIND_CONSTANTS` are fixed per static
+    #: instruction.  The predecoded engine generates its step closures
+    #: from these; the reference interpreter spells each opcode out.
+    semantics: str = ""
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"OpcodeInfo({self.name})"
+
+
+#: Constants an opcode's ``semantics`` may name besides ``imm`` and
+#: ``shamt``, each computed once per static instruction from ``imm``.
+BIND_CONSTANTS: "dict[str, str]" = {
+    "uimm": "imm & 0xFFFFFFFF",
+    "ximm": "(imm & 0xFFFFFFFF) ^ 0x80000000",
+    "upper": "(imm << 16) & 0xFFFFFFFF",
+}
 
 
 def _op(name: str, fmt: str, kind: str, **kwargs: object) -> OpcodeInfo:
@@ -84,40 +101,57 @@ OPCODES: "dict[str, OpcodeInfo]" = {
     info.name: info
     for info in (
         # Three-register ALU.
-        _op("add", Format.R3, Kind.ALU),
-        _op("addu", Format.R3, Kind.ALU),
-        _op("sub", Format.R3, Kind.ALU),
-        _op("subu", Format.R3, Kind.ALU),
-        _op("and", Format.R3, Kind.ALU),
-        _op("or", Format.R3, Kind.ALU),
-        _op("xor", Format.R3, Kind.ALU),
-        _op("nor", Format.R3, Kind.ALU),
-        _op("slt", Format.R3, Kind.ALU),
-        _op("sltu", Format.R3, Kind.ALU),
+        _op("add", Format.R3, Kind.ALU, semantics="(a + b) & 0xFFFFFFFF"),
+        _op("addu", Format.R3, Kind.ALU, semantics="(a + b) & 0xFFFFFFFF"),
+        _op("sub", Format.R3, Kind.ALU, semantics="(a - b) & 0xFFFFFFFF"),
+        _op("subu", Format.R3, Kind.ALU, semantics="(a - b) & 0xFFFFFFFF"),
+        _op("and", Format.R3, Kind.ALU, semantics="a & b"),
+        _op("or", Format.R3, Kind.ALU, semantics="a | b"),
+        _op("xor", Format.R3, Kind.ALU, semantics="a ^ b"),
+        _op("nor", Format.R3, Kind.ALU, semantics="~(a | b) & 0xFFFFFFFF"),
+        _op(
+            "slt",
+            Format.R3,
+            Kind.ALU,
+            semantics="1 if (a ^ 0x80000000) < (b ^ 0x80000000) else 0",
+        ),
+        _op("sltu", Format.R3, Kind.ALU, semantics="1 if a < b else 0"),
         # Variable shifts (rd, rt, rs -- rs holds the shift amount).
-        _op("sllv", Format.R3_SHIFTV, Kind.ALU),
-        _op("srlv", Format.R3_SHIFTV, Kind.ALU),
-        _op("srav", Format.R3_SHIFTV, Kind.ALU),
+        _op("sllv", Format.R3_SHIFTV, Kind.ALU, semantics="(a << (b & 31)) & 0xFFFFFFFF"),
+        _op("srlv", Format.R3_SHIFTV, Kind.ALU, semantics="a >> (b & 31)"),
+        _op(
+            "srav",
+            Format.R3_SHIFTV,
+            Kind.ALU,
+            semantics="a >> (b & 31) if a < 0x80000000"
+            " else ((a - 0x100000000) >> (b & 31)) & 0xFFFFFFFF",
+        ),
         # Immediate shifts.
-        _op("sll", Format.SHIFT, Kind.ALU),
-        _op("srl", Format.SHIFT, Kind.ALU),
-        _op("sra", Format.SHIFT, Kind.ALU),
+        _op("sll", Format.SHIFT, Kind.ALU, semantics="(a << shamt) & 0xFFFFFFFF"),
+        _op("srl", Format.SHIFT, Kind.ALU, semantics="a >> shamt"),
+        _op(
+            "sra",
+            Format.SHIFT,
+            Kind.ALU,
+            semantics="a >> shamt if a < 0x80000000"
+            " else ((a - 0x100000000) >> shamt) & 0xFFFFFFFF",
+        ),
         # Immediate ALU.
-        _op("addi", Format.I2, Kind.ALU),
-        _op("addiu", Format.I2, Kind.ALU),
-        _op("andi", Format.I2, Kind.ALU, unsigned_imm=True),
-        _op("ori", Format.I2, Kind.ALU, unsigned_imm=True),
-        _op("xori", Format.I2, Kind.ALU, unsigned_imm=True),
-        _op("slti", Format.I2, Kind.ALU),
-        _op("sltiu", Format.I2, Kind.ALU),
-        _op("lui", Format.LUI, Kind.ALU, unsigned_imm=True),
+        _op("addi", Format.I2, Kind.ALU, semantics="(a + imm) & 0xFFFFFFFF"),
+        _op("addiu", Format.I2, Kind.ALU, semantics="(a + imm) & 0xFFFFFFFF"),
+        _op("andi", Format.I2, Kind.ALU, unsigned_imm=True, semantics="a & imm"),
+        _op("ori", Format.I2, Kind.ALU, unsigned_imm=True, semantics="a | imm"),
+        _op("xori", Format.I2, Kind.ALU, unsigned_imm=True, semantics="a ^ imm"),
+        _op("slti", Format.I2, Kind.ALU, semantics="1 if (a ^ 0x80000000) < ximm else 0"),
+        _op("sltiu", Format.I2, Kind.ALU, semantics="1 if a < uimm else 0"),
+        _op("lui", Format.LUI, Kind.ALU, unsigned_imm=True, semantics="upper"),
         # Multiply / divide and hi/lo moves.
-        _op("mult", Format.MULDIV, Kind.MULDIV),
-        _op("multu", Format.MULDIV, Kind.MULDIV),
-        _op("div", Format.MULDIV, Kind.MULDIV),
-        _op("divu", Format.MULDIV, Kind.MULDIV),
-        _op("mfhi", Format.MFHILO, Kind.MFHILO),
-        _op("mflo", Format.MFHILO, Kind.MFHILO),
+        _op("mult", Format.MULDIV, Kind.MULDIV, semantics="mult32(a, b)"),
+        _op("multu", Format.MULDIV, Kind.MULDIV, semantics="multu32(a, b)"),
+        _op("div", Format.MULDIV, Kind.MULDIV, semantics="div32(a, b)"),
+        _op("divu", Format.MULDIV, Kind.MULDIV, semantics="divu32(a, b)"),
+        _op("mfhi", Format.MFHILO, Kind.MFHILO, semantics="hi"),
+        _op("mflo", Format.MFHILO, Kind.MFHILO, semantics="lo"),
         # Loads.
         _op("lw", Format.MEM, Kind.LOAD, mem_width=4, signed_load=True),
         _op("lh", Format.MEM, Kind.LOAD, mem_width=2, signed_load=True),
@@ -129,12 +163,12 @@ OPCODES: "dict[str, OpcodeInfo]" = {
         _op("sh", Format.MEM, Kind.STORE, mem_width=2),
         _op("sb", Format.MEM, Kind.STORE, mem_width=1),
         # Branches.
-        _op("beq", Format.BR2, Kind.BRANCH),
-        _op("bne", Format.BR2, Kind.BRANCH),
-        _op("blez", Format.BR1, Kind.BRANCH),
-        _op("bgtz", Format.BR1, Kind.BRANCH),
-        _op("bltz", Format.BR1, Kind.BRANCH),
-        _op("bgez", Format.BR1, Kind.BRANCH),
+        _op("beq", Format.BR2, Kind.BRANCH, semantics="a == b"),
+        _op("bne", Format.BR2, Kind.BRANCH, semantics="a != b"),
+        _op("blez", Format.BR1, Kind.BRANCH, semantics="a == 0 or a & 0x80000000"),
+        _op("bgtz", Format.BR1, Kind.BRANCH, semantics="a and a < 0x80000000"),
+        _op("bltz", Format.BR1, Kind.BRANCH, semantics="a & 0x80000000"),
+        _op("bgez", Format.BR1, Kind.BRANCH, semantics="a < 0x80000000"),
         # Jumps and calls.
         _op("j", Format.J, Kind.JUMP),
         _op("jal", Format.J, Kind.CALL),

@@ -7,26 +7,25 @@ attributes, and re-normalizes immediates.  For the paper-scale windows
 (hundreds of thousands of retired instructions) that per-step decode
 dominates simulation time.
 
-This module compiles each *static* instruction once into a specialized
-Python closure with every compile-time-constant decision already taken:
+This module binds each *static* instruction once to a closure with every
+compile-time-constant decision already taken: operand register indices,
+immediates, branch targets and the fall-through pc are closure
+constants, writes to ``$zero`` are dropped, and loads and stores inline
+the sparse-page access of :class:`~repro.sim.memory.Memory`.
 
-* operand register indices, immediates (and their sign/zero-extended
-  variants), branch targets, and the fall-through pc are captured as
-  closure constants;
-* writes to ``$zero`` are dropped at compile time;
-* memory closures inline the sparse-page access of
-  :class:`~repro.sim.memory.Memory` (page dict lookup + slice) instead of
-  going through two method calls per access.
+The closures are generated, not hand-written.  Each opcode's semantics
+is one expression in the :data:`~repro.isa.instructions.OPCODES` table;
+this module holds one source template per opcode family (ALU, load,
+store, branch, ...) that places the expression between the family's
+operand reads, memory access, alignment trap and control tuple.  A
+template is turned into Python source, ``exec``'d once per process for
+each (opcode, flavor, counted) triple on first use, and the resulting
+factory is then called once per static instruction.
 
-Compilation is two-stage so the per-``Program`` work is shared between
-simulators:
-
-1. :func:`predecode` (cached per program, weakly) pairs every
-   instruction with two closure *factories*;
-2. :func:`bind_fast` / :func:`bind_full` bind the factories to one
-   simulator's register file / memory / syscall handler.
-
-Two closure flavors exist because the simulator has two execution modes:
+Two closure flavors exist because the simulator has two execution modes.
+They share a template and differ in what they return; besides that, a
+fast ALU or ``mfhi``/``mflo`` closure whose destination is ``$zero`` is
+bound to one that only returns the next pc:
 
 * **fast** closures (``() -> next_pc``) mutate machine state and return
   the next pc; used during warm-up and whenever no analyzer consumes
@@ -34,7 +33,7 @@ Two closure flavors exist because the simulator has two execution modes:
   instructions that must emit events return a tuple
   ``(next_pc, CTRL_*, ...)`` instead of a bare int — the run loop
   distinguishes the two with a single ``type(r) is int`` check.
-* **full** closures (``(index) -> (StepRecord, next_pc, ctrl)``) also
+* **record** closures (``(index) -> (StepRecord, next_pc, ctrl)``) also
   build the step record the analyzers see, with semantics identical to
   the reference interpreter (the differential tests lock this down).
 
@@ -46,17 +45,20 @@ Control tuples carried by both flavors:
   ``jr $ra``;
 * ``(next_pc, CTRL_SYSCALL, service, arg, result, halt)`` /
   ``('syscall', service, arg, result, halt)`` for ``syscall``/``break``.
+
+With a ``counts`` list, branches add one to ``counts[0]`` and loads and
+stores to ``counts[1]`` each time they execute (the ``sim.branches`` and
+``sim.memory_ops`` metrics); the line is generated into their bodies.
 """
 
 from __future__ import annotations
 
-import weakref
-from typing import Callable, List, Tuple
+import re
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
-from repro.asm.program import Program
 from repro.isa import bits
-from repro.isa.instructions import Format, Instruction, Kind
-from repro.isa.registers import A0, RA, V0
+from repro.isa.instructions import BIND_CONSTANTS, Format, Instruction, Kind, OpcodeInfo
+from repro.isa.registers import A0, V0
 from repro.sim.errors import SimError
 from repro.sim.events import StepRecord
 from repro.sim.memory import PAGE_MASK, PAGE_SHIFT
@@ -67,897 +69,364 @@ CTRL_CALL = "call"
 CTRL_RETURN = "return"
 CTRL_SYSCALL = "syscall"
 
-_M = 0xFFFFFFFF
-_SIGN = 0x80000000
-_TWO32 = 0x100000000
+FAST = "fast"
+RECORD = "record"
 
-_EMPTY: Tuple[int, ...] = ()
-
-#: ``(make_fast, make_full)`` per static instruction.
-_Spec = Tuple[Callable, Callable]
-
-# Keyed by id() because Program is an unhashable dataclass; the
-# weakref.finalize evicts the entry when the program is collected, before
-# its id can be reused.
-_PREDECODED: "dict[int, List[_Spec]]" = {}
+#: Factory per (opcode name, flavor, counted); ``jr $ra`` is keyed
+#: ``"return"`` because it binds to a different template than ``jr``.
+_FACTORIES: Dict[Tuple[str, str, bool], Callable] = {}
 
 
-def predecode(program: Program) -> List[_Spec]:
-    """Stage 1: compile every instruction to closure factories (cached)."""
-    key = id(program)
-    specs = _PREDECODED.get(key)
-    if specs is None:
-        specs = [_compile(instr) for instr in program.text]
-        _PREDECODED[key] = specs
-        weakref.finalize(program, _PREDECODED.pop, key, None)
-    return specs
+def bind_fast(sim, counts: Optional[List[int]] = None) -> List[Callable[[], object]]:
+    """Bind the fast closures to one simulator's state."""
+    return _bind(sim, FAST, counts)
 
 
-def bind_fast(sim) -> List[Callable[[], object]]:
-    """Stage 2: bind the fast closures to one simulator's state."""
-    return [make_fast(sim) for make_fast, _ in predecode(sim.program)]
+def bind_full(sim, counts: Optional[List[int]] = None) -> List[Callable[[int], tuple]]:
+    """Bind the record-building closures to one simulator's state."""
+    return _bind(sim, RECORD, counts)
 
 
-def bind_full(sim) -> List[Callable[[int], tuple]]:
-    """Stage 2: bind the record-building closures to one simulator."""
-    return [make_full(sim) for _, make_full in predecode(sim.program)]
-
-
-# ---------------------------------------------------------------------------
-# ALU evaluation tables (full closures share these; fast closures are
-# specialized per opcode below so the hot path stays a single call).
-# ---------------------------------------------------------------------------
-
-_I2_EVAL = {
-    "addiu": lambda a, imm: (a + imm) & _M,
-    "addi": lambda a, imm: (a + imm) & _M,
-    "andi": lambda a, imm: a & imm,
-    "ori": lambda a, imm: a | imm,
-    "xori": lambda a, imm: a ^ imm,
-    "slti": lambda a, imm: 1 if bits.to_s32(a) < imm else 0,
-    "sltiu": lambda a, imm: 1 if a < (imm & _M) else 0,
-}
-
-_R3_EVAL = {
-    "add": lambda a, b: (a + b) & _M,
-    "addu": lambda a, b: (a + b) & _M,
-    "sub": lambda a, b: (a - b) & _M,
-    "subu": lambda a, b: (a - b) & _M,
-    "and": lambda a, b: a & b,
-    "or": lambda a, b: a | b,
-    "xor": lambda a, b: a ^ b,
-    "nor": lambda a, b: (~(a | b)) & _M,
-    "slt": lambda a, b: 1 if (a ^ _SIGN) < (b ^ _SIGN) else 0,
-    "sltu": lambda a, b: 1 if a < b else 0,
-}
-
-_SHIFT_EVAL = {
-    "sll": lambda v, s: (v << s) & _M,
-    "srl": lambda v, s: v >> s,
-    "sra": bits.sra32,
-}
-
-_SHIFTV_EVAL = {
-    "sllv": lambda v, a: (v << (a & 31)) & _M,
-    "srlv": lambda v, a: v >> (a & 31),
-    "srav": bits.sra32,
-}
-
-_MULDIV_EVAL = {
-    "mult": bits.mult32,
-    "multu": bits.multu32,
-    "div": bits.div32,
-    "divu": bits.divu32,
-}
-
-
-# ---------------------------------------------------------------------------
-# Per-format compilers
-# ---------------------------------------------------------------------------
-
-
-def _compile(instr: Instruction) -> _Spec:
-    op = instr.op
-    fmt = op.fmt
-    kind = op.kind
-    if fmt == Format.I2:
-        return _compile_i2(instr)
-    if kind == Kind.LOAD:
-        return _compile_load(instr)
-    if kind == Kind.STORE:
-        return _compile_store(instr)
-    if fmt == Format.R3:
-        return _compile_r3(instr)
-    if fmt == Format.SHIFT:
-        return _compile_shift(instr)
-    if fmt == Format.R3_SHIFTV:
-        return _compile_shiftv(instr)
-    if kind == Kind.BRANCH:
-        return _compile_branch(instr)
-    if fmt == Format.LUI:
-        return _compile_lui(instr)
-    if kind == Kind.JUMP:
-        return _compile_jump(instr)
-    if kind == Kind.CALL:
-        return _compile_call(instr)
-    if kind == Kind.JUMP_REG:
-        return _compile_jump_reg(instr)
-    if kind == Kind.MULDIV:
-        return _compile_muldiv(instr)
-    if kind == Kind.MFHILO:
-        return _compile_mfhilo(instr)
-    if kind == Kind.SYSCALL:
-        return _compile_syscall(instr)
-    if kind == Kind.NOP:
-        return _compile_nop(instr)
-    return _compile_unimplemented(instr)
-
-
-def _compile_i2(instr: Instruction) -> _Spec:
-    name = instr.op.name
-    rt, rs, imm = instr.rt, instr.rs, instr.imm
-    addr = instr.addr
-    next_pc = addr + 4
-    evaluate = _I2_EVAL[name]
-
-    def make_fast(sim):
-        regs = sim.regs
-        if rt == 0:
-            # Result discarded; ALU ops have no other side effects.
-            return lambda: next_pc
-        if name == "addiu" or name == "addi":
-            def step():
-                regs[rt] = (regs[rs] + imm) & _M
-                return next_pc
-        elif name == "andi":
-            def step():
-                regs[rt] = regs[rs] & imm
-                return next_pc
-        elif name == "ori":
-            def step():
-                regs[rt] = regs[rs] | imm
-                return next_pc
-        elif name == "xori":
-            def step():
-                regs[rt] = regs[rs] ^ imm
-                return next_pc
-        elif name == "slti":
-            ximm = (imm & _M) ^ _SIGN
-            def step():
-                regs[rt] = 1 if (regs[rs] ^ _SIGN) < ximm else 0
-                return next_pc
-        else:  # sltiu
-            uimm = imm & _M
-            def step():
-                regs[rt] = 1 if regs[rs] < uimm else 0
-                return next_pc
-        return step
-
-    def make_full(sim):
-        regs = sim.regs
-        def step(n):
-            a = regs[rs]
-            result = evaluate(a, imm)
-            if rt:
-                regs[rt] = result
-            return (
-                StepRecord(n, addr, instr, (a,), (result,), rt, result, None, None),
-                next_pc,
-                None,
+def _bind(sim, flavor: str, counts: Optional[List[int]]) -> list:
+    counted = counts is not None
+    code = []
+    for instr in sim.program.text:
+        variant = "return" if instr.is_return else instr.op.name
+        factory = _FACTORIES.get((variant, flavor, counted))
+        if factory is None:
+            factory = _FACTORIES[variant, flavor, counted] = _generate(
+                instr.op, variant, flavor, counted
             )
-        return step
+        code.append(factory(sim, instr, counts))
+    return code
 
-    return make_fast, make_full
+
+# ---------------------------------------------------------------------------
+# Family templates
+# ---------------------------------------------------------------------------
 
 
-def _compile_load(instr: Instruction) -> _Spec:
-    op = instr.op
-    rt, rs, imm = instr.rt, instr.rs, instr.imm
-    addr = instr.addr
-    next_pc = addr + 4
+class _Template(NamedTuple):
+    #: Statements both flavors run, with the operands named ``a``, ``b``.
+    body: str
+    #: What the fast flavor returns: the next pc or a control tuple.
+    fast: str
+    #: What the record flavor returns: ``record, next_pc, ctrl``.
+    record: str
+    #: Value written to the destination register, if the family writes one.
+    write: str = ""
+    #: The write is the only effect, so a ``$zero`` destination binds the
+    #: fast flavor to a closure that only returns the next pc.
+    pure: bool = False
+
+
+def _alu(op: OpcodeInfo, inputs: str) -> _Template:
+    return _Template(
+        f"result = {op.semantics}",
+        "next_pc",
+        f"StepRecord(n, addr, instr, {inputs}, (result,), dest, result, None, None),"
+        " next_pc, None",
+        write="result",
+        pure=True,
+    )
+
+
+def _mfhilo(op: OpcodeInfo, inputs: str) -> _Template:
+    return _Template(
+        f"value = sim.{op.semantics}",
+        "next_pc",
+        "StepRecord(n, addr, instr, (value,), (value,), dest, value, None, None),"
+        " next_pc, None",
+        write="value",
+        pure=True,
+    )
+
+
+def _muldiv(op: OpcodeInfo, inputs: str) -> _Template:
+    return _Template(
+        f"sim.hi, sim.lo = {op.semantics}",
+        "next_pc",
+        f"StepRecord(n, addr, instr, {inputs}, (sim.hi, sim.lo), None, 0, None, None),"
+        " next_pc, None",
+    )
+
+
+def _branch(op: OpcodeInfo, inputs: str) -> _Template:
+    return _Template(
+        f"taken = {op.semantics}",
+        "target if taken else next_pc",
+        f"StepRecord(n, addr, instr, {inputs}, (1,) if taken else (0,), None, 0, None, None),"
+        " target if taken else next_pc, None",
+    )
+
+
+def _page_access(op: OpcodeInfo, base: str, direction: str) -> str:
+    """Compute ``address`` from operand ``base``, trap if unaligned, find its page."""
     width = op.mem_width
-    signed = op.signed_load
-
-    def make_fast(sim):
-        regs = sim.regs
-        pages = sim.memory._pages
-        page_for = sim.memory._page
-        if width == 4:
-            def step():
-                address = (regs[rs] + imm) & _M
-                if address & 3:
-                    raise SimError(f"unaligned word read at {address:#010x}")
-                page = pages.get(address >> PAGE_SHIFT)
-                if page is None:
-                    page = page_for(address)
-                offset = address & PAGE_MASK
-                value = int.from_bytes(page[offset : offset + 4], "little")
-                if rt:
-                    regs[rt] = value
-                return next_pc
-        elif width == 2:
-            def step():
-                address = (regs[rs] + imm) & _M
-                if address & 1:
-                    raise SimError(f"unaligned halfword read at {address:#010x}")
-                page = pages.get(address >> PAGE_SHIFT)
-                if page is None:
-                    page = page_for(address)
-                offset = address & PAGE_MASK
-                value = int.from_bytes(page[offset : offset + 2], "little")
-                if signed and value >= 0x8000:
-                    value += 0xFFFF0000
-                if rt:
-                    regs[rt] = value
-                return next_pc
-        else:
-            def step():
-                address = (regs[rs] + imm) & _M
-                page = pages.get(address >> PAGE_SHIFT)
-                if page is None:
-                    page = page_for(address)
-                value = page[address & PAGE_MASK]
-                if signed and value >= 0x80:
-                    value += 0xFFFFFF00
-                if rt:
-                    regs[rt] = value
-                return next_pc
-        return step
-
-    def make_full(sim):
-        regs = sim.regs
-        memory = sim.memory
-        if width == 4:
-            read = memory.read_word
-        elif width == 2:
-            read = memory.read_half
-        else:
-            read = memory.read_byte
-        def step(n):
-            base = regs[rs]
-            address = (base + imm) & _M
-            value = read(address)
-            if signed:
-                if width == 2:
-                    value = bits.to_u32(bits.to_s16(value))
-                elif width == 1:
-                    value = bits.to_u32(bits.to_s8(value))
-            if rt:
-                regs[rt] = value
-            return (
-                StepRecord(n, addr, instr, (base,), (value,), rt, value, address, None),
-                next_pc,
-                None,
-            )
-        return step
-
-    return make_fast, make_full
-
-
-def _compile_store(instr: Instruction) -> _Spec:
-    rt, rs, imm = instr.rt, instr.rs, instr.imm
-    addr = instr.addr
-    next_pc = addr + 4
-    width = instr.op.mem_width
-
-    def make_fast(sim):
-        regs = sim.regs
-        pages = sim.memory._pages
-        page_for = sim.memory._page
-        if width == 4:
-            def step():
-                address = (regs[rs] + imm) & _M
-                if address & 3:
-                    raise SimError(f"unaligned word write at {address:#010x}")
-                page = pages.get(address >> PAGE_SHIFT)
-                if page is None:
-                    page = page_for(address)
-                offset = address & PAGE_MASK
-                page[offset : offset + 4] = (regs[rt] & _M).to_bytes(4, "little")
-                return next_pc
-        elif width == 2:
-            def step():
-                address = (regs[rs] + imm) & _M
-                if address & 1:
-                    raise SimError(f"unaligned halfword write at {address:#010x}")
-                page = pages.get(address >> PAGE_SHIFT)
-                if page is None:
-                    page = page_for(address)
-                offset = address & PAGE_MASK
-                page[offset : offset + 2] = (regs[rt] & 0xFFFF).to_bytes(2, "little")
-                return next_pc
-        else:
-            def step():
-                address = (regs[rs] + imm) & _M
-                page = pages.get(address >> PAGE_SHIFT)
-                if page is None:
-                    page = page_for(address)
-                page[address & PAGE_MASK] = regs[rt] & 0xFF
-                return next_pc
-        return step
-
-    def make_full(sim):
-        regs = sim.regs
-        memory = sim.memory
-        if width == 4:
-            write = memory.write_word
-        elif width == 2:
-            write = memory.write_half
-        else:
-            write = memory.write_byte
-        def step(n):
-            data = regs[rt]
-            base = regs[rs]
-            address = (base + imm) & _M
-            write(address, data)
-            return (
-                StepRecord(
-                    n, addr, instr, (data, base), _EMPTY, None, 0, address, data
-                ),
-                next_pc,
-                None,
-            )
-        return step
-
-    return make_fast, make_full
-
-
-def _compile_r3(instr: Instruction) -> _Spec:
-    name = instr.op.name
-    rd, rs, rt = instr.rd, instr.rs, instr.rt
-    addr = instr.addr
-    next_pc = addr + 4
-    evaluate = _R3_EVAL[name]
-
-    def make_fast(sim):
-        regs = sim.regs
-        if rd == 0:
-            return lambda: next_pc
-        if name == "addu" or name == "add":
-            def step():
-                regs[rd] = (regs[rs] + regs[rt]) & _M
-                return next_pc
-        elif name == "subu" or name == "sub":
-            def step():
-                regs[rd] = (regs[rs] - regs[rt]) & _M
-                return next_pc
-        elif name == "and":
-            def step():
-                regs[rd] = regs[rs] & regs[rt]
-                return next_pc
-        elif name == "or":
-            def step():
-                regs[rd] = regs[rs] | regs[rt]
-                return next_pc
-        elif name == "xor":
-            def step():
-                regs[rd] = regs[rs] ^ regs[rt]
-                return next_pc
-        elif name == "nor":
-            def step():
-                regs[rd] = (~(regs[rs] | regs[rt])) & _M
-                return next_pc
-        elif name == "slt":
-            def step():
-                regs[rd] = 1 if (regs[rs] ^ _SIGN) < (regs[rt] ^ _SIGN) else 0
-                return next_pc
-        else:  # sltu
-            def step():
-                regs[rd] = 1 if regs[rs] < regs[rt] else 0
-                return next_pc
-        return step
-
-    def make_full(sim):
-        regs = sim.regs
-        def step(n):
-            a = regs[rs]
-            b = regs[rt]
-            result = evaluate(a, b)
-            if rd:
-                regs[rd] = result
-            return (
-                StepRecord(n, addr, instr, (a, b), (result,), rd, result, None, None),
-                next_pc,
-                None,
-            )
-        return step
-
-    return make_fast, make_full
-
-
-def _compile_shift(instr: Instruction) -> _Spec:
-    name = instr.op.name
-    rd, rt, shamt = instr.rd, instr.rt, instr.shamt
-    addr = instr.addr
-    next_pc = addr + 4
-    evaluate = _SHIFT_EVAL[name]
-
-    def make_fast(sim):
-        regs = sim.regs
-        if rd == 0:
-            return lambda: next_pc
-        if name == "sll":
-            def step():
-                regs[rd] = (regs[rt] << shamt) & _M
-                return next_pc
-        elif name == "srl":
-            def step():
-                regs[rd] = regs[rt] >> shamt
-                return next_pc
-        else:  # sra
-            s = shamt & 31
-            def step():
-                v = regs[rt]
-                regs[rd] = v >> s if v < _SIGN else ((v - _TWO32) >> s) & _M
-                return next_pc
-        return step
-
-    def make_full(sim):
-        regs = sim.regs
-        def step(n):
-            value = regs[rt]
-            result = evaluate(value, shamt)
-            if rd:
-                regs[rd] = result
-            return (
-                StepRecord(n, addr, instr, (value,), (result,), rd, result, None, None),
-                next_pc,
-                None,
-            )
-        return step
-
-    return make_fast, make_full
-
-
-def _compile_shiftv(instr: Instruction) -> _Spec:
-    name = instr.op.name
-    rd, rs, rt = instr.rd, instr.rs, instr.rt
-    addr = instr.addr
-    next_pc = addr + 4
-    evaluate = _SHIFTV_EVAL[name]
-
-    def make_fast(sim):
-        regs = sim.regs
-        if rd == 0:
-            return lambda: next_pc
-        if name == "sllv":
-            def step():
-                regs[rd] = (regs[rt] << (regs[rs] & 31)) & _M
-                return next_pc
-        elif name == "srlv":
-            def step():
-                regs[rd] = regs[rt] >> (regs[rs] & 31)
-                return next_pc
-        else:  # srav
-            def step():
-                s = regs[rs] & 31
-                v = regs[rt]
-                regs[rd] = v >> s if v < _SIGN else ((v - _TWO32) >> s) & _M
-                return next_pc
-        return step
-
-    def make_full(sim):
-        regs = sim.regs
-        def step(n):
-            value = regs[rt]
-            amount = regs[rs]
-            result = evaluate(value, amount)
-            if rd:
-                regs[rd] = result
-            return (
-                StepRecord(
-                    n, addr, instr, (value, amount), (result,), rd, result, None, None
-                ),
-                next_pc,
-                None,
-            )
-        return step
-
-    return make_fast, make_full
-
-
-def _compile_branch(instr: Instruction) -> _Spec:
-    name = instr.op.name
-    rs, rt = instr.rs, instr.rt
-    target = instr.target
-    addr = instr.addr
-    next_pc = addr + 4
-    two_reg = instr.op.fmt == Format.BR2
-
-    def make_fast(sim):
-        regs = sim.regs
-        if name == "beq":
-            def step():
-                return target if regs[rs] == regs[rt] else next_pc
-        elif name == "bne":
-            def step():
-                return target if regs[rs] != regs[rt] else next_pc
-        elif name == "blez":
-            def step():
-                a = regs[rs]
-                return target if a == 0 or a & _SIGN else next_pc
-        elif name == "bgtz":
-            def step():
-                a = regs[rs]
-                return target if a and a < _SIGN else next_pc
-        elif name == "bltz":
-            def step():
-                return target if regs[rs] & _SIGN else next_pc
-        else:  # bgez
-            def step():
-                return target if regs[rs] < _SIGN else next_pc
-        return step
-
-    def make_full(sim):
-        regs = sim.regs
-        if two_reg:
-            equal = name == "beq"
-            def step(n):
-                a = regs[rs]
-                b = regs[rt]
-                taken = (a == b) if equal else (a != b)
-                return (
-                    StepRecord(
-                        n, addr, instr, (a, b), (1,) if taken else (0,), None, 0, None, None
-                    ),
-                    target if taken else next_pc,
-                    None,
-                )
-        else:
-            def step(n):
-                a = regs[rs]
-                signed = bits.to_s32(a)
-                if name == "blez":
-                    taken = signed <= 0
-                elif name == "bgtz":
-                    taken = signed > 0
-                elif name == "bltz":
-                    taken = signed < 0
-                else:  # bgez
-                    taken = signed >= 0
-                return (
-                    StepRecord(
-                        n, addr, instr, (a,), (1,) if taken else (0,), None, 0, None, None
-                    ),
-                    target if taken else next_pc,
-                    None,
-                )
-        return step
-
-    return make_fast, make_full
-
-
-def _compile_lui(instr: Instruction) -> _Spec:
-    rt = instr.rt
-    addr = instr.addr
-    next_pc = addr + 4
-    result = (instr.imm << 16) & _M
-
-    def make_fast(sim):
-        regs = sim.regs
-        if rt == 0:
-            return lambda: next_pc
-        def step():
-            regs[rt] = result
-            return next_pc
-        return step
-
-    def make_full(sim):
-        regs = sim.regs
-        def step(n):
-            if rt:
-                regs[rt] = result
-            return (
-                StepRecord(n, addr, instr, _EMPTY, (result,), rt, result, None, None),
-                next_pc,
-                None,
-            )
-        return step
-
-    return make_fast, make_full
-
-
-def _compile_jump(instr: Instruction) -> _Spec:
-    target = instr.target
-    addr = instr.addr
-
-    def make_fast(sim):
-        return lambda: target
-
-    def make_full(sim):
-        def step(n):
-            return (
-                StepRecord(n, addr, instr, _EMPTY, _EMPTY, None, 0, None, None),
-                target,
-                None,
-            )
-        return step
-
-    return make_fast, make_full
-
-
-def _compile_call(instr: Instruction) -> _Spec:
-    addr = instr.addr
-    return_addr = addr + 4
-    if instr.op.fmt == Format.J:  # jal
-        target = instr.target
-
-        def make_fast(sim):
-            regs = sim.regs
-            def step():
-                regs[RA] = return_addr
-                return (target, CTRL_CALL, target, return_addr)
-            return step
-
-        def make_full(sim):
-            regs = sim.regs
-            def step(n):
-                regs[RA] = return_addr
-                return (
-                    StepRecord(n, addr, instr, _EMPTY, _EMPTY, RA, return_addr, None, None),
-                    target,
-                    (CTRL_CALL, target, return_addr),
-                )
-            return step
-
-        return make_fast, make_full
-
-    # jalr
-    rd, rs = instr.rd, instr.rs
-
-    def make_fast(sim):
-        regs = sim.regs
-        def step():
-            target = regs[rs]
-            if rd:
-                regs[rd] = return_addr
-            return (target, CTRL_CALL, target, return_addr)
-        return step
-
-    def make_full(sim):
-        regs = sim.regs
-        def step(n):
-            target = regs[rs]
-            if rd:
-                regs[rd] = return_addr
-            return (
-                StepRecord(n, addr, instr, (target,), _EMPTY, rd, return_addr, None, None),
-                target,
-                (CTRL_CALL, target, return_addr),
-            )
-        return step
-
-    return make_fast, make_full
-
-
-def _compile_jump_reg(instr: Instruction) -> _Spec:
-    rs = instr.rs
-    addr = instr.addr
-    is_return = rs == RA
-
-    def make_fast(sim):
-        regs = sim.regs
-        if is_return:
-            def step():
-                target = regs[rs]
-                return (target, CTRL_RETURN, target)
-        else:
-            def step():
-                return regs[rs]
-        return step
-
-    def make_full(sim):
-        regs = sim.regs
-        def step(n):
-            target = regs[rs]
-            return (
-                StepRecord(n, addr, instr, (target,), _EMPTY, None, 0, None, None),
-                target,
-                (CTRL_RETURN, target) if is_return else None,
-            )
-        return step
-
-    return make_fast, make_full
-
-
-def _compile_muldiv(instr: Instruction) -> _Spec:
-    rs, rt = instr.rs, instr.rt
-    addr = instr.addr
-    next_pc = addr + 4
-    evaluate = _MULDIV_EVAL[instr.op.name]
-
-    def make_fast(sim):
-        regs = sim.regs
-        def step():
-            sim.hi, sim.lo = evaluate(regs[rs], regs[rt])
-            return next_pc
-        return step
-
-    def make_full(sim):
-        regs = sim.regs
-        def step(n):
-            a = regs[rs]
-            b = regs[rt]
-            hi, lo = evaluate(a, b)
-            sim.hi, sim.lo = hi, lo
-            return (
-                StepRecord(n, addr, instr, (a, b), (hi, lo), None, 0, None, None),
-                next_pc,
-                None,
-            )
-        return step
-
-    return make_fast, make_full
-
-
-def _compile_mfhilo(instr: Instruction) -> _Spec:
-    rd = instr.rd
-    addr = instr.addr
-    next_pc = addr + 4
-    from_hi = instr.op.name == "mfhi"
-
-    def make_fast(sim):
-        regs = sim.regs
-        if rd == 0:
-            return lambda: next_pc
-        if from_hi:
-            def step():
-                regs[rd] = sim.hi
-                return next_pc
-        else:
-            def step():
-                regs[rd] = sim.lo
-                return next_pc
-        return step
-
-    def make_full(sim):
-        regs = sim.regs
-        def step(n):
-            value = sim.hi if from_hi else sim.lo
-            if rd:
-                regs[rd] = value
-            return (
-                StepRecord(n, addr, instr, (value,), (value,), rd, value, None, None),
-                next_pc,
-                None,
-            )
-        return step
-
-    return make_fast, make_full
-
-
-def _compile_syscall(instr: Instruction) -> _Spec:
-    addr = instr.addr
-    next_pc = addr + 4
-
-    def make_fast(sim):
-        regs = sim.regs
-        memory = sim.memory
-        handle = sim.syscalls.handle
-        def step():
-            service = regs[V0]
-            arg = regs[A0]
-            result, halt = handle(service, arg, memory)
-            if result is not None:
-                regs[V0] = result
-            return (next_pc, CTRL_SYSCALL, service, arg, result, halt)
-        return step
-
-    def make_full(sim):
-        regs = sim.regs
-        memory = sim.memory
-        handle = sim.syscalls.handle
-        def step(n):
-            service = regs[V0]
-            arg = regs[A0]
-            result, halt = handle(service, arg, memory)
-            if result is not None:
-                regs[V0] = result
-                record = StepRecord(
-                    n, addr, instr, (service, arg), (result,), V0, result, None, None
-                )
-            else:
-                record = StepRecord(
-                    n, addr, instr, (service, arg), _EMPTY, None, 0, None, None
-                )
-            return record, next_pc, (CTRL_SYSCALL, service, arg, result, halt)
-        return step
-
-    return make_fast, make_full
-
-
-def _compile_nop(instr: Instruction) -> _Spec:
-    addr = instr.addr
-    next_pc = addr + 4
-
-    def make_fast(sim):
-        return lambda: next_pc
-
-    def make_full(sim):
-        def step(n):
-            return (
-                StepRecord(n, addr, instr, _EMPTY, _EMPTY, None, 0, None, None),
-                next_pc,
-                None,
-            )
-        return step
-
-    return make_fast, make_full
-
-
-def _compile_unimplemented(instr: Instruction) -> _Spec:  # pragma: no cover
-    name = instr.op.name
-    addr = instr.addr
-
-    def make_fast(sim):
-        def step():
-            raise SimError(f"unimplemented opcode {name}", addr)
-        return step
-
-    def make_full(sim):
-        def step(n):
-            raise SimError(f"unimplemented opcode {name}", addr)
-        return step
-
-    return make_fast, make_full
-
-
-# ----------------------------------------------------------------------
-# Telemetry: counted bindings
-# ----------------------------------------------------------------------
-
-#: Index into the kind-count cell list used by counted bindings.
-COUNT_BRANCHES = 0
-COUNT_MEMOPS = 1
-COUNT_KINDS = 2
-
-
-def _count_class(instr: Instruction):
-    """Which telemetry cell (if any) a dynamic instance increments."""
-    kind = instr.op.kind
-    if kind is Kind.BRANCH:
-        return COUNT_BRANCHES
-    if kind is Kind.LOAD or kind is Kind.STORE:
-        return COUNT_MEMOPS
-    return None
-
-
-def _wrap_counted(code: list, program: Program, counts, full: bool) -> list:
-    """Wrap only the closures whose kind is counted (branches, memops).
-
-    ALU/jump/syscall closures are untouched, so the metrics-enabled hot
-    loop pays one extra call frame on ~a quarter of retired instructions
-    and nothing on the rest — measured well inside the 5% overhead
-    budget on the bare-throughput benchmark.
+    lines = [f"address = ({base} + imm) & 0xFFFFFFFF"]
+    if width > 1:
+        noun = "word" if width == 4 else "halfword"
+        lines += [
+            f"if address & {width - 1}:",
+            f'    raise SimError(f"unaligned {noun} {direction} at {{address:#010x}}")',
+        ]
+    lines += [
+        f"page = pages.get(address >> {PAGE_SHIFT})",
+        "if page is None:",
+        "    page = page_for(address)",
+    ]
+    if width > 1:
+        lines.append(f"offset = address & {PAGE_MASK:#x}")
+    return "\n".join(lines)
+
+
+def _load(op: OpcodeInfo, inputs: str) -> _Template:
+    width = op.mem_width
+    body = _page_access(op, "a", "read")
+    if width > 1:
+        body += f'\nvalue = int.from_bytes(page[offset : offset + {width}], "little")'
+    else:
+        body += f"\nvalue = page[address & {PAGE_MASK:#x}]"
+    if op.signed_load and width < 4:
+        sign = 1 << (8 * width - 1)
+        body += f"\nif value >= {sign:#x}:\n    value += 0x{0x100000000 - 2 * sign:X}"
+    return _Template(
+        body,
+        "next_pc",
+        "StepRecord(n, addr, instr, (a,), (value,), dest, value, address, None),"
+        " next_pc, None",
+        write="value",
+    )
+
+
+def _store(op: OpcodeInfo, inputs: str) -> _Template:
+    width = op.mem_width
+    body = _page_access(op, "b", "write")
+    if width > 1:
+        mask = (1 << (8 * width)) - 1
+        body += (
+            f"\npage[offset : offset + {width}] = "
+            f'(a & 0x{mask:X}).to_bytes({width}, "little")'
+        )
+    else:
+        body += f"\npage[address & {PAGE_MASK:#x}] = a & 0xFF"
+    return _Template(
+        body,
+        "next_pc",
+        "StepRecord(n, addr, instr, (a, b), (), None, 0, address, a), next_pc, None",
+    )
+
+
+def _jump(op: OpcodeInfo, inputs: str) -> _Template:
+    return _Template(
+        "",
+        "target",
+        "StepRecord(n, addr, instr, (), (), None, 0, None, None), target, None",
+    )
+
+
+def _call(op: OpcodeInfo, inputs: str) -> _Template:
+    if op.fmt == Format.J:  # jal
+        return _Template(  # links into $ra, never $zero: no guard
+            "regs[dest] = return_addr",
+            "(target, CTRL_CALL, target, return_addr)",
+            "StepRecord(n, addr, instr, (), (), dest, return_addr, None, None),"
+            " target, (CTRL_CALL, target, return_addr)",
+        )
+    return _Template(  # jalr
+        "callee = a",
+        "(callee, CTRL_CALL, callee, return_addr)",
+        "StepRecord(n, addr, instr, (callee,), (), dest, return_addr, None, None),"
+        " callee, (CTRL_CALL, callee, return_addr)",
+        write="return_addr",
+    )
+
+
+def _jump_reg(op: OpcodeInfo, inputs: str) -> _Template:
+    return _Template(
+        "",
+        "a",
+        "StepRecord(n, addr, instr, (a,), (), None, 0, None, None), a, None",
+    )
+
+
+def _return(op: OpcodeInfo, inputs: str) -> _Template:
+    return _Template(
+        "callee = a",
+        "(callee, CTRL_RETURN, callee)",
+        "StepRecord(n, addr, instr, (callee,), (), None, 0, None, None),"
+        " callee, (CTRL_RETURN, callee)",
+    )
+
+
+def _syscall(op: OpcodeInfo, inputs: str) -> _Template:
+    return _Template(
+        f"service = regs[{V0}]\n"
+        f"arg = regs[{A0}]\n"
+        "result, halt = handle(service, arg, memory)\n"
+        "if result is not None:\n"
+        f"    regs[{V0}] = result",
+        "(next_pc, CTRL_SYSCALL, service, arg, result, halt)",
+        "(StepRecord(n, addr, instr, (service, arg), (), None, 0, None, None)"
+        " if result is None"
+        f" else StepRecord(n, addr, instr, (service, arg), (result,), {V0}, result, None, None)),"
+        " next_pc, (CTRL_SYSCALL, service, arg, result, halt)",
+    )
+
+
+def _nop(op: OpcodeInfo, inputs: str) -> _Template:
+    return _Template(
+        "",
+        "next_pc",
+        "StepRecord(n, addr, instr, (), (), None, 0, None, None), next_pc, None",
+    )
+
+
+_FAMILIES = {
+    Kind.ALU: _alu,
+    Kind.LOAD: _load,
+    Kind.STORE: _store,
+    Kind.BRANCH: _branch,
+    Kind.JUMP: _jump,
+    Kind.CALL: _call,
+    Kind.JUMP_REG: _jump_reg,
+    Kind.MULDIV: _muldiv,
+    Kind.MFHILO: _mfhilo,
+    Kind.SYSCALL: _syscall,
+    Kind.NOP: _nop,
+}
+
+#: Which ``counts`` cell a kind's closures add to, when counted.
+_COUNT_CELL = {Kind.BRANCH: 0, Kind.LOAD: 1, Kind.STORE: 1}
+
+
+# ---------------------------------------------------------------------------
+# Code generation
+# ---------------------------------------------------------------------------
+
+#: Names a step body may use that are fixed per static instruction, in
+#: dependency order, with how the factory computes them.
+_BIND_NAMES = {
+    "regs": "sim.regs",
+    "memory": "sim.memory",
+    "pages": "sim.memory._pages",
+    "page_for": "sim.memory._page",
+    "handle": "sim.syscalls.handle",
+    "addr": "instr.addr",
+    "next_pc": "instr.addr + 4",
+    "return_addr": "instr.addr + 4",
+    "target": "instr.target",
+    "shamt": "instr.shamt",
+    "imm": "instr.imm",
+    **BIND_CONSTANTS,
+}
+
+_OPERANDS = ("a", "b")
+
+_FIELDS = {1: "rd", 2: "rs", 3: "rt"}
+
+
+def _register_fields(op: OpcodeInfo) -> Tuple[List[str], Optional[str]]:
+    """Instruction fields (or a fixed register) behind the operands and dest.
+
+    Read off :meth:`Instruction.source_registers` and
+    :meth:`Instruction.dest_register` of a probe instruction, so the
+    operand order of step records is the one those methods define.
     """
-    wrapped = list(code)
-    for index, instr in enumerate(program.text):
-        cell = _count_class(instr)
-        if cell is None:
-            continue
-        inner = code[index]
-        if full:
+    probe = Instruction(op, rd=1, rs=2, rt=3)
+    sources = [_FIELDS[reg] for reg in probe.source_registers()]
+    dest = probe.dest_register()
+    if dest is None:
+        return sources, None
+    return sources, f"instr.{_FIELDS[dest]}" if dest in _FIELDS else str(dest)
 
-            def step_full(n, _inner=inner, _counts=counts, _cell=cell):
-                _counts[_cell] += 1
-                return _inner(n)
 
-            wrapped[index] = step_full
+_NAMESPACE = {
+    "StepRecord": StepRecord,
+    "SimError": SimError,
+    "CTRL_CALL": CTRL_CALL,
+    "CTRL_RETURN": CTRL_RETURN,
+    "CTRL_SYSCALL": CTRL_SYSCALL,
+    "mult32": bits.mult32,
+    "multu32": bits.multu32,
+    "div32": bits.div32,
+    "divu32": bits.divu32,
+}
+
+
+def _uses(name: str, text: str) -> int:
+    return len(re.findall(rf"\b{name}\b", text))
+
+
+def _inline(lines: List[str]) -> List[str]:
+    """Fold ``x = expr`` into the next line when that is x's only use."""
+    out = list(lines)
+    i = 0
+    while i + 1 < len(out):
+        match = re.fullmatch(r"(\w+) = (.+)", out[i])
+        rest = "\n".join(out[i + 1 :])
+        if match and _uses(match[1], rest) == 1 and _uses(match[1], out[i + 1]) == 1:
+            expr = f"({match[2]})"
+            out[i + 1] = re.sub(rf"\b{match[1]}\b", lambda _: expr, out[i + 1])
+            del out[i]
         else:
-
-            def step_fast(_inner=inner, _counts=counts, _cell=cell):
-                _counts[_cell] += 1
-                return _inner()
-
-            wrapped[index] = step_fast
-    return wrapped
+            i += 1
+    return out
 
 
-def bind_fast_counted(sim, counts) -> List[Callable[[], object]]:
-    """:func:`bind_fast` plus per-kind dynamic counting into ``counts``."""
-    return _wrap_counted(bind_fast(sim), sim.program, counts, full=False)
+def _source(op: OpcodeInfo, variant: str, flavor: str, counted: bool) -> str:
+    """Python source of the factory ``bind(sim, instr, counts) -> step``."""
+    sources, dest = _register_fields(op)
+    operands = _OPERANDS[: len(sources)]
+    inputs = f"({', '.join(operands)}{',' if len(operands) == 1 else ''})"
+    family = _return if variant == "return" else _FAMILIES[op.kind]
+    template = family(op, inputs)
+    shortcut = flavor == FAST and template.pure
+
+    lines = template.body.splitlines()
+    if template.write and shortcut:
+        lines.append(f"regs[dest] = {template.write}")
+    elif template.write:
+        lines += ["if dest:", f"    regs[dest] = {template.write}"]
+    lines.append(f"return {template.fast if flavor == FAST else template.record}")
+    # An operand read once is read in place; otherwise into a local first.
+    text = "\n".join(lines)
+    reads = []
+    for operand, field in zip(operands, sources):
+        if _uses(operand, text) == 1:
+            text = re.sub(rf"\b{operand}\b", f"regs[{field}]", text)
+        else:
+            reads.append(f"{operand} = regs[{field}]")
+    cell = _COUNT_CELL.get(op.kind)
+    if counted and cell is not None:
+        reads.insert(0, f"counts[{cell}] += 1")
+    step = _inline(reads + text.splitlines())
+
+    prologue = []
+    if shortcut:
+        prologue = ["if not dest:", "    return lambda: next_pc"]
+    used = "\n".join(prologue + step)
+    bind_names = dict(_BIND_NAMES, **{field: f"instr.{field}" for field in sources})
+    if dest is not None:
+        bind_names["dest"] = dest
+    needed = {name for name in bind_names if _uses(name, used)}
+    for name in BIND_CONSTANTS:
+        if name in needed:
+            needed.add("imm")
+    setup = [f"{name} = {expr}" for name, expr in bind_names.items() if name in needed]
+    signature = "step()" if flavor == FAST else "step(n)"
+    return "\n".join(
+        ["def bind(sim, instr, counts):"]
+        + [f"    {line}" for line in setup + prologue]
+        + [f"    def {signature}:"]
+        + [f"        {line}" for line in step]
+        + ["    return step"]
+    )
 
 
-def bind_full_counted(sim, counts) -> List[Callable[[int], tuple]]:
-    """:func:`bind_full` plus per-kind dynamic counting into ``counts``."""
-    return _wrap_counted(bind_full(sim), sim.program, counts, full=True)
+def _generate(op: OpcodeInfo, variant: str, flavor: str, counted: bool) -> Callable:
+    source = _source(op, variant, flavor, counted)
+    filename = f"<{variant} {flavor}{' counted' if counted else ''}>"
+    namespace = dict(_NAMESPACE)
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace["bind"]

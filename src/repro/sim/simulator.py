@@ -379,12 +379,7 @@ class Simulator:
         """
         code = self._fast_code
         if code is None:
-            if self._kind_counts is not None:
-                code = self._fast_code = predecode.bind_fast_counted(
-                    self, self._kind_counts
-                )
-            else:
-                code = self._fast_code = predecode.bind_fast(self)
+            code = self._fast_code = predecode.bind_fast(self, self._kind_counts)
         program = self.program
         text_base = program.text_base
         text_len = len(program.text)
@@ -477,12 +472,7 @@ class Simulator:
         """
         code = self._full_code
         if code is None:
-            if self._kind_counts is not None:
-                code = self._full_code = predecode.bind_full_counted(
-                    self, self._kind_counts
-                )
-            else:
-                code = self._full_code = predecode.bind_full(self)
+            code = self._full_code = predecode.bind_full(self, self._kind_counts)
         program = self.program
         text = program.text
         text_base = program.text_base

@@ -227,8 +227,15 @@ class TestImmediateChecks:
     def test_boundary_values_accepted(self):
         assemble(
             ".ent main, 0\nmain: addiu $t0, $t0, -32768\n"
-            "ori $t0, $t0, 65535\njr $ra\n.end main"
+            "ori $t0, $t0, 65535\nsll $t0, $t0, 0\nsra $t0, $t0, 31\njr $ra\n.end main"
         )
+
+    @pytest.mark.parametrize("op", ["sll", "srl", "sra"])
+    @pytest.mark.parametrize("amount", [-1, 32])
+    def test_shift_amount_range_enforced(self, op, amount):
+        with pytest.raises(AsmError, match="shift amount") as excinfo:
+            assemble(f".ent main, 0\nmain: {op} $t1, $t0, {amount}\njr $ra\n.end main")
+        assert excinfo.value.line == 2
 
 
 class TestFunctions:

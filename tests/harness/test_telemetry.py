@@ -46,17 +46,17 @@ def isolated_caches(tmp_path):
         runner._CACHE.update(saved_memory)
 
 
-def _simulate(engine: str, limit: int = 2_000):
+def _simulate(engine: str, limit: int = 2_000, skip: int = 0, bare: bool = False):
     workload = get_workload("compress")
     tracker = RepetitionTracker(2000)
     reuse = ReuseBuffer()
     simulator = Simulator(
         workload.program(),
         input_data=workload.primary_input(1),
-        analyzers=[tracker, reuse],
+        analyzers=[] if bare else [tracker, reuse],
         engine=engine,
     )
-    run = simulator.run(limit=limit)
+    run = simulator.run(limit=limit, skip=skip)
     return run, tracker.report(), reuse.report()
 
 
@@ -95,16 +95,24 @@ class TestTelemetryIsPureObserver:
         assert metrics_enabled.value("sim.branches") > 0
         assert metrics_enabled.value("sim.memory_ops") > 0
 
-    def test_engines_count_kinds_identically(self, metrics_enabled):
-        _simulate("predecoded")
+    @pytest.mark.parametrize(
+        "options",
+        # Record closures; fast closures (no analyzers); a fast warm-up
+        # followed by record closures.
+        [{}, {"bare": True}, {"skip": 1_500}],
+        ids=["records", "bare", "warmup"],
+    )
+    def test_engines_count_kinds_identically(self, metrics_enabled, options):
+        _simulate("predecoded", **options)
         predecoded = metrics_enabled.snapshot()["counters"]
         metrics_enabled.reset()
-        _simulate("interpreter")
+        _simulate("interpreter", **options)
         interpreter = metrics_enabled.snapshot()["counters"]
         # Zero-valued counters are never published; default them to 0.
         for name in ("sim.branches", "sim.memory_ops", "sim.syscalls", "sim.calls"):
             assert predecoded.get(name, 0) == interpreter.get(name, 0), name
         assert predecoded.get("sim.branches", 0) > 0
+        assert predecoded.get("sim.memory_ops", 0) > 0
 
 
 class TestSuiteAggregation:

@@ -8,8 +8,8 @@ from typing import Optional, Sequence, Tuple
 from repro.asm import Program, assemble
 from repro.isa.instructions import Instruction, OPCODES
 from repro.lang import compile_source
-from repro.sim import Simulator, StepRecord
-from repro.sim.simulator import RunResult
+from repro.sim import Analyzer, Simulator, StepRecord
+from repro.sim.simulator import DEFAULT_ENGINE, RunResult
 
 _INDEX = itertools.count(1)
 
@@ -48,10 +48,31 @@ def make_step(
     )
 
 
-def run_asm(source: str, input_data: bytes = b"", analyzers: Sequence = ()) -> RunResult:
-    """Assemble and run an assembly program."""
+class NullStepObserver(Analyzer):
+    """Takes every step record and ignores it.
+
+    Attached to the predecoded engine, it makes the run use the closures
+    that build step records instead of the record-free fast ones.
+    """
+
+    def on_step(self, record: StepRecord) -> None:
+        pass
+
+
+def run_asm(
+    source: str,
+    input_data: bytes = b"",
+    analyzers: Sequence = (),
+    engine: str = DEFAULT_ENGINE,
+    observed: bool = False,
+) -> RunResult:
+    """Assemble and run an assembly program.
+
+    ``observed`` adds a :class:`NullStepObserver` to ``analyzers``.
+    """
     program = assemble(source)
-    return Simulator(program, input_data=input_data, analyzers=list(analyzers)).run()
+    analyzers = list(analyzers) + ([NullStepObserver()] if observed else [])
+    return Simulator(program, input_data=input_data, analyzers=analyzers, engine=engine).run()
 
 
 def run_minic(

@@ -15,9 +15,26 @@ from repro.sim import Analyzer, SimError, Simulator
 from tests.helpers import run_asm
 
 
-def asm_result(body: str, input_data: bytes = b"", data: str = "") -> str:
+#: The three paths every opcode test runs on: the reference interpreter,
+#: and the predecoded engine's fast and record-building closures.
+PATHS = {
+    "interpreter": {"engine": "interpreter"},
+    "fast": {"engine": "predecoded"},
+    "record": {"engine": "predecoded", "observed": True},
+}
+
+
+@pytest.fixture(params=sorted(PATHS))
+def path(request):
+    return PATHS[request.param]
+
+
+@pytest.fixture
+def asm_result(path):
     """Run a main() that ends by falling back to the halt sentinel."""
-    source = f"""
+
+    def run(body: str, input_data: bytes = b"", data: str = "") -> str:
+        source = f"""
         .data
 {data}
         .text
@@ -27,7 +44,9 @@ main:
         jr $ra
         .end main
 """
-    return run_asm(source, input_data).output
+        return run_asm(source, input_data, **path).output
+
+    return run
 
 
 def print_reg(reg: str) -> str:
@@ -39,6 +58,9 @@ class TestAluSemantics:
         "body,expected",
         [
             ("li $t0, 7\n li $t1, 5\n addu $t2, $t0, $t1\n" + print_reg("$t2"), "12"),
+            ("li $t0, 7\n li $t1, 5\n add $t2, $t0, $t1\n" + print_reg("$t2"), "12"),
+            ("li $t0, 7\n li $t1, 5\n sub $t2, $t1, $t0\n" + print_reg("$t2"), "-2"),
+            ("li $t0, 5\n addi $t1, $t0, -7\n" + print_reg("$t1"), "-2"),
             ("li $t0, 7\n li $t1, 5\n subu $t2, $t1, $t0\n" + print_reg("$t2"), "-2"),
             ("li $t0, 12\n li $t1, 10\n and $t2, $t0, $t1\n" + print_reg("$t2"), "8"),
             ("li $t0, 12\n li $t1, 10\n or $t2, $t0, $t1\n" + print_reg("$t2"), "14"),
@@ -55,7 +77,7 @@ class TestAluSemantics:
             ("lui $t0, 2\n" + print_reg("$t0"), str(2 << 16)),
         ],
     )
-    def test_alu(self, body, expected):
+    def test_alu(self, body, expected, asm_result):
         assert asm_result(body) == expected
 
     @pytest.mark.parametrize(
@@ -69,15 +91,15 @@ class TestAluSemantics:
             ("li $t0, 16\n li $t2, 2\n srlv $t1, $t0, $t2\n" + print_reg("$t1"), "4"),
         ],
     )
-    def test_shifts(self, body, expected):
+    def test_shifts(self, body, expected, asm_result):
         assert asm_result(body) == expected
 
-    def test_writes_to_zero_discarded(self):
+    def test_writes_to_zero_discarded(self, asm_result):
         assert asm_result("li $t0, 9\n addu $zero, $t0, $t0\n" + print_reg("$zero")) == "0"
 
 
 class TestMulDiv:
-    def test_mult_mflo_mfhi(self):
+    def test_mult_mflo_mfhi(self, asm_result):
         body = (
             "li $t0, 100000\n li $t1, 100000\n mult $t0, $t1\n"
             "mflo $t2\n mfhi $t3\n" + print_reg("$t2") + print_reg("$t3")
@@ -87,14 +109,22 @@ class TestMulDiv:
         lo_signed = lo - (1 << 32) if lo & (1 << 31) else lo
         assert asm_result(body) == f"{lo_signed}{product >> 32}"
 
-    def test_div_quotient_remainder(self):
+    def test_div_quotient_remainder(self, asm_result):
         body = (
             "li $t0, -17\n li $t1, 5\n div $t0, $t1\n"
             "mflo $t2\n mfhi $t3\n" + print_reg("$t2") + print_reg("$t3")
         )
         assert asm_result(body) == "-3-2"
 
-    def test_divu(self):
+    def test_multu(self, asm_result):
+        body = (
+            "li $t0, -1\n li $t1, 3\n multu $t0, $t1\n"
+            "mflo $t2\n mfhi $t3\n" + print_reg("$t2") + print_reg("$t3")
+        )
+        # 0xFFFFFFFF * 3 = 0x2_FFFFFFFD: lo prints as signed -3, hi is 2.
+        assert asm_result(body) == "-32"
+
+    def test_divu(self, asm_result):
         body = (
             "li $t0, 17\n li $t1, 5\n divu $t0, $t1\n"
             "mflo $t2\n mfhi $t3\n" + print_reg("$t2") + print_reg("$t3")
@@ -103,39 +133,48 @@ class TestMulDiv:
 
 
 class TestMemoryOps:
-    def test_word_store_load(self):
+    def test_word_store_load(self, asm_result):
         body = (
             "la $t0, buf\n li $t1, 123456\n sw $t1, 0($t0)\n"
             "lw $t2, 0($t0)\n" + print_reg("$t2")
         )
         assert asm_result(body, data="buf: .space 16") == "123456"
 
-    def test_signed_byte_load(self):
+    def test_signed_byte_load(self, asm_result):
         body = (
             "la $t0, buf\n li $t1, 0xFF\n sb $t1, 0($t0)\n"
             "lb $t2, 0($t0)\n lbu $t3, 0($t0)\n" + print_reg("$t2") + print_reg("$t3")
         )
         assert asm_result(body, data="buf: .space 4") == "-1255"
 
-    def test_signed_half_load(self):
+    def test_signed_half_load(self, asm_result):
         body = (
             "la $t0, buf\n li $t1, 0x8000\n sh $t1, 0($t0)\n"
             "lh $t2, 0($t0)\n lhu $t3, 0($t0)\n" + print_reg("$t2") + print_reg("$t3")
         )
         assert asm_result(body, data="buf: .space 4") == "-3276832768"
 
-    def test_data_segment_preloaded(self):
+    def test_data_segment_preloaded(self, asm_result):
         assert asm_result(
             "la $t0, val\n lw $t1, 0($t0)\n" + print_reg("$t1"), data="val: .word 77"
         ) == "77"
 
-    def test_unaligned_load_faults(self):
+    def test_unaligned_load_faults(self, asm_result):
         with pytest.raises(SimError):
             asm_result("la $t0, buf\n lw $t1, 1($t0)", data="buf: .space 8")
 
+    def test_load_into_zero_discarded(self, asm_result):
+        body = "la $t0, val\n lw $zero, 0($t0)\n" + print_reg("$zero")
+        assert asm_result(body, data="val: .word 77") == "0"
+
+    @pytest.mark.parametrize("op,offset", [("lw", 2), ("lh", 1), ("lhu", 1)])
+    def test_unaligned_load_into_zero_still_faults(self, op, offset, asm_result):
+        with pytest.raises(SimError, match="unaligned"):
+            asm_result(f"la $t0, buf\n {op} $zero, {offset}($t0)", data="buf: .space 8")
+
 
 class TestControlFlow:
-    def test_branch_taken_and_not_taken(self):
+    def test_branch_taken_and_not_taken(self, asm_result):
         body = """
         li $t0, 1
         beq $t0, $zero, skip
@@ -159,7 +198,7 @@ done:
             (-1, "bgez", "0"),
         ],
     )
-    def test_single_register_branches(self, value, op, expected):
+    def test_single_register_branches(self, value, op, expected, asm_result):
         body = f"""
         li $t0, {value}
         li $t1, 0
@@ -170,7 +209,7 @@ done:
 """ + print_reg("$t1")
         assert asm_result(body) == expected
 
-    def test_jump(self):
+    def test_jump(self, asm_result):
         body = """
         j over
         li $t0, 1
@@ -178,7 +217,19 @@ over:   li $t0, 2
 """ + print_reg("$t0")
         assert asm_result(body) == "2"
 
-    def test_jalr_calls_through_register(self):
+    def test_jr_through_other_register(self, asm_result):
+        body = """
+        la $t0, over
+        jr $t0
+        li $t1, 1
+over:   li $t1, 2
+""" + print_reg("$t1")
+        assert asm_result(body) == "2"
+
+    def test_break_runs_the_syscall_service(self, asm_result):
+        assert asm_result("li $a0, 42\n li $v0, 1\n break\n") == "42"
+
+    def test_jalr_calls_through_register(self, path):
         source = """
         .text
         .ent main, 0
@@ -198,7 +249,7 @@ target: li $v0, 31
         jr $ra
         .end target
 """
-        assert run_asm(source).output == "31"
+        assert run_asm(source, **path).output == "31"
 
 
 class _Recorder(Analyzer):
