@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.isa.convention import DATA_BASE, STACK_LIMIT
 from repro.isa.instructions import Instruction
-from repro.sim.events import CallEvent, ReturnEvent, StepRecord, SyscallEvent
+from repro.sim.events import CallEvent, ReturnEvent, SyscallEvent
 from repro.sim.observer import Analyzer, StepFn
 
 #: The data and heap segments (adjacent, so one address range): memory
@@ -199,12 +199,12 @@ class FunctionAnalyzer(Analyzer):
             return self._load_step
         return None
 
-    def _store_step(self, record: StepRecord) -> None:
-        if IMPURE_LOW <= record.mem_addr < IMPURE_HIGH:
+    def _store_step(self, n, inputs, outputs, value, address) -> None:
+        if IMPURE_LOW <= address < IMPURE_HIGH:
             self._side_effect_events += 1
 
-    def _load_step(self, record: StepRecord) -> None:
-        if IMPURE_LOW <= record.mem_addr < IMPURE_HIGH:
+    def _load_step(self, n, inputs, outputs, value, address) -> None:
+        if IMPURE_LOW <= address < IMPURE_HIGH:
             self._implicit_input_events += 1
 
     def on_syscall(self, event: SyscallEvent) -> None:

@@ -29,7 +29,7 @@ from repro.asm.program import Program
 from repro.isa.convention import segment_of
 from repro.isa.instructions import Format, Instruction, Kind
 from repro.isa.registers import A0, GP, NUM_REGISTERS, RA, SP, V0, ZERO
-from repro.sim.events import StepRecord, SyscallEvent
+from repro.sim.events import SyscallEvent
 from repro.sim.observer import Analyzer, StepFn
 from repro.core.repetition import RepetitionTracker
 
@@ -154,8 +154,8 @@ class GlobalSourceAnalyzer(Analyzer):
             # A load into $zero leaves it tagged as a program constant.
             dest_is_zero = rt == ZERO
 
-            def step(record: StepRecord) -> None:
-                word = record.mem_addr & ~3
+            def step(n, inputs, outputs, value, address) -> None:
+                word = address & ~3
                 mem_tag = mem_tags.get(word)
                 if mem_tag is None:
                     mem_tag = GLOBAL_INIT if word in initialized else UNINIT
@@ -166,32 +166,32 @@ class GlobalSourceAnalyzer(Analyzer):
                 stats = by_tag[tag]
                 stats.total += 1
                 if tracker is not None:
-                    if tracker.last_index != record.index:
-                        tracker.was_repeated(record)  # raises: out of order
+                    if tracker.last_index != n:
+                        tracker.repeated_at(n)  # raises: out of order
                     if tracker.last_was_repeated:
                         stats.repeated += 1
 
         elif kind == Kind.STORE:
             mem_tags = self.mem_tags
 
-            def step(record: StepRecord) -> None:
+            def step(n, inputs, outputs, value, address) -> None:
                 tag = value_tag = reg_tags[rt]
                 base_tag = reg_tags[rs]
                 if base_tag > tag:
                     tag = base_tag
-                mem_tags[record.mem_addr & ~3] = value_tag
+                mem_tags[address & ~3] = value_tag
                 stats = by_tag[tag]
                 stats.total += 1
                 if tracker is not None:
-                    if tracker.last_index != record.index:
-                        tracker.was_repeated(record)
+                    if tracker.last_index != n:
+                        tracker.repeated_at(n)
                     if tracker.last_was_repeated:
                         stats.repeated += 1
 
         elif kind == Kind.MULDIV:
             hilo_tag = self._hilo_tag
 
-            def step(record: StepRecord) -> None:
+            def step(n, inputs, outputs, value, address) -> None:
                 tag = reg_tags[rs]
                 other = reg_tags[rt]
                 if other > tag:
@@ -200,8 +200,8 @@ class GlobalSourceAnalyzer(Analyzer):
                 stats = by_tag[tag]
                 stats.total += 1
                 if tracker is not None:
-                    if tracker.last_index != record.index:
-                        tracker.was_repeated(record)
+                    if tracker.last_index != n:
+                        tracker.repeated_at(n)
                     if tracker.last_was_repeated:
                         stats.repeated += 1
 
@@ -209,15 +209,15 @@ class GlobalSourceAnalyzer(Analyzer):
             rd = instr.rd
             hilo_tag = self._hilo_tag
 
-            def step(record: StepRecord) -> None:
+            def step(n, inputs, outputs, value, address) -> None:
                 tag = hilo_tag[0]
                 if rd != ZERO:
                     reg_tags[rd] = tag
                 stats = by_tag[tag]
                 stats.total += 1
                 if tracker is not None:
-                    if tracker.last_index != record.index:
-                        tracker.was_repeated(record)
+                    if tracker.last_index != n:
+                        tracker.repeated_at(n)
                     if tracker.last_was_repeated:
                         stats.repeated += 1
 
@@ -246,13 +246,13 @@ class GlobalSourceAnalyzer(Analyzer):
                 # Immediate-only: lui, j, nop, jal.
                 stats = by_tag[INTERNAL]
 
-                def step(record: StepRecord) -> None:
+                def step(n, inputs, outputs, value, address) -> None:
                     if dest:
                         reg_tags[dest] = INTERNAL
                     stats.total += 1
                     if tracker is not None:
-                        if tracker.last_index != record.index:
-                            tracker.was_repeated(record)
+                        if tracker.last_index != n:
+                            tracker.repeated_at(n)
                         if tracker.last_was_repeated:
                             stats.repeated += 1
 
@@ -260,7 +260,7 @@ class GlobalSourceAnalyzer(Analyzer):
                 a = sources[0]
                 b = sources[-1]
 
-                def step(record: StepRecord) -> None:
+                def step(n, inputs, outputs, value, address) -> None:
                     tag = reg_tags[a]
                     other = reg_tags[b]
                     if other > tag:
@@ -270,8 +270,8 @@ class GlobalSourceAnalyzer(Analyzer):
                     stats = by_tag[tag]
                     stats.total += 1
                     if tracker is not None:
-                        if tracker.last_index != record.index:
-                            tracker.was_repeated(record)
+                        if tracker.last_index != n:
+                            tracker.repeated_at(n)
                         if tracker.last_was_repeated:
                             stats.repeated += 1
 

@@ -39,7 +39,7 @@ from repro.asm.program import FunctionInfo, Program
 from repro.isa.convention import DATA_BASE, HEAP_BASE, STACK_LIMIT, STACK_TOP
 from repro.isa.instructions import Format, Instruction, Kind
 from repro.isa.registers import A0, GP, NUM_REGISTERS, RA, SP, V0, ZERO
-from repro.sim.events import CallEvent, ReturnEvent, StepRecord, SyscallEvent
+from repro.sim.events import CallEvent, ReturnEvent, SyscallEvent
 from repro.sim.observer import Analyzer, StepFn
 from repro.core.repetition import RepetitionTracker
 
@@ -163,12 +163,12 @@ class LocalAnalysisReport:
 
 def _frame_task_counter(
     tracker: Optional[RepetitionTracker], proepi: Dict[str, List[int]]
-) -> Callable[[CategoryStats, _LocalFrame, StepRecord], None]:
-    """Counts one prologue/epilogue step, also against its function."""
+) -> Callable[[CategoryStats, _LocalFrame, int], None]:
+    """Counts one prologue/epilogue step ``n``, also against its function."""
 
-    def count(stats: CategoryStats, frame: _LocalFrame, record: StepRecord) -> None:
+    def count(stats: CategoryStats, frame: _LocalFrame, n: int) -> None:
         stats.total += 1
-        repeated = tracker is not None and tracker.was_repeated(record)
+        repeated = tracker is not None and tracker.repeated_at(n)
         if repeated:
             stats.repeated += 1
         if frame.function is not None:
@@ -259,17 +259,16 @@ class LocalAnalyzer(Analyzer):
         if kind == Kind.STORE:
             prologue = self.stats["prologue"]
 
-            def step(record: StepRecord) -> None:
+            def step(n, inputs, outputs, value, address) -> None:
                 frame = stack[-1]
                 value_tag = frame.reg_tags[rt]
-                address = record.mem_addr
                 if STACK_LIMIT <= address <= STACK_TOP:
                     word = address & ~3
                     if value_tag == UNINIT:
                         # Saving a still-uninitialized (callee-saved) register.
                         frame.prologue_slots.add(word)
                         stack_mem_tags[word] = UNINIT
-                        count_frame_task(prologue, frame, record)
+                        count_frame_task(prologue, frame, n)
                         return
                     stack_mem_tags[word] = value_tag
                 # The store belongs to the *data* slice it writes; the base
@@ -277,17 +276,16 @@ class LocalAnalyzer(Analyzer):
                 stats = by_tag[value_tag]
                 stats.total += 1
                 if tracker is not None:
-                    if tracker.last_index != record.index:
-                        tracker.was_repeated(record)  # raises: out of order
+                    if tracker.last_index != n:
+                        tracker.repeated_at(n)  # raises: out of order
                     if tracker.last_was_repeated:
                         stats.repeated += 1
 
         elif kind == Kind.LOAD:
             epilogue = self.stats["epilogue"]
 
-            def step(record: StepRecord) -> None:
+            def step(n, inputs, outputs, value, address) -> None:
                 frame = stack[-1]
-                address = record.mem_addr
                 if DATA_BASE <= address < HEAP_BASE:
                     tag = GLOBAL
                 elif HEAP_BASE <= address < STACK_LIMIT:
@@ -297,7 +295,7 @@ class LocalAnalyzer(Analyzer):
                     if word in frame.prologue_slots:
                         if rt:
                             frame.reg_tags[rt] = UNINIT
-                        count_frame_task(epilogue, frame, record)
+                        count_frame_task(epilogue, frame, n)
                         return
                     tag = stack_mem_tags.get(word, UNINIT)
                 if rt:
@@ -305,8 +303,8 @@ class LocalAnalyzer(Analyzer):
                 stats = by_tag[tag]
                 stats.total += 1
                 if tracker is not None:
-                    if tracker.last_index != record.index:
-                        tracker.was_repeated(record)
+                    if tracker.last_index != n:
+                        tracker.repeated_at(n)
                     if tracker.last_was_repeated:
                         stats.repeated += 1
 
@@ -314,12 +312,12 @@ class LocalAnalyzer(Analyzer):
             # Stack frame allocation / deallocation.
             frame_stats = self.stats["prologue" if instr.imm < 0 else "epilogue"]
 
-            def step(record: StepRecord) -> None:
-                count_frame_task(frame_stats, stack[-1], record)
+            def step(n, inputs, outputs, value, address) -> None:
+                count_frame_task(frame_stats, stack[-1], n)
 
         elif kind == Kind.MULDIV:
 
-            def step(record: StepRecord) -> None:
+            def step(n, inputs, outputs, value, address) -> None:
                 frame = stack[-1]
                 tags = frame.reg_tags
                 tag = tags[rs]
@@ -330,15 +328,15 @@ class LocalAnalyzer(Analyzer):
                 stats = by_tag[tag]
                 stats.total += 1
                 if tracker is not None:
-                    if tracker.last_index != record.index:
-                        tracker.was_repeated(record)
+                    if tracker.last_index != n:
+                        tracker.repeated_at(n)
                     if tracker.last_was_repeated:
                         stats.repeated += 1
 
         elif kind == Kind.MFHILO:
             rd = instr.rd
 
-            def step(record: StepRecord) -> None:
+            def step(n, inputs, outputs, value, address) -> None:
                 frame = stack[-1]
                 tag = frame.hilo_tag
                 if rd:
@@ -346,16 +344,16 @@ class LocalAnalyzer(Analyzer):
                 stats = by_tag[tag]
                 stats.total += 1
                 if tracker is not None:
-                    if tracker.last_index != record.index:
-                        tracker.was_repeated(record)
+                    if tracker.last_index != n:
+                        tracker.repeated_at(n)
                     if tracker.last_was_repeated:
                         stats.repeated += 1
 
         elif op.name == "lui":
             dest = instr.dest_register() or 0
 
-            def step(record: StepRecord) -> None:
-                if DATA_BASE <= record.dest_value < HEAP_BASE:
+            def step(n, inputs, outputs, value, address) -> None:
+                if DATA_BASE <= value < HEAP_BASE:
                     # Synthesizing the upper half of a global address.
                     tag = GLB_ADDR
                 else:
@@ -365,8 +363,8 @@ class LocalAnalyzer(Analyzer):
                 stats = by_tag[tag]
                 stats.total += 1
                 if tracker is not None:
-                    if tracker.last_index != record.index:
-                        tracker.was_repeated(record)
+                    if tracker.last_index != n:
+                        tracker.repeated_at(n)
                     if tracker.last_was_repeated:
                         stats.repeated += 1
 
@@ -396,13 +394,13 @@ class LocalAnalyzer(Analyzer):
             if category is not None:
                 stats = self.stats[category]
 
-                def step(record: StepRecord) -> None:
+                def step(n, inputs, outputs, value, address) -> None:
                     if dest:
                         stack[-1].reg_tags[dest] = INTERNAL
                     stats.total += 1
                     if tracker is not None:
-                        if tracker.last_index != record.index:
-                            tracker.was_repeated(record)
+                        if tracker.last_index != n:
+                            tracker.repeated_at(n)
                         if tracker.last_was_repeated:
                             stats.repeated += 1
 
@@ -410,7 +408,7 @@ class LocalAnalyzer(Analyzer):
                 a = sources[0]
                 b = sources[-1]
 
-                def step(record: StepRecord) -> None:
+                def step(n, inputs, outputs, value, address) -> None:
                     tags = stack[-1].reg_tags
                     tag = tags[a]
                     other = tags[b]
@@ -421,8 +419,8 @@ class LocalAnalyzer(Analyzer):
                     stats = by_tag[tag]
                     stats.total += 1
                     if tracker is not None:
-                        if tracker.last_index != record.index:
-                            tracker.was_repeated(record)
+                        if tracker.last_index != n:
+                            tracker.repeated_at(n)
                         if tracker.last_was_repeated:
                             stats.repeated += 1
 

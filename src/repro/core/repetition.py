@@ -115,9 +115,9 @@ class RepetitionTracker(Analyzer):
         capacity = self.buffer_capacity
         tracker = self
 
-        def step(record: StepRecord) -> None:
+        def step(n, inputs, outputs, value, address) -> None:
             entry.executed += 1
-            key = (record.inputs, record.outputs)
+            key = (inputs, outputs)
             count = instances.get(key)
             if count is not None:
                 instances[key] = count + 1
@@ -127,7 +127,7 @@ class RepetitionTracker(Analyzer):
                 if len(instances) < capacity:
                     instances[key] = 0
                 tracker.last_was_repeated = False
-            tracker.last_index = record.index
+            tracker.last_index = n
 
         return step
 
@@ -135,7 +135,15 @@ class RepetitionTracker(Analyzer):
 
     def was_repeated(self, record: StepRecord) -> bool:
         """Repetition flag for ``record`` (must be the most recent step)."""
-        if record.index != self.last_index:
+        return self.repeated_at(record.index)
+
+    def repeated_at(self, n: int) -> bool:
+        """Repetition flag for step ``n`` (must be the most recent step).
+
+        Compiled dependants test ``last_index == n`` inline and call this
+        only on a mismatch, for its error.
+        """
+        if n != self.last_index:
             raise RuntimeError(
                 "RepetitionTracker.was_repeated() queried out of order; "
                 "attach the tracker before dependent analyzers"

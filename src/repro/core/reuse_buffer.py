@@ -126,15 +126,15 @@ class ReuseBuffer(Analyzer):
         is_load = instr.is_load
         is_store = instr.is_store
 
-        def step(record: StepRecord) -> None:
-            buffer.last_index = record.index
+        def step(n, inputs, outputs, value, address) -> None:
+            buffer.last_index = n
             # Stores invalidate any buffered load of the written word
             # before the probe (a store never hits a load's entry).
             if is_store:
-                linked = by_word.pop(record.mem_addr & ~3, None)
+                linked = by_word.pop(address & ~3, None)
                 if linked:
                     buffer._invalidate(linked)
-            key = (pc, record.inputs)
+            key = (pc, inputs)
             word = bucket.pop(key, _MISS)
             if word is not _MISS:
                 bucket[key] = word  # reuse hit: now most recently used
@@ -147,7 +147,7 @@ class ReuseBuffer(Analyzer):
             if len(bucket) >= associativity:
                 buffer._evict(bucket)
             if is_load:
-                word = record.mem_addr & ~3
+                word = address & ~3
                 bucket[key] = word
                 linked = by_word.get(word)
                 if linked is None:

@@ -19,7 +19,6 @@ from typing import Dict, Optional, Tuple
 
 from repro.core.function_analysis import IMPURE_HIGH, IMPURE_LOW
 from repro.isa.instructions import Instruction
-from repro.sim.events import StepRecord
 from repro.sim.observer import Analyzer, StepFn
 
 #: Per-static-load cap on distinct profiled values, bounding memory on
@@ -52,21 +51,26 @@ class GlobalLoadValueProfiler(Analyzer):
 
     def compile_step(self, pc: int, instr: Instruction) -> Optional[StepFn]:
         """Loads only: profile values loaded from global or heap memory."""
-        return self._load_step if instr.is_load else None
+        if not instr.is_load:
+            return None
+        analyzer = self
+        profiles = self._profiles
+        overflow = self._overflow
+        cap = self.value_cap
 
-    def _load_step(self, record: StepRecord) -> None:
-        if not IMPURE_LOW <= record.mem_addr < IMPURE_HIGH:
-            return
-        self.loads_profiled += 1
-        pc = record.pc
-        profile = self._profiles.get(pc)
-        if profile is None:
-            profile = self._profiles[pc] = Counter()
-        value = record.dest_value
-        if value in profile or len(profile) < self.value_cap:
-            profile[value] += 1
-        else:
-            self._overflow[pc] = self._overflow.get(pc, 0) + 1
+        def step(n, inputs, outputs, value, address) -> None:
+            if not IMPURE_LOW <= address < IMPURE_HIGH:
+                return
+            analyzer.loads_profiled += 1
+            profile = profiles.get(pc)
+            if profile is None:
+                profile = profiles[pc] = Counter()
+            if value in profile or len(profile) < cap:
+                profile[value] += 1
+            else:
+                overflow[pc] = overflow.get(pc, 0) + 1
+
+        return step
 
     def report(self) -> ValueProfileReport:
         covered = [0] * 5

@@ -8,9 +8,11 @@ decides per hook whether an analyzer participates by looking at the
 analyzer's **type** (:func:`repro.sim.simulator._hooks_for`): a proxy
 that blindly overrode ``on_step`` for a call-graph-only analyzer would
 force step-record materialization and destroy the record-free fast
-path.  Wrapping therefore preserves exactly the event stream — and the
-event *costs* — the bare analyzer would have had, plus one timed call
-frame per delivered event.
+path.  Wrapping therefore preserves exactly the event stream the bare
+analyzer would have had, plus one timed call frame per delivered event.
+A proxy takes steps through ``on_step``, so the predecoded engine builds
+a step record for it that the bare compiled analyzer would not need;
+its step times include that record's unpacking, not its construction.
 
 Profiling is opt-in (``--profile`` / ``run_suite(profile=True)``); the
 measured hook times are published to the metrics registry under

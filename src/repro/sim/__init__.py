@@ -1,9 +1,11 @@
 """Functional simulation substrate.
 
 :class:`Simulator` executes a :class:`~repro.asm.program.Program` and
-streams per-instruction :class:`StepRecord` events plus call/return/
-syscall events to attached :class:`Analyzer` objects — the instrumentation
-backend that the paper built on SimpleScalar.
+streams every retired instruction (positional values to compiled
+analyzer steps, a :class:`StepRecord` to analyzers that override
+``on_step``) plus call/return/syscall events to attached
+:class:`Analyzer` objects — the instrumentation backend that the paper
+built on SimpleScalar.
 """
 
 from repro.sim.debug import Debugger, DebugStop

@@ -19,32 +19,37 @@ this module holds one source template per opcode family (ALU, load,
 store, branch, ...) that places the expression between the family's
 operand reads, memory access, alignment trap and control tuple.  A
 template is turned into Python source, ``exec``'d once per process for
-each (opcode, flavor, counted) triple on first use, and the resulting
-factory is then called once per static instruction.
+each (opcode, flavor, counted, hook count) on first use, and the
+resulting factory is then called once per static instruction.
 
 Two closure flavors exist because the simulator has two execution modes.
-They share a template and differ in what they return; besides that, a
-fast ALU or ``mfhi``/``mflo`` closure whose destination is ``$zero`` is
-bound to one that only returns the next pc:
+They share a template and return the same thing; besides that, a fast
+ALU or ``mfhi``/``mflo`` closure whose destination is ``$zero`` is bound
+to one that only returns the next pc:
 
 * **fast** closures (``() -> next_pc``) mutate machine state and return
-  the next pc; used during warm-up and whenever no analyzer consumes
-  :class:`~repro.sim.events.StepRecord` objects.  Control-transfer
-  instructions that must emit events return a tuple
+  the next pc; used during warm-up and whenever no analyzer takes steps.
+  Control-transfer instructions that must emit events return a tuple
   ``(next_pc, CTRL_*, ...)`` instead of a bare int — the run loop
   distinguishes the two with a single ``type(r) is int`` check.
-* **record** closures (``(index) -> (StepRecord, next_pc, ctrl)``) also
-  build the step record the analyzers see, with semantics identical to
-  the reference interpreter (the differential tests lock this down).
+* **observed** closures (``(n) -> next_pc``, or the same control tuple)
+  are bound with a tuple of per-step hooks, the analyzers' compiled
+  steps for that instruction.  After the family body they build the
+  step's ``inputs`` and ``outputs`` once and call each hook as
+  ``hook(n, inputs, outputs, value, address)``, unrolled, with the
+  semantics of the reference interpreter's step records (the
+  differential tests lock this down).  No
+  :class:`~repro.sim.events.StepRecord` is built here: ``n``, ``value``
+  (the destination value) and ``address`` (the memory address) are the
+  record's ``index``, ``dest_value`` and ``mem_addr``, and everything
+  else in a record is static (:func:`repro.sim.observer.record_step`).
 
 Control tuples carried by both flavors:
 
-* ``(next_pc, CTRL_CALL, target, return_addr)`` / ``('call', target,
-  return_addr)`` for ``jal``/``jalr``;
-* ``(next_pc, CTRL_RETURN, target)`` / ``('return', target)`` for
-  ``jr $ra``;
-* ``(next_pc, CTRL_SYSCALL, service, arg, result, halt)`` /
-  ``('syscall', service, arg, result, halt)`` for ``syscall``/``break``.
+* ``(next_pc, CTRL_CALL, target, return_addr)`` for ``jal``/``jalr``;
+* ``(next_pc, CTRL_RETURN, target)`` for ``jr $ra``;
+* ``(next_pc, CTRL_SYSCALL, service, arg, result, halt)`` for
+  ``syscall``/``break``.
 
 With a ``counts`` list, branches add one to ``counts[0]`` and loads and
 stores to ``counts[1]`` each time they execute (the ``sim.branches`` and
@@ -54,13 +59,12 @@ stores to ``counts[1]`` each time they execute (the ``sim.branches`` and
 from __future__ import annotations
 
 import re
-from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.isa import bits
 from repro.isa.instructions import BIND_CONSTANTS, Format, Instruction, Kind, OpcodeInfo
 from repro.isa.registers import A0, V0
 from repro.sim.errors import SimError
-from repro.sim.events import StepRecord
 from repro.sim.memory import PAGE_MASK, PAGE_SHIFT
 
 #: Control markers carried in the tuples returned by control closures.
@@ -70,35 +74,42 @@ CTRL_RETURN = "return"
 CTRL_SYSCALL = "syscall"
 
 FAST = "fast"
-RECORD = "record"
+OBSERVED = "observed"
 
-#: Factory per (opcode name, flavor, counted); ``jr $ra`` is keyed
-#: ``"return"`` because it binds to a different template than ``jr``.
-_FACTORIES: Dict[Tuple[str, str, bool], Callable] = {}
+#: Factory per (opcode name, flavor, counted, hook count); ``jr $ra`` is
+#: keyed ``"return"`` because it binds to a different template than ``jr``.
+_FACTORIES: Dict[Tuple[str, str, bool, int], Callable] = {}
 
 
 def bind_fast(sim, counts: Optional[List[int]] = None) -> List[Callable[[], object]]:
     """Bind the fast closures to one simulator's state."""
-    return _bind(sim, FAST, counts)
+    return [_factory(instr, FAST, counts, 0)(sim, instr, counts) for instr in sim.program.text]
 
 
-def bind_full(sim, counts: Optional[List[int]] = None) -> List[Callable[[int], tuple]]:
-    """Bind the record-building closures to one simulator's state."""
-    return _bind(sim, RECORD, counts)
+def bind_observed(
+    sim, instr: Instruction, hooks: Sequence[Callable], counts: Optional[List[int]] = None
+) -> Callable[[int], object]:
+    """Bind one observed closure: ``instr``'s step, then each of ``hooks``."""
+    return _factory(instr, OBSERVED, counts, len(hooks))(sim, instr, counts, hooks)
 
 
-def _bind(sim, flavor: str, counts: Optional[List[int]]) -> list:
-    counted = counts is not None
-    code = []
-    for instr in sim.program.text:
-        variant = "return" if instr.is_return else instr.op.name
-        factory = _FACTORIES.get((variant, flavor, counted))
-        if factory is None:
-            factory = _FACTORIES[variant, flavor, counted] = _generate(
-                instr.op, variant, flavor, counted
-            )
-        code.append(factory(sim, instr, counts))
-    return code
+def bind_full(sim, counts: Optional[List[int]] = None) -> List[Callable[[int], object]]:
+    """Bind an observed closure without hooks for every static instruction.
+
+    The simulator binds observed closures one at a time, with their
+    hooks, as instructions first retire (:func:`bind_observed`); this
+    binds the whole text at once, for timing the binding itself.
+    """
+    return [bind_observed(sim, instr, (), counts) for instr in sim.program.text]
+
+
+def _factory(instr: Instruction, flavor: str, counts, hooks: int) -> Callable:
+    variant = "return" if instr.is_return else instr.op.name
+    key = (variant, flavor, counts is not None, hooks)
+    factory = _FACTORIES.get(key)
+    if factory is None:
+        factory = _FACTORIES[key] = _generate(instr.op, *key)
+    return factory
 
 
 # ---------------------------------------------------------------------------
@@ -109,10 +120,11 @@ def _bind(sim, flavor: str, counts: Optional[List[int]]) -> list:
 class _Template(NamedTuple):
     #: Statements both flavors run, with the operands named ``a``, ``b``.
     body: str
-    #: What the fast flavor returns: the next pc or a control tuple.
+    #: What both flavors return: the next pc or a control tuple.
     fast: str
-    #: What the record flavor returns: ``record, next_pc, ctrl``.
-    record: str
+    #: The observed flavor's hook arguments after ``n``: the step's
+    #: ``inputs``, ``outputs``, destination value and memory address.
+    observed: Tuple[str, str, str, str]
     #: Value written to the destination register, if the family writes one.
     write: str = ""
     #: The write is the only effect, so a ``$zero`` destination binds the
@@ -124,8 +136,7 @@ def _alu(op: OpcodeInfo, inputs: str) -> _Template:
     return _Template(
         f"result = {op.semantics}",
         "next_pc",
-        f"StepRecord(n, addr, instr, {inputs}, (result,), dest, result, None, None),"
-        " next_pc, None",
+        (inputs, "(result,)", "result", "None"),
         write="result",
         pure=True,
     )
@@ -135,8 +146,7 @@ def _mfhilo(op: OpcodeInfo, inputs: str) -> _Template:
     return _Template(
         f"value = sim.{op.semantics}",
         "next_pc",
-        "StepRecord(n, addr, instr, (value,), (value,), dest, value, None, None),"
-        " next_pc, None",
+        ("(value,)", "(value,)", "value", "None"),
         write="value",
         pure=True,
     )
@@ -146,8 +156,7 @@ def _muldiv(op: OpcodeInfo, inputs: str) -> _Template:
     return _Template(
         f"sim.hi, sim.lo = {op.semantics}",
         "next_pc",
-        f"StepRecord(n, addr, instr, {inputs}, (sim.hi, sim.lo), None, 0, None, None),"
-        " next_pc, None",
+        (inputs, "(sim.hi, sim.lo)", "0", "None"),
     )
 
 
@@ -155,8 +164,7 @@ def _branch(op: OpcodeInfo, inputs: str) -> _Template:
     return _Template(
         f"taken = {op.semantics}",
         "target if taken else next_pc",
-        f"StepRecord(n, addr, instr, {inputs}, (1,) if taken else (0,), None, 0, None, None),"
-        " target if taken else next_pc, None",
+        (inputs, "(1,) if taken else (0,)", "0", "None"),
     )
 
 
@@ -193,8 +201,7 @@ def _load(op: OpcodeInfo, inputs: str) -> _Template:
     return _Template(
         body,
         "next_pc",
-        "StepRecord(n, addr, instr, (a,), (value,), dest, value, address, None),"
-        " next_pc, None",
+        ("(a,)", "(value,)", "value", "address"),
         write="value",
     )
 
@@ -213,7 +220,7 @@ def _store(op: OpcodeInfo, inputs: str) -> _Template:
     return _Template(
         body,
         "next_pc",
-        "StepRecord(n, addr, instr, (a, b), (), None, 0, address, a), next_pc, None",
+        ("(a, b)", "()", "0", "address"),
     )
 
 
@@ -221,7 +228,7 @@ def _jump(op: OpcodeInfo, inputs: str) -> _Template:
     return _Template(
         "",
         "target",
-        "StepRecord(n, addr, instr, (), (), None, 0, None, None), target, None",
+        ("()", "()", "0", "None"),
     )
 
 
@@ -230,14 +237,12 @@ def _call(op: OpcodeInfo, inputs: str) -> _Template:
         return _Template(  # links into $ra, never $zero: no guard
             "regs[dest] = return_addr",
             "(target, CTRL_CALL, target, return_addr)",
-            "StepRecord(n, addr, instr, (), (), dest, return_addr, None, None),"
-            " target, (CTRL_CALL, target, return_addr)",
+            ("()", "()", "return_addr", "None"),
         )
     return _Template(  # jalr
         "callee = a",
         "(callee, CTRL_CALL, callee, return_addr)",
-        "StepRecord(n, addr, instr, (callee,), (), dest, return_addr, None, None),"
-        " callee, (CTRL_CALL, callee, return_addr)",
+        ("(callee,)", "()", "return_addr", "None"),
         write="return_addr",
     )
 
@@ -246,7 +251,7 @@ def _jump_reg(op: OpcodeInfo, inputs: str) -> _Template:
     return _Template(
         "",
         "a",
-        "StepRecord(n, addr, instr, (a,), (), None, 0, None, None), a, None",
+        ("(a,)", "()", "0", "None"),
     )
 
 
@@ -254,8 +259,7 @@ def _return(op: OpcodeInfo, inputs: str) -> _Template:
     return _Template(
         "callee = a",
         "(callee, CTRL_RETURN, callee)",
-        "StepRecord(n, addr, instr, (callee,), (), None, 0, None, None),"
-        " callee, (CTRL_RETURN, callee)",
+        ("(callee,)", "()", "0", "None"),
     )
 
 
@@ -267,10 +271,12 @@ def _syscall(op: OpcodeInfo, inputs: str) -> _Template:
         "if result is not None:\n"
         f"    regs[{V0}] = result",
         "(next_pc, CTRL_SYSCALL, service, arg, result, halt)",
-        "(StepRecord(n, addr, instr, (service, arg), (), None, 0, None, None)"
-        " if result is None"
-        f" else StepRecord(n, addr, instr, (service, arg), (result,), {V0}, result, None, None)),"
-        " next_pc, (CTRL_SYSCALL, service, arg, result, halt)",
+        (
+            "(service, arg)",
+            "() if result is None else (result,)",
+            "0 if result is None else result",
+            "None",
+        ),
     )
 
 
@@ -278,7 +284,7 @@ def _nop(op: OpcodeInfo, inputs: str) -> _Template:
     return _Template(
         "",
         "next_pc",
-        "StepRecord(n, addr, instr, (), (), None, 0, None, None), next_pc, None",
+        ("()", "()", "0", "None"),
     )
 
 
@@ -342,7 +348,6 @@ def _register_fields(op: OpcodeInfo) -> Tuple[List[str], Optional[str]]:
 
 
 _NAMESPACE = {
-    "StepRecord": StepRecord,
     "SimError": SimError,
     "CTRL_CALL": CTRL_CALL,
     "CTRL_RETURN": CTRL_RETURN,
@@ -374,8 +379,13 @@ def _inline(lines: List[str]) -> List[str]:
     return out
 
 
-def _source(op: OpcodeInfo, variant: str, flavor: str, counted: bool) -> str:
-    """Python source of the factory ``bind(sim, instr, counts) -> step``."""
+def _source(op: OpcodeInfo, variant: str, flavor: str, counted: bool, hooks: int = 0) -> str:
+    """Python source of the factory that binds one static instruction.
+
+    The fast factory is ``bind(sim, instr, counts) -> step()``; the
+    observed one is ``bind(sim, instr, counts, hooks) -> step(n)`` and
+    calls its ``hooks`` hooks, named ``h0``, ``h1``, ..., in order.
+    """
     sources, dest = _register_fields(op)
     operands = _OPERANDS[: len(sources)]
     inputs = f"({', '.join(operands)}{',' if len(operands) == 1 else ''})"
@@ -388,7 +398,8 @@ def _source(op: OpcodeInfo, variant: str, flavor: str, counted: bool) -> str:
         lines.append(f"regs[dest] = {template.write}")
     elif template.write:
         lines += ["if dest:", f"    regs[dest] = {template.write}"]
-    lines.append(f"return {template.fast if flavor == FAST else template.record}")
+    lines += _hook_calls(template.observed, hooks)
+    lines.append(f"return {template.fast}")
     # An operand read once is read in place; otherwise into a local first.
     text = "\n".join(lines)
     reads = []
@@ -414,9 +425,13 @@ def _source(op: OpcodeInfo, variant: str, flavor: str, counted: bool) -> str:
         if name in needed:
             needed.add("imm")
     setup = [f"{name} = {expr}" for name, expr in bind_names.items() if name in needed]
-    signature = "step()" if flavor == FAST else "step(n)"
+    setup += [f"h{i} = hooks[{i}]" for i in range(hooks)]
+    if flavor == FAST:
+        header, signature = "def bind(sim, instr, counts):", "step()"
+    else:
+        header, signature = "def bind(sim, instr, counts, hooks):", "step(n)"
     return "\n".join(
-        ["def bind(sim, instr, counts):"]
+        [header]
         + [f"    {line}" for line in setup + prologue]
         + [f"    def {signature}:"]
         + [f"        {line}" for line in step]
@@ -424,9 +439,28 @@ def _source(op: OpcodeInfo, variant: str, flavor: str, counted: bool) -> str:
     )
 
 
-def _generate(op: OpcodeInfo, variant: str, flavor: str, counted: bool) -> Callable:
-    source = _source(op, variant, flavor, counted)
-    filename = f"<{variant} {flavor}{' counted' if counted else ''}>"
+def _hook_calls(observed: Tuple[str, ...], hooks: int) -> List[str]:
+    """Call ``h0`` ... with the step's values, each built once."""
+    if hooks == 0:
+        return []
+    lines = []
+    args = ["n"]
+    for name, expr in zip(("inputs", "outputs", "dest_value", "mem_addr"), observed):
+        if hooks == 1 or re.fullmatch(r"\w+|\(\)", expr):
+            args.append(expr)
+        else:
+            lines.append(f"{name} = {expr}")
+            args.append(name)
+    call = ", ".join(args)
+    return lines + [f"h{i}({call})" for i in range(hooks)]
+
+
+def _generate(
+    op: OpcodeInfo, variant: str, flavor: str, counted: bool, hooks: int = 0
+) -> Callable:
+    source = _source(op, variant, flavor, counted, hooks)
+    filename = f"<{variant} {flavor}{' counted' if counted else ''}"
+    filename += f" {hooks} hooks>" if hooks else ">"
     namespace = dict(_NAMESPACE)
     exec(compile(source, filename, "exec"), namespace)
     return namespace["bind"]

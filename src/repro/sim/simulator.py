@@ -1,23 +1,25 @@
 """Functional simulator for the MIPS-I-like ISA.
 
 The simulator retires one instruction at a time, maintaining architectural
-state (registers, hi/lo, memory) and a call stack, and streams
-:class:`~repro.sim.events.StepRecord` / call / return / syscall events to
-attached :class:`~repro.sim.observer.Analyzer` objects.  It plays the role
+state (registers, hi/lo, memory) and a call stack, and streams every
+retired step plus call / return / syscall events to attached
+:class:`~repro.sim.observer.Analyzer` objects.  It plays the role
 SimpleScalar's functional simulator played in the paper.
 
 Execution windows mirror the paper's methodology: ``run(skip=..., limit=
 ...)`` executes ``skip`` instructions delivering only structural events
-(flagged ``warmup=True``), then delivers full step records for up to
-``limit`` instructions.
+(flagged ``warmup=True``), then delivers every step for up to ``limit``
+instructions.
 
 Two execution engines share this interface (``engine=`` knob):
 
 * ``"predecoded"`` (default) — each static instruction is compiled once
-  into a specialized step closure (:mod:`repro.sim.predecode`); step
-  records are only materialized when an attached analyzer overrides
-  ``on_step``, and the warm-up window always runs on the record-free
-  fast path.
+  into a specialized step closure (:mod:`repro.sim.predecode`).  In
+  analysis mode the closure hands each step's values positionally to
+  the analyzers' compiled steps; a
+  :class:`~repro.sim.events.StepRecord` is built only for an analyzer
+  that overrides ``on_step``.  The warm-up window and runs without step
+  analyzers use the fast closures, which do no analysis work.
 * ``"interpreter"`` — the original decode-per-step reference backend,
   kept verbatim so differential tests can lock the engines together.
 """
@@ -128,6 +130,7 @@ class Simulator:
         self._started = False
         self._paused = False
         self._pause_requested = False
+        self._pause_watched = False
         self._total = 0
         self._analyzed = 0
         self._limit: Optional[int] = None
@@ -139,13 +142,12 @@ class Simulator:
         self.return_count = 0
         self._kind_counts: Optional[List[int]] = None
         self._published: Optional[List[int]] = None
-        # Predecoded engine state, bound lazily on first use.
+        # Predecoded engine state, bound lazily on first use.  The observed
+        # closures are bound per text index on first execution.
         self._fast_code: Optional[list] = None
         self._full_code: Optional[list] = None
         self._step_hooks: tuple = ()
         self._step_compilers: tuple = ()
-        #: Per text index: the compiled step hooks, built on first execution.
-        self._step_table: Optional[list] = None
         self._call_hooks: tuple = ()
         self._return_hooks: tuple = ()
         self._syscall_hooks: tuple = ()
@@ -172,9 +174,23 @@ class Simulator:
         """Ask the simulator to stop at the next instruction boundary.
 
         Callable from analyzer hooks (the basis for breakpoints and
-        watchpoints); resume with :meth:`resume`.
+        watchpoints) and, once :meth:`watch_pauses` is armed, from
+        another thread (the harness watchdog's timer); resume with
+        :meth:`resume`.  The predecoded engine's record-free loop (the
+        warm-up window, and runs without step analyzers) checks the flag
+        only when an analyzer has call, return or syscall hooks or the
+        run is watched; an unwatched request from another thread may go
+        unseen until the analysis window starts or the run ends.
         """
         self._pause_requested = True
+
+    def watch_pauses(self, armed: bool = True) -> None:
+        """Declare that another thread may call :meth:`request_pause`.
+
+        While armed, every run loop checks the pause flag on every step.
+        Unwatched runs without hooks that could pause skip that check.
+        """
+        self._pause_watched = armed
 
     # ------------------------------------------------------------------
 
@@ -325,7 +341,7 @@ class Simulator:
             # their closures refer back to this simulator, and without the
             # cycle the run's state (analyzers included) is freed as soon
             # as the caller lets go, not at the next full collection.
-            self._fast_code = self._full_code = self._step_table = None
+            self._fast_code = self._full_code = None
         registry = obs_metrics.REGISTRY
         if registry.enabled:
             self._publish_metrics(registry)
@@ -388,11 +404,14 @@ class Simulator:
         syscall_hooks = self._syscall_hooks
         input_services = SyscallHandler.INPUT_SERVICES
         output_services = SyscallHandler.OUTPUT_SERVICES
-        # The pause flag can only change inside call/return/syscall hooks
-        # (or before run()); skip the per-step check when neither applies.
-        check_pause = bool(
-            self._call_hooks or self._return_hooks or syscall_hooks
-        ) or self._pause_requested
+        # On this path the pause flag can only change inside call/return/
+        # syscall hooks, from a watching thread, or before run(); skip the
+        # per-step check when none applies.
+        check_pause = (
+            bool(self._call_hooks or self._return_hooks or syscall_hooks)
+            or self._pause_watched
+            or self._pause_requested
+        )
         ctrl_call = predecode.CTRL_CALL
         ctrl_return = predecode.CTRL_RETURN
 
@@ -464,29 +483,47 @@ class Simulator:
         return stop
 
     def _run_full(self) -> str:
-        """Analysis-mode execution: step records delivered per retire.
+        """Analysis-mode execution: each retired step reaches the analyzers.
 
-        Each text index carries a tuple of compiled step hooks, built
-        from the analyzers' ``compile_step`` when the instruction first
-        executes (see :mod:`repro.sim.observer`).
+        Each text index gets an observed closure that calls the
+        analyzers' compiled steps for that instruction with its values
+        (:mod:`repro.sim.observer`).  It is bound when the instruction
+        first retires: that first instance runs a closure whose only
+        hook compiles the steps, binds the index's closure and then
+        delivers the step, so an instruction that traps leaves no
+        analyzer state behind.  Closures return what fast ones do.
         """
         code = self._full_code
         if code is None:
-            code = self._full_code = predecode.bind_full(self, self._kind_counts)
+            code = self._full_code = [None] * len(self.program.text)
         program = self.program
         text = program.text
         text_base = program.text_base
         text_len = len(text)
-        step_table = self._step_table
-        if step_table is None:
-            step_table = self._step_table = [None] * text_len
         compilers = self._step_compilers
+        counts = self._kind_counts
+        bind_observed = predecode.bind_observed
         bound = self._limit if self._limit is not None else _NO_LIMIT
         syscall_hooks = self._syscall_hooks
         input_services = SyscallHandler.INPUT_SERVICES
         output_services = SyscallHandler.OUTPUT_SERVICES
         ctrl_call = predecode.CTRL_CALL
         ctrl_return = predecode.CTRL_RETURN
+
+        def first_step(index: int, pc: int):
+            instr = text[index]
+
+            def compile_and_deliver(n, inputs, outputs, value, address) -> None:
+                steps = [
+                    step
+                    for step in (make(pc, instr) for make in compilers)
+                    if step is not None
+                ]
+                code[index] = bind_observed(self, instr, steps, counts)
+                for step in steps:
+                    step(n, inputs, outputs, value, address)
+
+            return bind_observed(self, instr, (compile_and_deliver,), counts)
 
         pc = self.pc
         analyzed = self._analyzed
@@ -509,42 +546,38 @@ class Simulator:
                     stop = "paused"
                     break
 
-                record, next_pc, ctrl = code[index](analyzed + 1)
+                step = code[index]
+                if step is None:
+                    step = first_step(index, pc)
+                r = step(analyzed + 1)
                 analyzed += 1
-                hooks = step_table[index]
-                if hooks is None:
-                    instr = text[index]
-                    hooks = step_table[index] = tuple(
-                        hook
-                        for hook in (make(pc, instr) for make in compilers)
-                        if hook is not None
-                    )
-                for hook in hooks:
-                    hook(record)
-                if ctrl is not None:
-                    tag = ctrl[0]
-                    if tag is ctrl_call:
-                        self._emit_call(pc, ctrl[1], ctrl[2], False)
-                    elif tag is ctrl_return:
-                        self._emit_return(pc, ctrl[1], False)
-                    else:  # syscall
-                        if syscall_hooks:
-                            service = ctrl[1]
-                            event = SyscallEvent(
-                                pc,
-                                service,
-                                ctrl[2],
-                                ctrl[3],
-                                service in input_services,
-                                service in output_services,
-                                False,
-                            )
-                            for hook in syscall_hooks:
-                                hook(event)
-                        if ctrl[4]:
-                            stop = "exit"
-                            break
-                pc = next_pc
+                if r.__class__ is int:
+                    pc = r
+                    continue
+
+                tag = r[1]
+                if tag is ctrl_call:
+                    self._emit_call(pc, r[2], r[3], False)
+                elif tag is ctrl_return:
+                    self._emit_return(pc, r[2], False)
+                else:  # syscall
+                    if syscall_hooks:
+                        service = r[2]
+                        event = SyscallEvent(
+                            pc,
+                            service,
+                            r[3],
+                            r[4],
+                            service in input_services,
+                            service in output_services,
+                            False,
+                        )
+                        for hook in syscall_hooks:
+                            hook(event)
+                    if r[5]:
+                        stop = "exit"
+                        break
+                pc = r[0]
         finally:
             self.pc = pc
             self._analyzed = analyzed

@@ -9,7 +9,7 @@ so Table 10T can put both capture rates side by side on the same run.
 
 Validation needs the machine state *at the region start*, which an
 analyzer does not have direct access to — so a shadow register file
-(plus hi/lo) is reconstructed from the record stream: every observed
+(plus hi/lo) is reconstructed from the step stream: every observed
 operand read and register write lands in the shadow, with ``None``
 marking still-unknown values (a probe against an unknown conservatively
 misses).  Memory live-ins are not shadowed at all; instead every
@@ -17,22 +17,22 @@ observed store invalidates resident traces whose live-ins it touches
 (word granularity), so a resident trace's memory live-ins are always
 fresh and probes skip memory validation entirely.
 
-A missed region is recorded by keeping its step records; when it ends,
-its :class:`~repro.traces.template.RegionTemplate` (cached per start pc
-and length, since a straight-line region's instructions are fixed by
-them) says which record values are its live-ins.
+A missed region is recorded by keeping one tuple of values per step
+(:data:`~repro.traces.template.Step`); when it ends, its
+:class:`~repro.traces.template.RegionTemplate` (cached per start pc and
+length, since a straight-line region's instructions are fixed by them)
+says which of those values are its live-ins.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.isa.instructions import Instruction, Kind
-from repro.isa.registers import NUM_REGISTERS
+from repro.isa.registers import NUM_REGISTERS, V0
 from repro.obs import metrics as obs_metrics
-from repro.sim.events import StepRecord
 from repro.sim.observer import Analyzer, StepFn
 from repro.traces.safety import SafetyPolicy
 from repro.traces.table import (
@@ -41,7 +41,7 @@ from repro.traces.table import (
     DEFAULT_TRACE_WAYS,
     TraceReuseTable,
 )
-from repro.traces.template import RegionTemplate, register_reads
+from repro.traces.template import RegionTemplate, Step, register_reads
 from repro.traces.trace import (
     BOUNDARY_END,
     BOUNDARY_EXCLUDE,
@@ -146,8 +146,10 @@ class TraceReuseAnalyzer(Analyzer):
         #: Shadow [hi, lo].
         self._shadow_hilo: List[Optional[int]] = [None, None]
         self._replaying = 0
-        #: Records of the region being recorded, or ``None``.
-        self._region: Optional[List[StepRecord]] = None
+        #: Steps of the region being recorded, or ``None``.
+        self._region: Optional[List[Step]] = None
+        #: The pc the region being recorded starts at.
+        self._region_pc = 0
         #: The pc the region's next step has if the region is straight-line.
         self._next_pc = 0
         self._straight = True
@@ -173,7 +175,7 @@ class TraceReuseAnalyzer(Analyzer):
         here.  Store-based invalidation runs before the probe, mirroring
         the instruction buffer's order.
 
-        A step recorded into a region only appends its record and checks
+        A step recorded into a region only appends its values and checks
         that it sits at the fall-through pc of the step before; when the
         region ends, its template gathers the live-ins and applies the
         region's shadow effects.  Every other step updates the shadow
@@ -194,10 +196,15 @@ class TraceReuseAnalyzer(Analyzer):
         bk = boundary_kind(instr)
         hilo_update = self._hilo_update(instr)
         reads = register_reads(instr)
+        dest = instr.dest_register() or 0
 
         if bk == BOUNDARY_EXCLUDE:
+            # A syscall writes $v0 exactly when it returns a result.
+            syscall = kind is Kind.SYSCALL
+            if syscall:
+                dest = V0
 
-            def step(record: StepRecord) -> None:
+            def step(n, inputs, outputs, value, address) -> None:
                 analyzer.dynamic_total += 1
                 if analyzer._replaying:
                     # Inside a hit trace's body: already accounted.
@@ -207,13 +214,11 @@ class TraceReuseAnalyzer(Analyzer):
                     # region start, it is its own (unprobeable) region;
                     # the next step starts fresh.
                     analyzer._finalize()
-                inputs = record.inputs
                 if len(inputs) >= len(reads):
                     for reg, position in reads:
                         shadow[reg] = inputs[position]
-                dest = record.dest_reg
-                if dest:
-                    shadow[dest] = record.dest_value
+                if dest and (outputs or not syscall):
+                    shadow[dest] = value
 
             return step
 
@@ -223,15 +228,15 @@ class TraceReuseAnalyzer(Analyzer):
         lookup = table.lookup
         fallthrough = pc + 4
 
-        def step(record: StepRecord) -> None:
+        def step(n, inputs, outputs, value, address) -> None:
             analyzer.dynamic_total += 1
             if store_width:
-                invalidate_store(record.mem_addr, store_width)
+                invalidate_store(address, store_width)
             region = analyzer._region
             if region is not None:
                 if pc != analyzer._next_pc:
                     analyzer._straight = False
-                region.append(record)
+                region.append((instr, inputs, outputs, value, address))
                 if ends or len(region) >= max_len:
                     analyzer._finalize()
                 else:
@@ -244,7 +249,8 @@ class TraceReuseAnalyzer(Analyzer):
                 analyzer.probes += 1
                 hit = lookup(pc, shadow, shadow_hilo[0], shadow_hilo[1])
                 if hit is None:
-                    analyzer._region = [record]
+                    analyzer._region = [(instr, inputs, outputs, value, address)]
+                    analyzer._region_pc = pc
                     analyzer._straight = True
                     if ends or max_len == 1:
                         analyzer._finalize()
@@ -252,35 +258,33 @@ class TraceReuseAnalyzer(Analyzer):
                         analyzer._next_pc = fallthrough
                     return
                 analyzer._note_hit(hit)
-            inputs = record.inputs
             for reg, position in reads:
                 shadow[reg] = inputs[position]
             if hilo_update is not None:
-                hilo_update(record)
-            dest = record.dest_reg
+                hilo_update(inputs, outputs)
             if dest:
-                shadow[dest] = record.dest_value
+                shadow[dest] = value
 
         return step
 
-    def _hilo_update(self, instr: Instruction) -> Optional[StepFn]:
-        """The shadow hi/lo effect of ``instr``, if it has one."""
+    def _hilo_update(self, instr: Instruction) -> Optional[Callable[[tuple, tuple], None]]:
+        """The shadow hi/lo effect of ``instr``, from its inputs and outputs."""
         shadow_hilo = self._shadow_hilo
         kind = instr.op.kind
         if kind is Kind.MULDIV:
 
-            def update(record: StepRecord) -> None:
-                shadow_hilo[0], shadow_hilo[1] = record.outputs
+            def update(inputs, outputs) -> None:
+                shadow_hilo[0], shadow_hilo[1] = outputs
 
         elif kind is Kind.MFHILO and instr.op.name == "mfhi":
 
-            def update(record: StepRecord) -> None:
-                shadow_hilo[0] = record.inputs[0]
+            def update(inputs, outputs) -> None:
+                shadow_hilo[0] = inputs[0]
 
         elif kind is Kind.MFHILO:
 
-            def update(record: StepRecord) -> None:
-                shadow_hilo[1] = record.inputs[0]
+            def update(inputs, outputs) -> None:
+                shadow_hilo[1] = inputs[0]
 
         else:
             return None
@@ -300,17 +304,17 @@ class TraceReuseAnalyzer(Analyzer):
 
         Its steps reach the shadow here, in one go.
         """
-        records = self._region
+        steps = self._region
         self._region = None
         if self._straight:
-            key = (records[0].pc, len(records))
+            key = (self._region_pc, len(steps))
             template = self._templates.get(key)
             if template is None:
-                template = self._templates[key] = RegionTemplate(records)
+                template = self._templates[key] = RegionTemplate(self._region_pc, steps)
         else:
-            template = RegionTemplate(records)
-        template.update_shadow(records, self._shadow, self._shadow_hilo)
-        trace, reason = template.record(records, self.table.max_trace_len, self.policy)
+            template = RegionTemplate(self._region_pc, steps)
+        template.update_shadow(steps, self._shadow, self._shadow_hilo)
+        trace, reason = template.record(steps, self.table.max_trace_len, self.policy)
         if trace is None:
             self.rejections[reason] += 1
             return

@@ -5,9 +5,14 @@ the last falls through, so its instructions are fixed by ``(P, length)``.
 Which step reads each live-in register first, which steps read hi/lo
 before any in-trace ``mult``/``div``, the class counts and the positions
 and widths of the loads and stores are therefore fixed as well.
-:class:`RegionTemplate` works them out once from one region's records;
-recording another instance of the same region then only reads values at
-those slots:
+:class:`RegionTemplate` works them out once from one region's
+instructions; recording an instance of the region then only reads
+values at those slots.
+
+An instance is a sequence of per-step tuples ``(instr, inputs, outputs,
+value, address)``: the static instruction, then the step's values as a
+compiled analyzer step receives them (:data:`repro.sim.observer.StepFn`).
+The live-in rules:
 
 * a register read whose value was not produced earlier in the region is
   a register live-in, recorded at its first read;
@@ -32,7 +37,6 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from repro.isa.convention import DATA_BASE, STACK_TOP
 from repro.isa.instructions import Instruction, Kind
 from repro.isa.registers import A0, V0
-from repro.sim.events import StepRecord
 from repro.traces.safety import (
     REASON_OVERLAP,
     REASON_UNTRACKED_STORE,
@@ -51,6 +55,12 @@ _WIDTH_MASK = {1: 0xFF, 2: 0xFFFF, 4: 0xFFFFFFFF}
 
 MemoryLiveIns = Tuple[Tuple[int, int, int], ...]
 
+#: One recorded step: ``(instr, inputs, outputs, value, address)``.
+Step = Tuple[Instruction, Tuple[int, ...], Tuple[int, ...], int, Optional[int]]
+
+#: Positions in a :data:`Step`.
+_INPUTS, _OUTPUTS, _VALUE, _ADDRESS = 1, 2, 3, 4
+
 
 def register_reads(instr: Instruction) -> Tuple[Tuple[int, int], ...]:
     """``(register, position in the step's inputs)`` per non-``$zero`` read.
@@ -67,7 +77,9 @@ def register_reads(instr: Instruction) -> Tuple[Tuple[int, int], ...]:
 
 
 class RegionTemplate:
-    """Where a region's live-ins sit: built once, gathered per instance.
+    """Where the live-ins of a region starting at ``start_pc`` sit.
+
+    Built once from the region's instructions, gathered per instance.
 
     ``reg_slots`` holds ``(register, step, input position)`` sorted by
     register; ``hi_lo_slots`` holds ``(from_hi, step)`` in program order;
@@ -79,6 +91,7 @@ class RegionTemplate:
     """
 
     __slots__ = (
+        "start_pc",
         "length",
         "reg_slots",
         "hi_lo_slots",
@@ -89,7 +102,7 @@ class RegionTemplate:
         "last_hi_lo",
     )
 
-    def __init__(self, records: Sequence[StepRecord]) -> None:
+    def __init__(self, start_pc: int, steps: Sequence[Step]) -> None:
         first_read: Dict[int, Tuple[int, int]] = {}
         written: Set[int] = set()
         hi_lo_slots: List[Tuple[bool, int]] = []
@@ -101,11 +114,11 @@ class RegionTemplate:
         last: Dict[int, Tuple[int, Optional[int]]] = {}
         #: [hi, lo] -> (step, read from outputs, index) of the last update.
         last_hi_lo: List[Optional[Tuple[int, bool, int]]] = [None, None]
-        for step, record in enumerate(records):
-            instr = record.instr
+        for step, values in enumerate(steps):
+            instr = values[0]
             if boundary_kind(instr) == BOUNDARY_EXCLUDE:
                 raise ValueError(
-                    f"{instr.op.name} at {record.pc:#x} cannot be part of a region"
+                    f"{instr.op.name} at {instr.addr:#x} cannot be part of a region"
                 )
             kind = instr.op.kind
             for reg, position in register_reads(instr):
@@ -123,11 +136,13 @@ class RegionTemplate:
                 last_hi_lo = [(step, True, 0), (step, True, 1)]
             elif kind is Kind.LOAD or kind is Kind.STORE:
                 mem_ops.append((step, instr.op.mem_width, kind is Kind.STORE))
-            if record.dest_reg:
-                written.add(record.dest_reg)
-                last[record.dest_reg] = (step, None)
+            dest = instr.dest_register()
+            if dest:
+                written.add(dest)
+                last[dest] = (step, None)
             class_counts[class_of(instr)] += 1
-        self.length = len(records)
+        self.start_pc = start_pc
+        self.length = len(steps)
         self.reg_slots = tuple(
             (reg, step, position)
             for reg, (step, position) in sorted(first_read.items())
@@ -147,19 +162,16 @@ class RegionTemplate:
             (cell, *slot) for cell, slot in enumerate(last_hi_lo) if slot is not None
         )
 
-    def update_shadow(self, records: Sequence[StepRecord], regs, hi_lo) -> None:
+    def update_shadow(self, steps: Sequence[Step], regs, hi_lo) -> None:
         """Leave ``regs`` and ``hi_lo`` as a step-by-step update would."""
         for reg, step, position in self.last_reads:
-            regs[reg] = records[step].inputs[position]
+            regs[reg] = steps[step][_INPUTS][position]
         for reg, step in self.last_writes:
-            regs[reg] = records[step].dest_value
+            regs[reg] = steps[step][_VALUE]
         for cell, step, from_outputs, index in self.last_hi_lo:
-            record = records[step]
-            hi_lo[cell] = (record.outputs if from_outputs else record.inputs)[index]
+            hi_lo[cell] = steps[step][_OUTPUTS if from_outputs else _INPUTS][index]
 
-    def memory(
-        self, records: Sequence[StepRecord]
-    ) -> Tuple[Optional[str], MemoryLiveIns]:
+    def memory(self, steps: Sequence[Step]) -> Tuple[Optional[str], MemoryLiveIns]:
         """``(unsafe reason or None, memory live-ins)`` of one instance.
 
         The first violation in program order wins; its live-ins are
@@ -169,8 +181,8 @@ class RegionTemplate:
         seen: Set[Tuple[int, int]] = set()
         written: Set[int] = set()
         for step, width, is_store in self.mem_ops:
-            record = records[step]
-            address = record.mem_addr
+            values = steps[step]
+            address = values[_ADDRESS]
             if is_store:
                 # data, heap and stack are one contiguous address range.
                 if not DATA_BASE <= address <= STACK_TOP:
@@ -186,29 +198,29 @@ class RegionTemplate:
                 key = (address, width)
                 if key not in seen:
                     seen.add(key)
-                    mem_in.append((address, width, record.outputs[0] & _WIDTH_MASK[width]))
+                    mem_in.append((address, width, values[_OUTPUTS][0] & _WIDTH_MASK[width]))
             elif covered != width:
                 return REASON_OVERLAP, ()
         return None, tuple(mem_in)
 
     def record(
         self,
-        records: Sequence[StepRecord],
+        steps: Sequence[Step],
         max_len: int,
         policy: SafetyPolicy = SafetyPolicy(),
     ) -> Tuple[Optional[Trace], Optional[str]]:
         """``(trace, None)`` for an admitted instance, else ``(None, reason)``."""
-        unsafe, mem_in = self.memory(records) if self.mem_ops else (None, ())
+        unsafe, mem_in = self.memory(steps) if self.mem_ops else (None, ())
         reason = check_candidate(unsafe, self.length, max_len, mem_in, policy)
         if reason is not None:
             return None, reason
         reg_in = tuple(
-            [(reg, records[step].inputs[position]) for reg, step, position in self.reg_slots]
+            [(reg, steps[step][_INPUTS][position]) for reg, step, position in self.reg_slots]
         )
         hi_lo_in = tuple(
-            [(from_hi, records[step].inputs[0]) for from_hi, step in self.hi_lo_slots]
+            [(from_hi, steps[step][_INPUTS][0]) for from_hi, step in self.hi_lo_slots]
         )
         trace = Trace(
-            records[0].pc, self.length, reg_in, mem_in, hi_lo_in, self.class_counts
+            self.start_pc, self.length, reg_in, mem_in, hi_lo_in, self.class_counts
         )
         return trace, None

@@ -17,6 +17,7 @@ from repro.harness.failures import (
     FailureRecord,
     RecoveryPolicy,
     SuiteReport,
+    Watchdog,
     WorkloadTimeout,
     classify_failure,
     plan_next_action,
@@ -25,9 +26,12 @@ from repro.harness.failures import (
 )
 from repro.harness.faults import FaultInjected
 from repro.harness.parallel import run_suite_parallel
+from repro.core import RepetitionTracker
 from repro.harness.runner import SuiteConfig, run_suite
 from repro.lang.errors import MiniCError
+from repro.sim import Simulator
 from repro.sim.errors import SimError
+from repro.workloads import get_workload
 
 
 def _classify(exc, **overrides):
@@ -277,3 +281,45 @@ class TestResultDigest:
         go = suite_results["go"]
         clone = pickle.loads(pickle.dumps(go))
         assert result_digest(clone) == result_digest(go)
+
+
+class TestWatchdog:
+    """An armed watchdog pauses the record-free loop, not only hooked runs.
+
+    go's bare run retires about 300k instructions, far more than the
+    predecoded engine retires in the deadline.
+    """
+
+    DEADLINE_S = 0.02
+
+    @staticmethod
+    def _simulator(analyzers=()):
+        workload = get_workload("go")
+        return Simulator(
+            workload.program(),
+            input_data=workload.primary_input(1),
+            analyzers=list(analyzers),
+        )
+
+    def test_pauses_a_bare_run(self):
+        unwatched = self._simulator().run()
+        simulator = self._simulator()
+        with Watchdog(simulator, self.DEADLINE_S) as watchdog:
+            run = simulator.run()
+        assert watchdog.fired
+        assert run.stop_reason == "paused"
+        assert run.total_instructions < unwatched.total_instructions
+        finished = simulator.resume()
+        assert finished.stop_reason == unwatched.stop_reason
+        assert finished.total_instructions == unwatched.total_instructions
+        assert finished.output == unwatched.output
+
+    def test_pauses_inside_a_warm_up_window(self):
+        skip = 200_000
+        simulator = self._simulator([RepetitionTracker()])
+        with Watchdog(simulator, self.DEADLINE_S) as watchdog:
+            run = simulator.run(skip=skip)
+        assert watchdog.fired
+        assert run.stop_reason == "paused"
+        assert run.total_instructions < skip
+        assert run.analyzed_instructions == 0

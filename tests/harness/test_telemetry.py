@@ -97,8 +97,8 @@ class TestTelemetryIsPureObserver:
 
     @pytest.mark.parametrize(
         "options",
-        # Record closures; fast closures (no analyzers); a fast warm-up
-        # followed by record closures.
+        # Observed closures; fast closures (no analyzers); a fast warm-up
+        # followed by observed closures.
         [{}, {"bare": True}, {"skip": 1_500}],
         ids=["records", "bare", "warmup"],
     )

@@ -51,8 +51,8 @@ def make_step(
 class NullStepObserver(Analyzer):
     """Takes every step record and ignores it.
 
-    Attached to the predecoded engine, it makes the run use the closures
-    that build step records instead of the record-free fast ones.
+    Attached to the predecoded engine, it makes the run use the observed
+    closures, with step records built for it, instead of the fast ones.
     """
 
     def on_step(self, record: StepRecord) -> None:

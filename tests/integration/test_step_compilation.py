@@ -1,24 +1,26 @@
 """The step-compilation contract, checked on real workloads.
 
-The predecoded engine dispatches each analyzer's ``compile_step``
-closures from a per-pc table; trace replay, the reference interpreter
-and hand-fed records reach the same closures through the base-class
-``on_step`` adapter.  Both routes must give the same reports, and every
-analyzer must see every analyzed instruction.
+The predecoded engine calls each analyzer's ``compile_step`` closures
+from the generated per-instruction closures, with positional values and
+no step record; trace replay, the reference interpreter and hand-fed
+records reach the same closures through the base-class ``on_step``
+adapter.  Both routes must give the same reports, and every analyzer
+must see every analyzed instruction.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import io
 
 import pytest
 
 from repro.core import FunctionAnalyzer, RepetitionTracker
 from repro.harness import SuiteConfig, build_analyzers
 from repro.obs.profiling import wrap_profiled
-from repro.sim import Analyzer, Simulator
+from repro.sim import Analyzer, Simulator, StepRecord
 from repro.sim.simulator import ENGINES, _hooks_for
-from repro.sim.trace import TraceRecorder
+from repro.sim.trace import EventTrace, TraceRecorder
 from repro.workloads import WORKLOAD_ORDER, get_workload
 
 from tests.helpers import make_step
@@ -69,6 +71,36 @@ class TestLiveEqualsReplay:
 
         replayed = build_analyzers(config)
         recorder.trace().replay(replayed)
+        for live_analyzer, replayed_analyzer in zip(live, replayed):
+            assert live_analyzer.report() == replayed_analyzer.report(), type(
+                live_analyzer
+            ).__name__
+
+
+def _fields(event) -> tuple:
+    return (type(event).__name__,) + tuple(
+        getattr(event, name) for name in type(event).__slots__
+    )
+
+
+class TestSavedTraceReplay:
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("name", WORKLOAD_ORDER)
+    def test_full_stack_replays_from_a_saved_trace(self, name, engine):
+        config = dataclasses.replace(WINDOW, engine=engine)
+        recorder = TraceRecorder()
+        simulator, _, live = _run(name, config, extra=[recorder])
+        trace = recorder.trace()
+        stream = io.BytesIO()
+        trace.save(stream)
+        stream.seek(0)
+        loaded = EventTrace.load(stream, simulator.program)
+
+        assert [_fields(event) for event in loaded.events] == [
+            _fields(event) for event in trace.events
+        ]
+        replayed = build_analyzers(config)
+        loaded.replay(replayed)
         for live_analyzer, replayed_analyzer in zip(live, replayed):
             assert live_analyzer.report() == replayed_analyzer.report(), type(
                 live_analyzer
@@ -129,6 +161,27 @@ class TestDispatch:
         alu = make_step(op="addu", rd=8, rs=9, rt=10)
         assert analyzer.compile_step(alu.pc, alu.instr) is None
         analyzer.on_step(alu)  # the adapter tolerates skipped instructions
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_records_are_built_only_for_on_step_analyzers(self, engine, monkeypatch):
+        built = []
+        init = StepRecord.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(StepRecord, "__init__", counting_init)
+        config = dataclasses.replace(WINDOW, engine=engine)
+        _, run, _ = _run("compress", config)
+        compiled_only = len(built)
+        built.clear()
+        _run("compress", config, extra=[StepCounter()])
+        # The interpreter builds one record per analyzed step regardless;
+        # the predecoded engine builds none for compiled analyzers.
+        expected = run.analyzed_instructions if engine == "interpreter" else 0
+        assert compiled_only == expected
+        assert len(built) == run.analyzed_instructions
 
     def test_uncompiled_and_proxied_analyzers_see_every_step(self):
         config = dataclasses.replace(WINDOW, engine="predecoded")

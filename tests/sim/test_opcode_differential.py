@@ -1,14 +1,16 @@
-"""Seeded all-opcode differential: interpreter vs fast vs record closures.
+"""Seeded all-opcode differential: interpreter vs fast vs observed closures.
 
 The workloads execute only part of the ISA, so the engine differential
 over them never compares the rarely used opcodes.  Here every opcode in
 :data:`~repro.isa.instructions.OPCODES` runs on edge operands, with a
-destination that is fresh, ``$zero`` or one of its sources, on three
+destination that is fresh, ``$zero`` or one of its sources, on four
 paths: the reference interpreter, the predecoded engine's fast closures
-(no step observer) and its record closures (a step observer attached).
-Registers, hi/lo, data memory, output, the trap message and the event
-stream must agree; the step records must agree between the interpreter
-and the record closures.
+(no step observer), its observed closures feeding an ``on_step``
+observer (step records rebuilt by the per-pc adapter), and its observed
+closures feeding a compiled step directly (positional values, no
+record).  Registers, hi/lo, data memory, output, the trap message and
+the event stream must agree; the steps must agree between the
+interpreter's records and both observed paths.
 """
 
 from __future__ import annotations
@@ -72,6 +74,26 @@ class StepRecorder(EventRecorder):
                 record.store_value,
             )
         )
+
+
+class ValueRecorder(EventRecorder):
+    """Also takes every step as a compiled step: positional values only."""
+
+    def compile_step(self, pc, instr):
+        events = self.events
+
+        def step(n, inputs, outputs, value, address) -> None:
+            events.append(("step", n, pc, inputs, outputs, value, address))
+
+        return step
+
+
+def _values(event: tuple) -> tuple:
+    """The part of a :class:`StepRecorder` step a compiled step receives."""
+    if event[0] != "step":
+        return event
+    _, index, pc, _instr, inputs, outputs, _dest_reg, value, address, _store = event
+    return ("step", index, pc, inputs, outputs, value, address)
 
 
 def _program(body: str) -> str:
@@ -295,6 +317,9 @@ def test_paths_agree(name, index):
     interpreter = _run(program, "interpreter", StepRecorder())
     record = _run(program, "predecoded", StepRecorder())
     fast = _run(program, "predecoded", EventRecorder())
+    compiled = _run(program, "predecoded", ValueRecorder())
     assert record == interpreter
     steps_removed = dict(interpreter, events=[e for e in interpreter["events"] if e[0] != "step"])
     assert fast == steps_removed
+    values_only = dict(interpreter, events=[_values(e) for e in interpreter["events"]])
+    assert compiled == values_only

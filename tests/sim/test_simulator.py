@@ -16,7 +16,8 @@ from tests.helpers import run_asm
 
 
 #: The three paths every opcode test runs on: the reference interpreter,
-#: and the predecoded engine's fast and record-building closures.
+#: and the predecoded engine's fast closures and its observed closures
+#: feeding an ``on_step`` observer.
 PATHS = {
     "interpreter": {"engine": "interpreter"},
     "fast": {"engine": "predecoded"},

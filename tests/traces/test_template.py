@@ -23,7 +23,7 @@ from repro.traces.trace import (
     boundary_kind,
 )
 
-from tests.helpers import make_instruction, make_step
+from tests.helpers import make_instruction
 
 PC = TEXT_BASE
 
@@ -31,37 +31,39 @@ PC = TEXT_BASE
 ANY_LENGTH = SafetyPolicy(min_len=1)
 
 
+def make_step(pc, op, inputs=(), outputs=(), value=0, address=None, **fields):
+    """One recorded region step: ``(instr, inputs, outputs, value, address)``."""
+    return (make_instruction(op, addr=pc, **fields), inputs, outputs, value, address)
+
+
 def alu(pc, rd, rs, rt, a, b):
     return make_step(
-        pc=pc, op="addu", inputs=(a, b), outputs=((a + b) & 0xFFFFFFFF,),
-        dest_reg=rd, dest_value=(a + b) & 0xFFFFFFFF, rd=rd, rs=rs, rt=rt,
+        pc, "addu", inputs=(a, b), outputs=((a + b) & 0xFFFFFFFF,),
+        value=(a + b) & 0xFFFFFFFF, rd=rd, rs=rs, rt=rt,
     )
 
 
 def load(pc, rt, rs, addr, value):
     return make_step(
-        pc=pc, op="lw", inputs=(addr,), outputs=(value,), dest_reg=rt,
-        dest_value=value, mem_addr=addr, rt=rt, rs=rs,
+        pc, "lw", inputs=(addr,), outputs=(value,), value=value, address=addr,
+        rt=rt, rs=rs,
     )
 
 
 def store(pc, rt, rs, addr, value, op="sw"):
-    return make_step(
-        pc=pc, op=op, inputs=(value, addr), outputs=(), mem_addr=addr,
-        store_value=value, rt=rt, rs=rs,
-    )
+    return make_step(pc, op, inputs=(value, addr), address=addr, rt=rt, rs=rs)
 
 
 def branch(pc, rs, rt, a, b, taken, target):
     return make_step(
-        pc=pc, op="beq", inputs=(a, b), outputs=(1,) if taken else (0,),
+        pc, "beq", inputs=(a, b), outputs=(1,) if taken else (0,),
         rs=rs, rt=rt, target=target,
     )
 
 
-def record(records, max_len=16, policy=ANY_LENGTH):
-    """``(trace, reason)`` of ``records`` under a template of their own."""
-    return RegionTemplate(records).record(records, max_len, policy)
+def record(steps, max_len=16, policy=ANY_LENGTH):
+    """``(trace, reason)`` of ``steps`` under a template of their own."""
+    return RegionTemplate(steps[0][0].addr, steps).record(steps, max_len, policy)
 
 
 class TestBoundaries:
@@ -84,25 +86,25 @@ class TestBoundaries:
     @pytest.mark.parametrize(
         "step",
         [
-            make_step(pc=PC, op="syscall", inputs=(1, 42)),
-            make_step(pc=PC, op="jal", target=PC + 64, dest_reg=31, dest_value=PC + 4),
-            make_step(pc=PC, op="jr", inputs=(PC + 4,), rs=31),
+            make_step(PC, "syscall", inputs=(1, 42)),
+            make_step(PC, "jal", target=PC + 64, value=PC + 4),
+            make_step(PC, "jr", inputs=(PC + 4,), rs=31),
         ],
         ids=["syscall", "call", "return"],
     )
     def test_excluded_instruction_cannot_form_a_region(self, step):
         with pytest.raises(ValueError):
-            RegionTemplate([alu(PC - 4, 8, 9, 10, 1, 2), step])
+            RegionTemplate(PC - 4, [alu(PC - 4, 8, 9, 10, 1, 2), step])
 
 
 class TestDataflow:
     def test_live_in_registers(self):
-        records = [
+        steps = [
             alu(PC, 8, 9, 10, a=5, b=7),          # r8 = r9 + r10
             alu(PC + 4, 12, 8, 9, a=12, b=5),     # r12 = r8 + r9
             branch(PC + 8, 12, 11, 17, 0, False, PC),
         ]
-        trace, reason = record(records)
+        trace, reason = record(steps)
         assert reason is None
         # r8/r12 are produced in-trace; r9, r10, r11 come from outside.
         assert trace.reg_in == ((9, 5), (10, 7), (11, 0))
@@ -153,8 +155,8 @@ class TestDataflow:
     def test_signed_byte_load_records_raw_byte(self):
         trace, _ = record([
             make_step(
-                pc=PC, op="lb", inputs=(DATA_BASE,), outputs=(0xFFFFFFFF,),
-                dest_reg=8, dest_value=0xFFFFFFFF, mem_addr=DATA_BASE, rt=8, rs=9,
+                PC, "lb", inputs=(DATA_BASE,), outputs=(0xFFFFFFFF,),
+                value=0xFFFFFFFF, address=DATA_BASE, rt=8, rs=9,
             )
         ])
         # The live-in holds the unextended memory byte, 0xFF.
@@ -162,12 +164,9 @@ class TestDataflow:
 
     def test_hi_lo_tracking(self):
         trace, _ = record([
-            make_step(pc=PC, op="mfhi", inputs=(3,), outputs=(3,),
-                      dest_reg=8, dest_value=3, rd=8),
-            make_step(pc=PC + 4, op="mult", inputs=(2, 5),
-                      outputs=(0, 10), rs=9, rt=10),
-            make_step(pc=PC + 8, op="mflo", inputs=(10,), outputs=(10,),
-                      dest_reg=11, dest_value=10, rd=11),
+            make_step(PC, "mfhi", inputs=(3,), outputs=(3,), value=3, rd=8),
+            make_step(PC + 4, "mult", inputs=(2, 5), outputs=(0, 10), rs=9, rt=10),
+            make_step(PC + 8, "mflo", inputs=(10,), outputs=(10,), value=10, rd=11),
         ])
         # mfhi before the mult reads external hi; mflo after it does not.
         assert trace.hi_lo_in == ((True, 3),)
@@ -215,10 +214,10 @@ class TestReuse:
         "values", [(1, 2, DATA_BASE, 3), (7, 7, DATA_BASE + 64, 0xFFFF_FFFF)]
     )
     def test_gathered_equals_own_template(self, values):
-        template = RegionTemplate(self.instance(5, 6, DATA_BASE + 8, 9))
-        records = self.instance(*values)
-        shared, shared_reason = template.record(records, 16)
-        own, own_reason = record(records, policy=SafetyPolicy())
+        template = RegionTemplate(PC, self.instance(5, 6, DATA_BASE + 8, 9))
+        steps = self.instance(*values)
+        shared, shared_reason = template.record(steps, 16)
+        own, own_reason = record(steps, policy=SafetyPolicy())
         assert shared_reason is own_reason is None
         assert shared.live_in_signature == own.live_in_signature
         assert shared.class_counts == own.class_counts
