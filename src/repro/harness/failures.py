@@ -15,7 +15,8 @@ The recovery policy is deliberately small and table-driven
 * compile/assembly errors are permanent — fail immediately, no retry;
 * simulator traps under the predecoded engine degrade once to the
   reference interpreter (``degrade.engine_fallback``);
-* worker crashes, pool timeouts, and unknown errors are transient —
+* worker crashes (a pool worker, or the forked analysis child of a
+  split run), pool timeouts, and unknown errors are transient —
   bounded retry with exponential backoff and seeded jitter
   (``retry.attempts``);
 * serial watchdog timeouts are deterministic (same workload, same
@@ -84,6 +85,24 @@ class WorkloadTimeout(Exception):
         return (WorkloadTimeout, (self.workload, self.seconds, self.engine))
 
 
+class AnalysisChildCrash(Exception):
+    """The forked analysis child of a split run died without a result.
+
+    ``status`` is its exit code (negative: the signal that killed it).
+    """
+
+    def __init__(self, workload: str, status: Optional[int] = None) -> None:
+        self.workload = workload
+        self.status = status
+        super().__init__(
+            f"analysis child for {workload!r} exited with status {status} "
+            "without a result"
+        )
+
+    def __reduce__(self):
+        return (AnalysisChildCrash, (self.workload, self.status))
+
+
 @dataclass
 class FailureRecord:
     """One classified failure (picklable, JSON-able via :meth:`to_dict`)."""
@@ -115,7 +134,7 @@ def classify_failure(
     """Map an exception onto the failure taxonomy."""
     if isinstance(exc, WorkloadTimeout):
         kind = KIND_TIMEOUT
-    elif isinstance(exc, BrokenProcessPool):
+    elif isinstance(exc, (BrokenProcessPool, AnalysisChildCrash)):
         kind = KIND_WORKER_CRASH
     elif isinstance(exc, SimError):
         kind = KIND_SIM_TRAP

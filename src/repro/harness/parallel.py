@@ -64,6 +64,15 @@ from repro.workloads import WORKLOAD_ORDER, get_workload
 #: spawn, assembly, and result pickling around the simulate phase.
 ROUND_GRACE_S = 3.0
 
+#: True while this process runs a pool task.  The pool already keeps the
+#: CPUs busy, so ``run_workload`` analyzes in one process there.
+_IN_POOL_WORKER = False
+
+
+def in_pool_worker() -> bool:
+    """Whether this process is running a ``run_suite(jobs>1)`` task."""
+    return _IN_POOL_WORKER
+
 
 def _run_one(
     name: str,
@@ -85,6 +94,7 @@ def _run_one(
     per attempt — a ``worker.crash:<name>`` keeps crashing on retry,
     while ``worker.crash:<name>@1`` recovers on the second round.
     """
+    global _IN_POOL_WORKER
     if cache_dir is not None:
         runner.set_cache_dir(cache_dir)
     if telemetry:
@@ -95,6 +105,7 @@ def _run_one(
     tracer = obs_tracing.SpanTracer() if trace else None
     obs_tracing.install_tracer(tracer)
     faults.install_plan(faults.resolve_plan(config.fault_plan))
+    in_pool, _IN_POOL_WORKER = _IN_POOL_WORKER, True
     try:
         started = time.perf_counter()
         with faults.scope(workload=name, attempt=attempt):
@@ -113,6 +124,7 @@ def _run_one(
         }
         return result, meta
     finally:
+        _IN_POOL_WORKER = in_pool
         faults.install_plan(None)
         obs_tracing.install_tracer(None)
 

@@ -14,13 +14,23 @@ tables and figures, so results are cached at two layers:
 ``run_suite(..., jobs=N)`` fans the suite out over a process pool
 (:mod:`repro.harness.parallel`); both cache layers are consulted before
 any worker is spawned.
+
+With two usable CPUs, one workload is analyzed in two processes: the
+tracker group in this one and the stream group in a forked child that
+simulates the same program (:data:`TRACKER_GROUP`, :data:`STREAM_GROUP`).
 """
 
 from __future__ import annotations
 
 import dataclasses
 import logging
+import os
+import pickle
+import select
+import signal
 import time
+import traceback
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -33,6 +43,7 @@ from repro.core.value_profile import GlobalLoadValueProfiler, ValueProfileReport
 from repro.harness import faults
 from repro.harness.cache import ResultCache, default_cache_dir, source_digest
 from repro.harness.failures import (
+    AnalysisChildCrash,
     FailureRecord,
     RecoveryPolicy,
     SuiteReport,
@@ -47,7 +58,8 @@ from repro.obs import metrics as obs_metrics
 from repro.obs import profiling as obs_profiling
 from repro.obs import tracing as obs_tracing
 from repro.obs.manifest import RunManifest, build_workload_manifest
-from repro.sim.observer import Analyzer
+from repro.sim import predecode
+from repro.sim.observer import Analyzer, takes_steps
 from repro.sim.simulator import DEFAULT_ENGINE, RunResult, Simulator
 from repro.traces.analyzer import TraceReuseAnalyzer, TraceReuseReport
 from repro.workloads import WORKLOAD_ORDER, Workload, get_workload
@@ -210,6 +222,45 @@ def build_analyzers(config: SuiteConfig) -> List[Analyzer]:
     ]
 
 
+#: The two analyzer groups, as slices of :func:`build_analyzers`.  They
+#: share no state, so each can read its own simulation of the same
+#: deterministic stream.  The tracker group is the tracker, the global
+#: and local analyzers that read its per-step flag (so they must share
+#: its process) and the function analyzer; the stream group (reuse
+#: buffer, value profiler, trace reuse) reads only the stream.
+#: Measured on m88ksim (process CPU, best of 7): a no-op observer takes
+#: 0.224 s and the analyzers add tracker 0.148, global 0.122, local
+#: 0.156, reuse buffer 0.147 and trace reuse 0.494 s, function and value
+#: profiler 0.013 s together.  The reuse buffer sits in the child: there
+#: ``paper-suite`` ``op_s.p50`` was 5.12-5.54 s, in the parent 5.82-5.98 s.
+TRACKER_GROUP = slice(0, 4)
+STREAM_GROUP = slice(4, None)
+
+#: Slack past ``deadline_s`` before the parent gives up on a child whose
+#: own watchdog should already have stopped it.
+CHILD_GRACE_S = 3.0
+
+
+def _usable_cpus() -> int:
+    """How many CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _splits_analysis() -> bool:
+    """Whether a workload is analyzed in two processes (DESIGN §6b).
+
+    Not on a one-CPU host, not without ``os.fork``, and not inside a
+    ``run_suite(jobs>1)`` pool worker, whose CPUs the pool already keeps
+    busy.
+    """
+    from repro.harness.parallel import in_pool_worker
+
+    return hasattr(os, "fork") and _usable_cpus() > 1 and not in_pool_worker()
+
+
 def run_workload(
     workload: Workload,
     config: SuiteConfig = SuiteConfig(),
@@ -224,6 +275,10 @@ def run_workload(
 
     ``deadline_s`` arms a wall-clock watchdog that pauses the simulator
     at an instruction boundary and raises :class:`WorkloadTimeout`.
+
+    With two usable CPUs the stream group is analyzed in a forked child
+    (:class:`_AnalysisChild`); the result, the telemetry and the failure
+    a caller sees are those of a one-process run.
     """
     cached = cached_result(workload, config)
     if cached is not None:
@@ -249,26 +304,69 @@ def _compute_workload(
         program = workload.program()
     timing["assemble"] = time.perf_counter() - started
 
+    input_data = config.input_for(workload)
     analyzers = build_analyzers(config)
-    (
-        tracker,
-        global_analyzer,
-        function_analyzer,
-        local_analyzer,
-        reuse,
-        value_profiler,
-        trace_analyzer,
-    ) = analyzers
+    child = None
+    if _splits_analysis():
+        child = _AnalysisChild(
+            workload, program, input_data, config, analyzers[STREAM_GROUP], profile, deadline_s
+        )
+        analyzers = analyzers[TRACKER_GROUP]
+    try:
+        phase_start = time.perf_counter()
+        run = _simulate(workload, program, input_data, config, analyzers, profile, deadline_s)
+        timing["simulate"] = time.perf_counter() - phase_start
+
+        phase_start = time.perf_counter()
+        with obs_tracing.span("report", workload=workload.name):
+            reports = _reports(analyzers, workload.name)
+            if child is not None:
+                reports += child.join(run)
+            result = WorkloadResult(
+                workload,
+                run,
+                *reports,
+                static_program_instructions=program.static_instruction_count,
+            )
+        timing["report"] = time.perf_counter() - phase_start
+    except BaseException:
+        if child is not None:
+            child.kill()
+        raise
+    timing["total"] = time.perf_counter() - started
+
+    result.manifest = build_workload_manifest(
+        workload.name,
+        config,
+        source_digest(),
+        timing,
+        split_timing=child.timing if child is not None else None,
+    )
+    registry.observe("suite.workload_seconds", timing["total"])
+    install_result(result, config)
+    return result
+
+
+def _simulate(
+    workload: Workload,
+    program,
+    input_data: bytes,
+    config: SuiteConfig,
+    analyzers: List[Analyzer],
+    profile: bool,
+    deadline_s: Optional[float],
+) -> RunResult:
+    """One simulation of ``workload`` feeding ``analyzers``, in order.
+
+    Both analysis processes run this, each with its group; a one-process
+    run passes the whole stack.  Profiles are published to the registry.
+    """
     profiles = None
     if profile:
         analyzers, profiles = obs_profiling.wrap_all(analyzers)
     simulator = Simulator(
-        program,
-        input_data=config.input_for(workload),
-        analyzers=analyzers,
-        engine=config.engine,
+        program, input_data=input_data, analyzers=analyzers, engine=config.engine
     )
-    phase_start = time.perf_counter()
     if deadline_s is not None:
         with Watchdog(simulator, deadline_s) as watchdog:
             run = simulator.run(
@@ -280,40 +378,214 @@ def _compute_workload(
         run = simulator.run(
             limit=config.limit_instructions, skip=config.skip_instructions
         )
-    timing["simulate"] = time.perf_counter() - phase_start
-
-    def _report(analyzer):
-        with obs_tracing.span(
-            "analyzer", analyzer=type(analyzer).__name__, workload=workload.name
-        ):
-            return analyzer.report()
-
-    phase_start = time.perf_counter()
-    with obs_tracing.span("report", workload=workload.name):
-        result = WorkloadResult(
-            workload=workload,
-            run=run,
-            repetition=_report(tracker),
-            global_analysis=_report(global_analyzer),
-            function_analysis=_report(function_analyzer),
-            local_analysis=_report(local_analyzer),
-            reuse=_report(reuse),
-            value_profile=_report(value_profiler),
-            trace_reuse=_report(trace_analyzer),
-            static_program_instructions=program.static_instruction_count,
-        )
-    timing["report"] = time.perf_counter() - phase_start
-    timing["total"] = time.perf_counter() - started
-
-    result.manifest = build_workload_manifest(
-        workload.name, config, source_digest(), timing
-    )
     if profiles is not None:
         for analyzer_profile in profiles:
-            analyzer_profile.publish(registry)
-    registry.observe("suite.workload_seconds", timing["total"])
-    install_result(result, config)
-    return result
+            analyzer_profile.publish(obs_metrics.REGISTRY)
+    return run
+
+
+def _reports(analyzers: List[Analyzer], workload_name: str) -> list:
+    reports = []
+    for analyzer in analyzers:
+        with obs_tracing.span(
+            "analyzer", analyzer=type(analyzer).__name__, workload=workload_name
+        ):
+            reports.append(analyzer.report())
+    return reports
+
+
+class _ChildTraceback(Exception):
+    """The analysis child's traceback, chained to the exception it raised."""
+
+
+class _AnalysisChild:
+    """A forked process that analyzes one workload with the stream group.
+
+    The child simulates the same program, input, engine and window as
+    the parent and sends its run, its group's reports, its registry
+    snapshot (without the ``sim.*`` counters the parent publishes) and
+    its trace events back over a pipe, or else its exception.  The
+    parent reads them in :meth:`join` after its own run: a plain pipe,
+    no helper thread.
+    """
+
+    def __init__(
+        self,
+        workload: Workload,
+        program,
+        input_data: bytes,
+        config: SuiteConfig,
+        analyzers: List[Analyzer],
+        profile: bool,
+        deadline_s: Optional[float],
+    ) -> None:
+        self.workload = workload.name
+        self.engine = config.engine
+        self.deadline_s = deadline_s
+        #: Child simulate and report seconds, and the parent's wait.
+        self.timing: Dict[str, float] = {}
+        if config.engine == "predecoded":
+            _prime_factories(program, analyzers, config)
+        read_fd, write_fd = os.pipe()
+        self.started = time.monotonic()
+        try:
+            pid = os.fork()
+        except BaseException:
+            os.close(read_fd)
+            os.close(write_fd)
+            raise
+        if pid == 0:
+            os.close(read_fd)
+            _child_main(
+                write_fd, workload, program, input_data, config, analyzers, profile, deadline_s
+            )
+        os.close(write_fd)
+        self.pid: Optional[int] = pid
+        self.fd: Optional[int] = read_fd
+
+    def join(self, run: RunResult) -> list:
+        """The stream group's reports; raises what the child raised.
+
+        ``run`` is the parent's own run: the child's must equal it.
+        """
+        waited = time.perf_counter()
+        try:
+            data = self._read()
+        except BaseException:
+            self.kill()
+            raise
+        status = self._reap()
+        self.timing["wait"] = time.perf_counter() - waited
+        try:
+            payload = pickle.loads(data)
+        except Exception:
+            raise AnalysisChildCrash(self.workload, status) from None
+        if payload[0] == "err":
+            _, exc, text = payload
+            raise exc from _ChildTraceback(text)
+        _, child_run, reports, timing, metrics, events = payload
+        if child_run != run:
+            raise RuntimeError(
+                f"{self.workload}: the analysis processes disagree: {run} != {child_run}"
+            )
+        self.timing.update(timing)
+        registry = obs_metrics.REGISTRY
+        if registry.enabled:
+            registry.merge(metrics)
+        tracer = obs_tracing.current_tracer()
+        if tracer is not None and events:
+            tracer.extend(events)
+        return reports
+
+    def kill(self) -> None:
+        """Stop the child at once and reap it (idempotent)."""
+        if self.pid is not None:
+            os.kill(self.pid, signal.SIGKILL)
+        self._reap()
+
+    def _read(self) -> bytes:
+        """The child's whole payload, up to its end of file."""
+        poller = None
+        if self.deadline_s is not None:
+            give_up = self.started + self.deadline_s + CHILD_GRACE_S
+            poller = select.poll()
+            poller.register(self.fd, select.POLLIN)
+        chunks = []
+        while True:
+            if poller is not None and not poller.poll(
+                max(0.0, give_up - time.monotonic()) * 1000
+            ):
+                raise WorkloadTimeout(self.workload, self.deadline_s, self.engine)
+            chunk = os.read(self.fd, 1 << 20)
+            if not chunk:
+                return b"".join(chunks)
+            chunks.append(chunk)
+
+    def _reap(self) -> Optional[int]:
+        """Close the pipe and wait for the child; its exit code, once."""
+        if self.fd is not None:
+            os.close(self.fd)
+            self.fd = None
+        if self.pid is None:
+            return None
+        pid, self.pid = self.pid, None
+        _, status = os.waitpid(pid, 0)
+        return os.waitstatus_to_exitcode(status)
+
+
+def _prime_factories(program, analyzers: List[Analyzer], config: SuiteConfig) -> None:
+    """Generate the child's closure factories in the parent, before forking.
+
+    A factory is ``exec``'d once per process on first use
+    (:mod:`repro.sim.predecode`).  Left to the child, they would be
+    generated again for every program and die with it.  A pc's first
+    instance takes one hook, its later ones one per stepping analyzer
+    that compiles a step for it.
+    """
+    counts = [0, 0] if obs_metrics.REGISTRY.enabled else None
+    hooks = range(1, 1 + sum(takes_steps(type(a)) for a in analyzers))
+    for instr in program.text:
+        if config.skip_instructions:
+            predecode._factory(instr, predecode.FAST, counts, 0)
+        for count in hooks:
+            predecode._factory(instr, predecode.OBSERVED, counts, count)
+
+
+def _child_main(
+    write_fd: int,
+    workload: Workload,
+    program,
+    input_data: bytes,
+    config: SuiteConfig,
+    analyzers: List[Analyzer],
+    profile: bool,
+    deadline_s: Optional[float],
+) -> None:
+    """The forked child: analyze, send the payload, ``os._exit``."""
+    status = 1
+    try:
+        # The parent's run checks the engine fault sites; none fires twice.
+        faults.install_plan(None)
+        registry = obs_metrics.REGISTRY
+        registry.reset()
+        # The parent traces the engine phases; the child keeps the
+        # inherited tracer (and its clock origin) for its own spans.
+        tracer = obs_tracing.current_tracer()
+        obs_tracing.install_tracer(None)
+        if tracer is not None:
+            tracer.events = []
+        try:
+            started = time.perf_counter()
+            with tracer.span("analysis-child", workload=workload.name) if tracer else nullcontext():
+                run = _simulate(
+                    workload, program, input_data, config, analyzers, profile, deadline_s
+                )
+            simulated = time.perf_counter()
+            obs_tracing.install_tracer(tracer)
+            reports = _reports(analyzers, workload.name)
+            timing = {
+                "simulate": simulated - started,
+                "report": time.perf_counter() - simulated,
+            }
+            snapshot = registry.snapshot()
+            metrics = {
+                kind: {k: v for k, v in values.items() if not k.startswith("sim.")}
+                for kind, values in snapshot.items()
+            }
+            events = tracer.events if tracer is not None else None
+            payload = ("ok", run, reports, timing, metrics, events)
+        except Exception as exc:
+            payload = ("err", exc, traceback.format_exc())
+        try:
+            data = pickle.dumps(payload, pickle.HIGHEST_PROTOCOL)
+        except Exception as exc:
+            error = RuntimeError(f"analysis child payload does not pickle: {exc!r}")
+            data = pickle.dumps(("err", error, traceback.format_exc()))
+        with os.fdopen(write_fd, "wb") as pipe:
+            pipe.write(data)
+        status = 0
+    finally:
+        os._exit(status)
 
 
 def _annotate_result(

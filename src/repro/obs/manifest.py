@@ -29,7 +29,8 @@ from typing import Dict, List, Optional
 #: Manifest schema version (bump on incompatible layout changes).
 #: v2: recovery provenance (degraded / degraded_from / attempts /
 #: failures) for fault-tolerant suite runs.
-MANIFEST_SCHEMA = 2
+#: v3: analysis processes (analysis_processes / split_timing).
+MANIFEST_SCHEMA = 3
 
 #: Cache dispositions a result can carry.
 DISPOSITIONS = ("computed", "memory-hit", "disk-hit")
@@ -68,6 +69,11 @@ class RunManifest:
     attempts: int = 1
     #: FailureRecord dicts for the failed attempts that preceded it.
     failures: List[dict] = field(default_factory=list)
+    #: 2 when the analyzers were split over a forked child, else 1.
+    analysis_processes: int = 1
+    #: For a split run: the child's ``simulate`` and ``report`` seconds
+    #: and the parent's ``wait`` for the child's result.
+    split_timing: Dict[str, float] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -78,8 +84,12 @@ def build_workload_manifest(
     config,
     source_digest: str,
     timing: Optional[Dict[str, float]] = None,
+    split_timing: Optional[Dict[str, float]] = None,
 ) -> RunManifest:
-    """Manifest for a freshly simulated workload result."""
+    """Manifest for a freshly simulated workload result.
+
+    ``split_timing`` (child and wait seconds) marks a two-process run.
+    """
     return RunManifest(
         workload=workload_name,
         engine=getattr(config, "engine", "unknown"),
@@ -87,6 +97,8 @@ def build_workload_manifest(
         source_digest=source_digest,
         cache="computed",
         timing=dict(timing or {}),
+        analysis_processes=1 if split_timing is None else 2,
+        split_timing=dict(split_timing or {}),
     )
 
 

@@ -14,6 +14,7 @@ from repro.harness.failures import (
     KIND_TIMEOUT,
     KIND_UNKNOWN,
     KIND_WORKER_CRASH,
+    AnalysisChildCrash,
     FailureRecord,
     RecoveryPolicy,
     SuiteReport,
@@ -69,6 +70,13 @@ class TestClassification:
 
     def test_unknown(self):
         assert _classify(RuntimeError("boom")).kind == KIND_UNKNOWN
+
+    def test_dead_analysis_child_is_worker_crash(self):
+        error = pickle.loads(pickle.dumps(AnalysisChildCrash("go", -9)))
+        assert (error.workload, error.status) == ("go", -9)
+        record = _classify(error)
+        assert record.kind == KIND_WORKER_CRASH
+        assert "status -9" in record.message
 
     def test_injected_marker_propagates(self):
         error = SimError("injected fault")

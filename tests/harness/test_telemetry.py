@@ -178,6 +178,35 @@ class TestSuiteAggregation:
         steps = step_timers["profile.RepetitionTracker.on_step"]["count"]
         assert steps == _SMALL.limit_instructions
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_analyzer_counters_reach_the_registry(
+        self, isolated_caches, metrics_enabled, jobs
+    ):
+        results = run_suite(_SMALL, _NAMES, jobs=jobs)
+        counters = metrics_enabled.snapshot()["counters"]
+        assert counters["sim.runs"] == len(_NAMES)
+        assert counters["reuse.probes"] == sum(
+            r.reuse.dynamic_total for r in results.values()
+        )
+        assert counters["trace.probes"] == sum(
+            r.trace_reuse.probes for r in results.values()
+        )
+        assert counters["reuse.probes"] > 0 and counters["trace.probes"] > 0
+
+    def test_profile_times_every_analyzer(self, isolated_caches, metrics_enabled):
+        run_workload(get_workload("compress"), _SMALL, profile=True)
+        timers = metrics_enabled.snapshot()["timers"]
+        for name in (
+            "RepetitionTracker",
+            "GlobalSourceAnalyzer",
+            "FunctionAnalyzer",
+            "LocalAnalyzer",
+            "ReuseBuffer",
+            "GlobalLoadValueProfiler",
+            "TraceReuseAnalyzer",
+        ):
+            assert timers[f"profile.{name}.on_step"]["count"] > 0, name
+
     def test_manifest_attached_to_computed_result(self, isolated_caches):
         result = run_workload(get_workload("compress"), _SMALL)
         manifest = result.manifest

@@ -43,6 +43,18 @@ class TestWorkloadManifest:
         manifest = _manifest()
         assert pickle.loads(pickle.dumps(manifest)).to_dict() == manifest.to_dict()
 
+    def test_schema_3_records_analysis_processes(self):
+        assert MANIFEST_SCHEMA == 3
+        single = _manifest()
+        assert single.analysis_processes == 1
+        assert single.split_timing == {}
+        split_timing = {"simulate": 0.8, "report": 0.01, "wait": 0.1}
+        split = build_workload_manifest(
+            "compress", SuiteConfig(), "digest123", {"total": 1.0}, split_timing=split_timing
+        )
+        assert split.analysis_processes == 2
+        assert split.to_dict()["split_timing"] == split_timing
+
 
 class TestSuiteManifest:
     def test_aggregates_dispositions(self):
