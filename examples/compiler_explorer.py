@@ -1,16 +1,14 @@
-"""Compiler explorer: MiniC -> assembly -> machine code, side by side.
+"""Compiler explorer: MiniC -> assembly at -O0 and -O1, side by side.
 
-Shows the full lowering pipeline for a snippet: the generated assembly
-(at -O0 and -O1), the encoded MIPS-I machine words, and a repetition
-profile of the running code — a compact tour of `repro.lang`,
-`repro.asm`, `repro.isa.encoding`, and `repro.core`.
+Shows the lowering pipeline for a snippet: the generated assembly (at
+-O0 and -O1) and a repetition profile of the running code — a compact
+tour of `repro.lang`, `repro.asm`, and `repro.core`.
 
 Run:  python examples/compiler_explorer.py
 """
 
 from repro.asm import assemble
 from repro.core import RepetitionTracker
-from repro.isa.encoding import encode
 from repro.lang import compile_to_assembly
 from repro.sim import Simulator
 
@@ -49,14 +47,6 @@ def main() -> None:
     show_assembly("assembly (-O1: folding, strength reduction, peephole)", optimized)
 
     program = assemble(optimized)
-    print("--- machine code (text segment) " + "-" * 28)
-    for instr in program.text[:24]:
-        word = encode(instr)
-        print(f"    {instr.addr:#010x}:  {word:08x}  {instr.disassemble()}")
-    if len(program.text) > 24:
-        print(f"    ... {len(program.text) - 24} more instructions")
-    print()
-
     tracker = RepetitionTracker()
     result = Simulator(program, analyzers=[tracker]).run()
     report = tracker.report()

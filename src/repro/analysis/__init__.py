@@ -1,16 +1,5 @@
-"""Analysis utilities: coverage math, table formatting, CFG profiling."""
+"""Analysis utilities: coverage math and table formatting."""
 
-from repro.analysis.callgraph import (
-    CallGraphProfiler,
-    CallGraphReport,
-    FunctionProfile,
-)
-from repro.analysis.cfg import (
-    BasicBlock,
-    BasicBlockProfiler,
-    BlockProfile,
-    ControlFlowGraph,
-)
 from repro.analysis.coverage import (
     INSTANCE_BUCKETS,
     bucket_label,
@@ -21,13 +10,6 @@ from repro.analysis.coverage import (
 )
 
 __all__ = [
-    "BasicBlock",
-    "BasicBlockProfiler",
-    "BlockProfile",
-    "CallGraphProfiler",
-    "CallGraphReport",
-    "ControlFlowGraph",
-    "FunctionProfile",
     "INSTANCE_BUCKETS",
     "bucket_label",
     "bucket_shares",

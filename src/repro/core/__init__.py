@@ -20,14 +20,12 @@ simulator *before* them so its per-step flag is fresh.
 from repro.core.function_analysis import FunctionAnalysisReport, FunctionAnalyzer
 from repro.core.global_analysis import GlobalAnalysisReport, GlobalSourceAnalyzer
 from repro.core.local_analysis import LocalAnalysisReport, LocalAnalyzer
-from repro.core.mix import InstructionMixAnalyzer, MixReport
 from repro.core.repetition import (
     DEFAULT_BUFFER_CAPACITY,
     RepetitionReport,
     RepetitionTracker,
 )
 from repro.core.reuse_buffer import ReuseBuffer, ReuseBufferReport
-from repro.core.slices import SliceRecorder, SliceReport
 from repro.core.value_prediction import (
     ContextPredictor,
     HybridPredictor,
@@ -47,17 +45,13 @@ __all__ = [
     "GlobalLoadValueProfiler",
     "GlobalSourceAnalyzer",
     "HybridPredictor",
-    "InstructionMixAnalyzer",
     "LastValuePredictor",
     "LocalAnalysisReport",
     "LocalAnalyzer",
-    "MixReport",
     "RepetitionReport",
     "RepetitionTracker",
     "ReuseBuffer",
     "ReuseBufferReport",
-    "SliceRecorder",
-    "SliceReport",
     "StridePredictor",
     "ValuePredictionAnalyzer",
     "ValuePredictionReport",

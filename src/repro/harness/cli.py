@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from typing import List, Optional
@@ -164,6 +165,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    """Run the CLI; returns the exit status.
+
+    A reader that closes the pipe early (``repro-run ... | head``) ends
+    the run with status 1 and no traceback, as the Python documentation
+    on SIGPIPE recommends.
+    """
+    try:
+        status = _run(argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Point stdout at devnull: the interpreter's final flush of the
+        # unwritten buffer would raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
+    return status
+
+
+def _run(argv: Optional[List[str]]) -> int:
     args = build_parser().parse_args(argv)
     if args.list:
         for exp_id in EXPERIMENT_ORDER:

@@ -8,7 +8,6 @@ analyzer steps, a :class:`StepRecord` to analyzers that override
 built on SimpleScalar.
 """
 
-from repro.sim.debug import Debugger, DebugStop
 from repro.sim.errors import SimError
 from repro.sim.events import CallEvent, ReturnEvent, StepRecord, SyscallEvent
 from repro.sim.memory import Memory
@@ -28,8 +27,6 @@ __all__ = [
     "Analyzer",
     "CallEvent",
     "DEFAULT_ENGINE",
-    "DebugStop",
-    "Debugger",
     "ENGINES",
     "EOF_WORD",
     "EventTrace",

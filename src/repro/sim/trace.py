@@ -12,12 +12,14 @@ The on-disk format is a compact little-endian binary stream (no pickle):
 each event is a tag byte plus fixed/counted fields.  Traces reference
 their program by text (instructions are re-bound via the program's text
 segment at load time), so a trace file must be loaded with the same
-program it was recorded from — a content hash guards against mismatches.
+program it was recorded from — a CRC-32 of the text segment guards
+against mismatches.
 """
 
 from __future__ import annotations
 
 import struct
+import zlib
 from typing import BinaryIO, List, Optional, Sequence, Tuple, Union
 
 from repro.asm.program import Program
@@ -25,7 +27,7 @@ from repro.sim.events import CallEvent, ReturnEvent, StepRecord, SyscallEvent
 from repro.sim.observer import Analyzer, release_compiled_steps
 
 _MAGIC = b"RTRC"
-_VERSION = 2
+_VERSION = 3
 
 _STEP = 0
 _CALL = 1
@@ -45,10 +47,15 @@ _FLAG_DEST = 4
 
 
 def _program_fingerprint(program: Program) -> int:
-    """A cheap stable hash of the text segment (guards replay pairing)."""
-    value = len(program.text) & 0xFFFFFFFF
-    for instr in program.text[:256]:
-        value = (value * 1000003 + instr.addr + hash(instr.op.name)) & 0xFFFFFFFF
+    """CRC-32 of every text instruction's address and disassembly.
+
+    Guards replay pairing.  It must not use ``hash()``: ``str`` hashes are
+    salted per process, and a trace saved by one process must load in
+    another.
+    """
+    value = 0
+    for instr in program.text:
+        value = zlib.crc32(f"{instr.addr:x} {instr.disassemble()}\n".encode(), value)
     return value
 
 
@@ -171,31 +178,40 @@ class EventTrace:
 
     @classmethod
     def load(cls, stream: BinaryIO, program: Program) -> "EventTrace":
-        magic = stream.read(4)
-        if magic != _MAGIC:
+        """Read a trace saved by :meth:`save`; ``ValueError`` if it is not
+        one, was recorded from another program, or is cut short."""
+        if stream.read(4) != _MAGIC:
             raise ValueError("not a trace file")
-        version, fingerprint, count = struct.unpack("<HII", stream.read(10))
+
+        def read(size: int, what: str) -> bytes:
+            data = stream.read(size)
+            if len(data) != size:
+                raise ValueError(f"corrupt trace: truncated {what}")
+            return data
+
+        version, fingerprint, count = struct.unpack("<HII", read(10, "header"))
         if version != _VERSION:
             raise ValueError(f"unsupported trace version {version}")
         if fingerprint != _program_fingerprint(program):
             raise ValueError("trace was recorded from a different program")
 
+        def words(n: int, what: str) -> Tuple[int, ...]:
+            return struct.unpack(f"<{n}I", read(4 * n, what)) if n else ()
+
         events: List[Event] = []
-        read = stream.read
         for _ in range(count):
-            tag = read(1)[0]
+            tag = read(1, "event")[0]
             if tag == _STEP:
-                rest = read(_STEP_HEAD.size - 1)
-                index, pc, n_in, n_out = struct.unpack("<IIBB", rest)
-                inputs = tuple(
-                    _U32.unpack(read(4))[0] for _ in range(n_in)
+                index, pc, n_in, n_out = struct.unpack(
+                    "<IIBB", read(_STEP_HEAD.size - 1, "step")
                 )
-                outputs = tuple(
-                    _U32.unpack(read(4))[0] for _ in range(n_out)
+                inputs = words(n_in, "step")
+                outputs = words(n_out, "step")
+                flags, dest_reg, dest_value = struct.unpack(
+                    "<BbI", read(_STEP_TAIL.size, "step")
                 )
-                flags, dest_reg, dest_value = struct.unpack("<BbI", read(6))
-                mem_addr = _U32.unpack(read(4))[0] if flags & _FLAG_MEM else None
-                store_value = _U32.unpack(read(4))[0] if flags & _FLAG_STORE else None
+                mem_addr = words(1, "step")[0] if flags & _FLAG_MEM else None
+                store_value = words(1, "step")[0] if flags & _FLAG_STORE else None
                 events.append(
                     StepRecord(
                         index,
@@ -211,9 +227,9 @@ class EventTrace:
                 )
             elif tag == _CALL:
                 pc, target, return_addr, argc, depth, sp, warmup = struct.unpack(
-                    "<IIIBIIB", read(_CALL_HEAD.size - 1)
+                    "<IIIBIIB", read(_CALL_HEAD.size - 1, "call event")
                 )
-                args = tuple(_U32.unpack(read(4))[0] for _ in range(argc))
+                args = words(argc, "call event")
                 events.append(
                     CallEvent(
                         pc,
@@ -228,7 +244,7 @@ class EventTrace:
                 )
             elif tag == _RETURN:
                 pc, target, value, depth, warmup = struct.unpack(
-                    "<IIIIB", read(_RETURN_REC.size - 1)
+                    "<IIIIB", read(_RETURN_REC.size - 1, "return event")
                 )
                 function = program.function_at(pc)
                 events.append(
@@ -236,7 +252,7 @@ class EventTrace:
                 )
             elif tag == _SYSCALL:
                 pc, service, arg, result, flags, warmup = struct.unpack(
-                    "<IIIIBB", read(_SYSCALL_REC.size - 1)
+                    "<IIIIBB", read(_SYSCALL_REC.size - 1, "syscall event")
                 )
                 events.append(
                     SyscallEvent(

@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 
 from repro.core import (
     GlobalLoadValueProfiler,
-    InstructionMixAnalyzer,
     RepetitionTracker,
     ReuseBuffer,
 )
@@ -98,18 +97,6 @@ class TestBufferMonotonicity:
         assert report.dynamic_repeated == sum(report.static_repeat_weights)
         assert report.static_repeated <= report.static_executed
         assert sum(report.bucket_weights.values()) == report.dynamic_repeated
-
-
-class TestMixCompleteness:
-    @settings(max_examples=40, deadline=None)
-    @given(stream_specs)
-    def test_mix_total_matches(self, spec):
-        analyzer = InstructionMixAnalyzer()
-        for step in _stream(spec):
-            analyzer.on_step(step)
-        report = analyzer.report()
-        assert report.dynamic_total == len(spec)
-        assert sum(s.total for s in report.classes.values()) == len(spec)
 
 
 class TestValueProfilerBounds:

@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import subprocess
+import sys
+
 import pytest
 
 from repro.harness.cli import build_parser, main
+
+from tests.helpers import child_env
 
 
 class TestParser:
@@ -150,3 +155,22 @@ class TestMain:
         assert code == 0
         out = capsys.readouterr().out
         assert "Table 2" in out and "m88ksim" in out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--list"], ["table1", "--workloads", "compress", "--no-cache"]],
+        ids=["list", "table1"],
+    )
+    def test_closed_pipe_exits_quietly(self, argv):
+        """``repro-run ... | head``: the reader is gone before the output."""
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.harness.cli", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=child_env(),
+        )
+        proc.stdout.close()
+        stderr = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait() == 1
+        assert "Traceback" not in stderr and "BrokenPipeError" not in stderr, stderr

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import itertools
-from typing import Optional, Sequence, Tuple
+import os
+from typing import Dict, Optional, Sequence, Tuple
 
+import repro
 from repro.asm import Program, assemble
 from repro.isa.instructions import Instruction, OPCODES
 from repro.lang import compile_source
@@ -112,3 +114,10 @@ def eval_expr(expression: str, setup: str = "", input_data: bytes = b"") -> int:
     """Compile and run a tiny program, returning the printed integer."""
     output = minic_output(expr_program(expression, setup), input_data)
     return int(output.strip())
+
+
+def child_env(**overrides: str) -> Dict[str, str]:
+    """The environment for a Python subprocess that imports this ``repro``."""
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    return dict(os.environ, PYTHONPATH=path, **overrides)

@@ -3,12 +3,18 @@
 from __future__ import annotations
 
 import io
+import os
+import subprocess
+import sys
 
 import pytest
 
 from repro.core import FunctionAnalyzer, RepetitionTracker
 from repro.lang import compile_source
 from repro.sim import EventTrace, Simulator, TraceRecorder
+from repro.sim.events import CallEvent, ReturnEvent, StepRecord, SyscallEvent
+
+from tests.helpers import child_env
 
 SOURCE = """
 int table[4] = {2, 4, 6, 8};
@@ -31,14 +37,37 @@ def record(source=SOURCE, input_data=b""):
     return recorder.trace(), program, result
 
 
+def saved(trace):
+    buffer = io.BytesIO()
+    trace.save(buffer)
+    return buffer.getvalue()
+
+
+def cut_inside(trace, kind):
+    """``trace`` saved and cut 3 bytes into its first event of type ``kind``."""
+    first = next(i for i, e in enumerate(trace.events) if isinstance(e, kind))
+    prefix = saved(EventTrace(trace.program, trace.events[:first]))
+    return saved(trace)[: len(prefix) + 3]
+
+
+# Records SOURCE (argv[2]) and saves the trace to argv[1].
+SAVE_IN_CHILD = """
+import sys
+from repro.lang import compile_source
+from repro.sim import Simulator, TraceRecorder
+recorder = TraceRecorder()
+Simulator(compile_source(sys.argv[2]), analyzers=[recorder]).run()
+with open(sys.argv[1], "wb") as handle:
+    recorder.trace().save(handle)
+"""
+
+
 class TestRecording:
     def test_records_all_steps(self):
         trace, _, result = record()
         assert trace.step_count == result.analyzed_instructions
 
     def test_records_structural_events(self):
-        from repro.sim.events import CallEvent, ReturnEvent, SyscallEvent
-
         trace, _, _ = record()
         kinds = {type(e) for e in trace.events}
         assert CallEvent in kinds and ReturnEvent in kinds and SyscallEvent in kinds
@@ -101,8 +130,6 @@ class TestSerialization:
         trace.save(buffer)
         buffer.seek(0)
         loaded = EventTrace.load(buffer, program)
-        from repro.sim.events import StepRecord
-
         original_steps = [e for e in trace.events if isinstance(e, StepRecord)]
         loaded_steps = [e for e in loaded.events if isinstance(e, StepRecord)]
         for a, b in zip(original_steps, loaded_steps):
@@ -128,6 +155,35 @@ class TestSerialization:
         with pytest.raises(ValueError, match="not a trace"):
             EventTrace.load(io.BytesIO(b"JUNKJUNKJUNKJUNK"), program)
 
+    @pytest.mark.parametrize(
+        "cut, where",
+        [
+            pytest.param(lambda trace: b"RTRC", "header", id="magic-only"),
+            pytest.param(lambda trace: saved(trace)[:9], "header", id="header"),
+            pytest.param(lambda trace: cut_inside(trace, StepRecord), "step", id="step"),
+            pytest.param(lambda trace: cut_inside(trace, CallEvent), "call event", id="call"),
+            pytest.param(lambda trace: saved(trace)[: len(saved(trace)) // 2], "", id="half"),
+        ],
+    )
+    def test_truncated_trace_rejected(self, cut, where):
+        trace, program, _ = record()
+        with pytest.raises(ValueError, match=f"corrupt trace: truncated {where}"):
+            EventTrace.load(io.BytesIO(cut(trace)), program)
+
+    def test_trace_saved_by_another_process_loads(self, tmp_path):
+        """``str`` hashes are salted per process; the program check must not be."""
+        path = tmp_path / "run.trc"
+        env = child_env(
+            PYTHONHASHSEED="2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+        )
+        subprocess.run(
+            [sys.executable, "-c", SAVE_IN_CHILD, str(path), SOURCE], env=env, check=True
+        )
+        trace, program, _ = record()
+        with open(path, "rb") as handle:
+            loaded = EventTrace.load(handle, program)
+        assert saved(loaded) == saved(trace)
+
     def test_trace_with_input_syscalls(self):
         source = """
 int main() {
@@ -145,8 +201,6 @@ int main() {
         trace.save(buffer)
         buffer.seek(0)
         loaded = EventTrace.load(buffer, program)
-        from repro.sim.events import SyscallEvent
-
         syscalls = [e for e in loaded.events if isinstance(e, SyscallEvent)]
         inputs = [e for e in syscalls if e.is_input]
         assert [e.result for e in inputs] == [40, 2]
