@@ -65,6 +65,9 @@ class Program:
     def instruction_at(self, address: int) -> Instruction:
         """Fetch the decoded instruction at ``address``."""
         index = (address - self.text_base) >> 2
+        if index < 0:
+            # A negative index would wrap to the end of the segment.
+            raise IndexError(f"address {address:#010x} is below the text segment")
         return self.text[index]
 
     def function_at(self, address: int) -> Optional[FunctionInfo]:
