@@ -8,7 +8,8 @@ accounts for a given fraction of the total.
 
 from __future__ import annotations
 
-from itertools import accumulate
+import math
+from collections import Counter
 from typing import Dict, List, Sequence, Tuple
 
 
@@ -20,24 +21,41 @@ def contributors_for_fractions(
 
     ``weights`` need not be sorted; zero weights never count as
     contributors.  Every count is 0 when the total weight is 0.  The
-    weights are sorted once and walked once, answering the fractions in
-    increasing order.  (A prefix-sum list searched with ``bisect`` is
-    faster, but holds one int object per weight and raises peak memory.)
+    weights are counted once into a histogram and its distinct values
+    are walked in descending order: contribution lists run to tens of
+    thousands of entries but hold only about a hundred distinct values
+    (Figure 4's repeat counts), so the walk costs O(distinct values)
+    after one C-level counting pass instead of a sort of every weight.
+    Within a group of equal weights ``w`` the count is solved for, then
+    confirmed with the same float comparison a one-by-one walk makes.
     """
     for fraction in fractions:
         if not 0.0 <= fraction <= 1.0:
             raise ValueError(f"fraction must be in [0, 1], got {fraction}")
-    positive = sorted((w for w in weights if w > 0), reverse=True)
-    if not positive:
+    groups = sorted(
+        ((w, n) for w, n in Counter(weights).items() if w > 0), reverse=True
+    )
+    if not groups:
         return [0] * len(fractions)
-    total = sum(positive)
+    total = sum(w * n for w, n in groups)
     pending = sorted(range(len(fractions)), key=fractions.__getitem__)
-    needed = [len(positive)] * len(fractions)
-    for count, covered in enumerate(accumulate(positive), start=1):
-        while pending and covered >= total * fractions[pending[0]] - 1e-9:
-            needed[pending.pop(0)] = count
+    needed = [sum(n for _, n in groups)] * len(fractions)
+    covered = count = 0
+    for weight, size in groups:
+        while pending:
+            target = total * fractions[pending[0]] - 1e-9
+            if covered + size * weight < target:
+                break
+            k = min(max(math.ceil((target - covered) / weight), 1), size)
+            while k > 1 and covered + (k - 1) * weight >= target:
+                k -= 1
+            while covered + k * weight < target:
+                k += 1
+            needed[pending.pop(0)] = count + k
         if not pending:
             break
+        covered += size * weight
+        count += size
     return needed
 
 
@@ -67,6 +85,8 @@ def cumulative_share_curve(
     weights: Sequence[int], points: int = 100
 ) -> List[Tuple[float, float]]:
     """Sampled cumulative curve: top x% of contributors -> y% of weight."""
+    if points < 1:
+        raise ValueError(f"points must be >= 1, got {points}")
     positive = sorted((w for w in weights if w > 0), reverse=True)
     total = sum(positive)
     if total == 0 or not positive:

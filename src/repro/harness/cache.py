@@ -16,10 +16,19 @@ is a SHA-256 over:
 Writes are atomic (temp file + ``os.replace``), so concurrent suite
 runs — including the process-pool workers in
 :mod:`repro.harness.parallel` — can share one directory safely.
+
+:meth:`ResultCache.load` reads an entry's bytes in one call and unpickles
+them with the cyclic garbage collector paused.  A result unpickles into
+thousands of fresh containers (such as the function analysis's
+per-function argument sets), and their allocation would otherwise
+trigger collections that free nothing: none of the new objects is
+garbage yet.  The collector is re-enabled afterwards only if it was on,
+so a caller that turned it off keeps it off.
 """
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import logging
 import os
@@ -91,8 +100,14 @@ class ResultCache:
         registry = obs_metrics.REGISTRY
         path = self.path_for(workload_name, config)
         try:
-            with path.open("rb") as handle:
-                result = pickle.load(handle)
+            data = path.read_bytes()
+            was_enabled = gc.isenabled()
+            gc.disable()
+            try:
+                result = pickle.loads(data)
+            finally:
+                if was_enabled:
+                    gc.enable()
         except FileNotFoundError:
             registry.inc("cache.disk.misses")
             return None
@@ -116,11 +131,7 @@ class ResultCache:
                 pass
             return None
         registry.inc("cache.disk.hits")
-        if registry.enabled:
-            try:
-                registry.counter("cache.disk.bytes_read").inc(path.stat().st_size)
-            except OSError:
-                pass
+        registry.inc("cache.disk.bytes_read", len(data))
         return result
 
     def store(self, workload_name: str, config: object, result: object) -> None:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -15,6 +17,7 @@ from repro.analysis.coverage import (
     coverage_curve,
     cumulative_share_curve,
 )
+from repro.harness.experiments import _FIG1_TARGETS, _FIG4_TARGETS
 
 weights = st.lists(st.integers(min_value=0, max_value=1000), max_size=50)
 
@@ -78,6 +81,22 @@ fractions = st.lists(
 )
 
 
+#: Integers up to 10**6 drawn from a small pool, so ties and zeros are common.
+wide_weights = st.lists(
+    st.sampled_from([0, 1, 2, 999_999, 10**6])
+    | st.integers(min_value=0, max_value=10**6),
+    max_size=80,
+)
+
+
+def _repeat_counts(seed=17, length=25_000, distinct=100):
+    """A seeded list shaped like ``instance_repeat_counts``: no zeros,
+    about ``distinct`` values, small counts far more common than large."""
+    rng = random.Random(seed)
+    pool = sorted(rng.sample(range(2, 5_000), distinct))
+    return [pool[min(int(rng.expovariate(0.08)), distinct - 1)] for _ in range(length)]
+
+
 class TestContributorsForFractions:
     @given(tied_weights, fractions)
     def test_equals_one_target_walk(self, values, targets):
@@ -89,6 +108,26 @@ class TestContributorsForFractions:
         with pytest.raises(ValueError):
             contributors_for_fractions([1, 2], [0.5, -0.1])
 
+    @given(wide_weights, fractions)
+    def test_wide_weights_equal_one_target_walk(self, values, targets):
+        assert contributors_for_fractions(values, targets) == [
+            _walk(values, target) for target in targets
+        ]
+
+    @pytest.mark.parametrize("targets", [_FIG1_TARGETS, _FIG4_TARGETS])
+    def test_long_repeat_count_list_equals_one_target_walk(self, targets):
+        values = _repeat_counts()
+        assert contributors_for_fractions(values, targets) == [
+            _walk(values, target) for target in targets
+        ]
+
+    @pytest.mark.parametrize("targets", [_FIG1_TARGETS, _FIG4_TARGETS])
+    @given(values=wide_weights)
+    def test_figure_targets_equal_one_target_walk(self, values, targets):
+        assert contributors_for_fractions(values, targets) == [
+            _walk(values, target) for target in targets
+        ]
+
 
 class TestCoverageCurve:
     def test_basic_shape(self):
@@ -99,11 +138,28 @@ class TestCoverageCurve:
     def test_empty(self):
         assert coverage_curve([], [0.5]) == [(0.5, 0.0)]
 
+    @given(wide_weights, fractions)
+    def test_equals_one_target_walk(self, values, targets):
+        count = sum(1 for v in values if v > 0)
+        expected = [(t, _walk(values, t) / count if count else 0.0) for t in targets]
+        assert coverage_curve(values, targets) == expected
+
+    def test_long_repeat_count_list_equals_one_target_walk(self):
+        values = _repeat_counts()
+        targets = _FIG1_TARGETS + _FIG4_TARGETS
+        expected = [(t, _walk(values, t) / len(values)) for t in targets]
+        assert coverage_curve(values, targets) == expected
+
 
 class TestCumulativeShareCurve:
     def test_endpoints(self):
         curve = cumulative_share_curve([10, 5, 1], points=10)
         assert curve[-1] == (1.0, 1.0)
+
+    @pytest.mark.parametrize("points", [0, -1])
+    def test_rejects_fewer_than_one_point(self, points):
+        with pytest.raises(ValueError):
+            cumulative_share_curve([10, 5, 1], points=points)
 
     @given(weights.filter(lambda v: sum(v) > 0))
     def test_monotone(self, values):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import pickle
 
 import pytest
@@ -18,6 +19,7 @@ from repro.harness.runner import (
     run_workload,
     set_cache_dir,
 )
+from repro.obs import metrics as obs_metrics
 from repro.workloads import Workload, get_workload
 
 _SMALL = {"limit_instructions": 3_000}
@@ -103,6 +105,55 @@ class TestCacheKeying:
         assert cache.load("go", config) is None
         cache.path_for("go", config).write_bytes(b"")
         assert cache.load("go", config) is None
+
+
+@pytest.fixture(params=[True, False], ids=["gc-on", "gc-off"])
+def gc_state(request):
+    """Run with the cyclic collector on or off; restore it after."""
+    before = gc.isenabled()
+    if request.param:
+        gc.enable()
+    else:
+        gc.disable()
+    try:
+        yield request.param
+    finally:
+        if before:
+            gc.enable()
+        else:
+            gc.disable()
+
+
+class TestDiskReads:
+    def test_hit_leaves_gc_state_unchanged(self, tmp_path, gc_state):
+        cache = ResultCache(tmp_path)
+        config = SuiteConfig()
+        cache.store("go", config, {"sets": [{1, 2}, {3}]})
+        assert cache.load("go", config) == {"sets": [{1, 2}, {3}]}
+        assert gc.isenabled() is gc_state
+
+    def test_corrupt_eviction_leaves_gc_state_unchanged(self, tmp_path, gc_state):
+        cache = ResultCache(tmp_path)
+        config = SuiteConfig()
+        path = cache.path_for("go", config)
+        path.write_bytes(b"not a pickle")
+        assert cache.load("go", config) is None
+        assert not path.exists()
+        assert gc.isenabled() is gc_state
+
+    def test_bytes_read_equals_entry_size(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        config = SuiteConfig()
+        cache.store("go", config, {"payload": list(range(1000))})
+        obs_metrics.enable()
+        obs_metrics.REGISTRY.reset()
+        try:
+            cache.load("go", config)
+            bytes_read = obs_metrics.REGISTRY.value("cache.disk.bytes_read")
+        finally:
+            obs_metrics.disable()
+            obs_metrics.REGISTRY.reset()
+        assert bytes_read == cache.path_for("go", config).stat().st_size > 0
 
 
 class TestDiskLayer:
