@@ -298,3 +298,29 @@ class Instruction:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Instruction {hex(self.addr)}: {self.disassemble()}>"
+
+
+#: The instruction may appear inside a straight-line run.
+BOUNDARY_NONE = 0
+#: The instruction ends a straight-line run and belongs to it (branch/jump).
+BOUNDARY_END = 1
+#: The instruction may not appear in a run at all (call/return/syscall).
+BOUNDARY_EXCLUDE = 2
+
+
+def boundary_kind(instr: Instruction) -> int:
+    """How ``instr`` bounds a straight-line run (``BOUNDARY_*``).
+
+    Branches, ``j`` and computed ``jr`` end a run: their outcome depends
+    only on the registers they read.  Calls, returns and syscalls raise
+    events the simulator must deliver, so a run stops before them.
+    Table 10T's traces and the predecoded engine's chains are cut here.
+    """
+    kind = instr.op.kind
+    if kind is Kind.BRANCH or kind is Kind.JUMP:
+        return BOUNDARY_END
+    if kind is Kind.JUMP_REG:
+        return BOUNDARY_EXCLUDE if instr.rs == RA else BOUNDARY_END
+    if kind is Kind.CALL or kind is Kind.SYSCALL:
+        return BOUNDARY_EXCLUDE
+    return BOUNDARY_NONE

@@ -62,7 +62,16 @@ import re
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.isa import bits
-from repro.isa.instructions import BIND_CONSTANTS, Format, Instruction, Kind, OpcodeInfo
+from repro.isa.instructions import (
+    BIND_CONSTANTS,
+    BOUNDARY_END,
+    BOUNDARY_EXCLUDE,
+    Format,
+    Instruction,
+    Kind,
+    OpcodeInfo,
+    boundary_kind,
+)
 from repro.isa.registers import A0, V0
 from repro.sim.errors import SimError
 from repro.sim.memory import PAGE_MASK, PAGE_SHIFT
@@ -101,6 +110,76 @@ def bind_full(sim, counts: Optional[List[int]] = None) -> List[Callable[[int], o
     binds the whole text at once, for timing the binding itself.
     """
     return [bind_observed(sim, instr, (), counts) for instr in sim.program.text]
+
+
+#: Longest chain, in instructions.  Longer straight-line runs take more
+#: than one dispatch; the cap bounds the number of chain makers and how
+#: many instructions a watched pause request may wait for.
+CHAIN_CAP = 16
+
+#: Chain maker per length; length 1 needs none (the closure itself).
+_CHAIN_MAKERS: Dict[int, Callable] = {}
+
+#: Line of a generated chain's first closure call (see :func:`_chain_maker`).
+_CHAIN_FIRST_LINE = 3
+
+
+def chain(
+    code: Sequence[Callable[[], object]], text: Sequence[Instruction], start: int
+) -> Tuple[Callable[[], object], int]:
+    """One dispatch's worth of fast closures, from text index ``start``.
+
+    A chain runs a straight-line run in order and returns its last
+    closure's result.  It is cut where Table 10T cuts its traces
+    (:func:`~repro.isa.instructions.boundary_kind`): it ends with the
+    first branch, ``j`` or non-return ``jr``, and stops before any
+    call, return, syscall or ``break``.  So every closure in it but the
+    last returns the next pc, and only a chain of one instruction can
+    return a control tuple.  Returns ``(chain, length)``.
+    """
+    end = start
+    stop = min(len(text), start + CHAIN_CAP)
+    while end < stop:
+        boundary = boundary_kind(text[end])
+        if boundary == BOUNDARY_EXCLUDE:
+            break
+        end += 1
+        if boundary == BOUNDARY_END:
+            break
+    length = end - start
+    if length <= 1:
+        return code[start], 1
+    return _chain_maker(length)(*code[start:end]), length
+
+
+def chain_retired(tb, chain: Callable[[], object]) -> int:
+    """How many closures of ``chain`` retired before an exception.
+
+    ``tb`` is the traceback entry of the frame that called ``chain``.
+    When the exception came out of the chain itself, the chain frame's
+    line number says which closure raised, so a trap inside a chain
+    costs nothing until it happens.  Otherwise nothing in it retired.
+    """
+    inner = tb.tb_next
+    if inner is None or inner.tb_frame.f_code is not chain.__code__:
+        return 0
+    return inner.tb_lineno - _CHAIN_FIRST_LINE
+
+
+def _chain_maker(length: int) -> Callable:
+    """``make(c0, ..., c{length-1}) -> chain()``, generated once per length."""
+    maker = _CHAIN_MAKERS.get(length)
+    if maker is None:
+        names = [f"c{i}" for i in range(length)]
+        source = "\n".join(
+            [f"def make({', '.join(names)}):", "    def chain():"]
+            + [f"        {name}()" for name in names[:-1]]
+            + [f"        return {names[-1]}()", "    return chain"]
+        )
+        namespace: Dict[str, object] = {}
+        exec(compile(source, f"<chain {length}>", "exec"), namespace)
+        maker = _CHAIN_MAKERS[length] = namespace["make"]
+    return maker
 
 
 def _factory(instr: Instruction, flavor: str, counts, hooks: int) -> Callable:

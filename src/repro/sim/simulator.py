@@ -19,7 +19,8 @@ Two execution engines share this interface (``engine=`` knob):
   the analyzers' compiled steps; a
   :class:`~repro.sim.events.StepRecord` is built only for an analyzer
   that overrides ``on_step``.  The warm-up window and runs without step
-  analyzers use the fast closures, which do no analysis work.
+  analyzers use the fast closures, which do no analysis work, one
+  straight-line run per dispatch (:func:`repro.sim.predecode.chain`).
 * ``"interpreter"`` — the original decode-per-step reference backend,
   kept verbatim so differential tests can lock the engines together.
 """
@@ -145,6 +146,7 @@ class Simulator:
         # Predecoded engine state, bound lazily on first use.  The observed
         # closures are bound per text index on first execution.
         self._fast_code: Optional[list] = None
+        self._chains: Optional[dict] = None
         self._full_code: Optional[list] = None
         self._step_hooks: tuple = ()
         self._step_compilers: tuple = ()
@@ -171,24 +173,33 @@ class Simulator:
         return self._paused
 
     def request_pause(self) -> None:
-        """Ask the simulator to stop at the next instruction boundary.
+        """Ask the simulator to stop at the next dispatch boundary.
 
         Callable from analyzer hooks (the basis for breakpoints and
         watchpoints) and, once :meth:`watch_pauses` is armed, from
         another thread (the harness watchdog's timer); resume with
-        :meth:`resume`.  The predecoded engine's record-free loop (the
-        warm-up window, and runs without step analyzers) checks the flag
-        only when an analyzer has call, return or syscall hooks or the
-        run is watched; an unwatched request from another thread may go
-        unseen until the analysis window starts or the run ends.
+        :meth:`resume`.  Every loop checks the flag once per dispatch.
+        The observed loop and the interpreter dispatch every
+        instruction, so a request stops at the next one.  The predecoded
+        engine's record-free loop (the warm-up window, and runs without
+        step analyzers) dispatches a straight-line run of up to
+        :data:`~repro.sim.predecode.CHAIN_CAP` instructions at a time.
+        A call, return or syscall is always dispatched alone, so a
+        request from one of their hooks still stops at the next
+        instruction; a request from another thread stops at the end of
+        the current run.  That loop checks the flag only when an
+        analyzer has call, return or syscall hooks or the run is
+        watched; an unwatched request from another thread may go unseen
+        until the analysis window starts or the run ends.
         """
         self._pause_requested = True
 
     def watch_pauses(self, armed: bool = True) -> None:
         """Declare that another thread may call :meth:`request_pause`.
 
-        While armed, every run loop checks the pause flag on every step.
-        Unwatched runs without hooks that could pause skip that check.
+        While armed, every run loop checks the pause flag once per
+        dispatch (see :meth:`request_pause`).  Unwatched runs without
+        hooks that could pause skip that check.
         """
         self._pause_watched = armed
 
@@ -199,13 +210,16 @@ class Simulator:
     ) -> None:
         self.call_count += 1
         function = self.program.function_by_entry(target)
+        self.call_stack.append(_Frame(function, return_addr))
+        hooks = self._call_hooks
+        if not hooks:
+            return
         argc = function.num_args if function is not None else 0
         args = tuple(self.regs[A0 : A0 + argc])
-        self.call_stack.append(_Frame(function, return_addr))
         event = CallEvent(
             pc, target, return_addr, function, args, len(self.call_stack), self.regs[SP], warmup
         )
-        for hook in self._call_hooks:
+        for hook in hooks:
             hook(event)
 
     def _emit_return(self, pc: int, target: int, warmup: bool) -> None:
@@ -218,10 +232,13 @@ class Simulator:
             if frame.return_addr == target or not self.call_stack:
                 function = frame.function
                 break
+        hooks = self._return_hooks
+        if not hooks:
+            return
         event = ReturnEvent(
             pc, target, function, self.regs[V0], len(self.call_stack) + 1, warmup
         )
-        for hook in self._return_hooks:
+        for hook in hooks:
             hook(event)
 
     # ------------------------------------------------------------------
@@ -312,7 +329,9 @@ class Simulator:
     def _execute_predecoded(self) -> RunResult:
         tracer = obs_tracing.current_tracer()
         stop = None
-        if self._total < self._skip:
+        # A window with no room (``limit=0``) retires nothing, warm-up
+        # included: the analysis loop stops it before the first fetch.
+        if self._total < self._skip and (self._limit is None or self._analyzed < self._limit):
             if tracer is None:
                 stop = self._run_fast(warmup=True)
             else:
@@ -341,7 +360,7 @@ class Simulator:
             # their closures refer back to this simulator, and without the
             # cycle the run's state (analyzers included) is freed as soon
             # as the caller lets go, not at the next full collection.
-            self._fast_code = self._full_code = None
+            self._fast_code = self._full_code = self._chains = None
         registry = obs_metrics.REGISTRY
         if registry.enabled:
             self._publish_metrics(registry)
@@ -390,23 +409,33 @@ class Simulator:
     def _run_fast(self, warmup: bool) -> Optional[str]:
         """Record-free execution (warm-up, or no step observers).
 
+        Dispatches once per straight-line run: ``self._chains`` maps a pc
+        to ``(chain, length)`` (:func:`repro.sim.predecode.chain`), built
+        on the first dispatch to that pc.  A chain runs whole only while
+        it fits before the window's bound; otherwise single closures
+        step up to it, so the limit and the end of warm-up fall on the
+        same instruction as stepping every instruction would.  One
+        counter serves both modes: ``done`` counts toward ``skip`` in
+        warm-up and toward ``limit`` in analysis.
+
         Returns the stop reason, or ``None`` when the warm-up window
         completed and execution should continue in analysis mode.
         """
         code = self._fast_code
         if code is None:
             code = self._fast_code = predecode.bind_fast(self, self._kind_counts)
+            self._chains = {}
+        chains = self._chains
         program = self.program
+        text = program.text
         text_base = program.text_base
-        text_len = len(program.text)
-        bound = self._limit if self._limit is not None else _NO_LIMIT
-        skip = self._skip
+        text_len = len(text)
         syscall_hooks = self._syscall_hooks
         input_services = SyscallHandler.INPUT_SERVICES
         output_services = SyscallHandler.OUTPUT_SERVICES
         # On this path the pause flag can only change inside call/return/
         # syscall hooks, from a watching thread, or before run(); skip the
-        # per-step check when none applies.
+        # check when none applies.
         check_pause = (
             bool(self._call_hooks or self._return_hooks or syscall_hooks)
             or self._pause_watched
@@ -415,43 +444,49 @@ class Simulator:
         ctrl_call = predecode.CTRL_CALL
         ctrl_return = predecode.CTRL_RETURN
 
+        if warmup:
+            done = self._total
+            bound = self._skip
+        else:
+            done = self._analyzed
+            bound = self._limit if self._limit is not None else _NO_LIMIT
+        start = done
         pc = self.pc
-        total = self._total
-        analyzed = self._analyzed
-        analyzed_start = analyzed
+        chain = None
+        end = done
         stop: Optional[str] = None
 
         try:
             while True:
-                if pc == HALT_ADDRESS:
-                    stop = "halt"
-                    break
-                index = (pc - text_base) >> 2
-                if index < 0 or index >= text_len or pc & 3:
-                    raise SimError("pc outside text segment", pc)
-                if analyzed >= bound:
-                    stop = "limit"
-                    break
+                try:
+                    chain, length = chains[pc]
+                except KeyError:
+                    if pc == HALT_ADDRESS:
+                        stop = "halt"
+                        break
+                    index = (pc - text_base) >> 2
+                    if index < 0 or index >= text_len or pc & 3:
+                        raise SimError("pc outside text segment", pc) from None
+                    chain, length = chains[pc] = predecode.chain(code, text, index)
+                end = done + length
+                if end > bound:
+                    if done >= bound:
+                        if not warmup:
+                            stop = "limit"
+                        break  # in warm-up: the caller continues in analysis mode
+                    chain = code[(pc - text_base) >> 2]
+                    end = done + 1
                 if check_pause and self._pause_requested:
                     self._pause_requested = False
                     stop = "paused"
                     break
-                if warmup and total >= skip:
-                    break  # warm-up complete; caller continues in analysis mode
 
-                r = code[index]()
+                r = chain()
+                done = end
                 if r.__class__ is int:
-                    if warmup:
-                        total += 1
-                    else:
-                        analyzed += 1
                     pc = r
                     continue
 
-                if warmup:
-                    total += 1
-                else:
-                    analyzed += 1
                 tag = r[1]
                 if tag is ctrl_call:
                     self._emit_call(pc, r[2], r[3], warmup)
@@ -475,11 +510,22 @@ class Simulator:
                         stop = "exit"
                         break
                 pc = r[0]
+        except BaseException as exc:
+            # A trap inside a chain: the closures before the trapping one
+            # retired, and the trapping instruction's pc is the stop pc.
+            if end - done > 1:
+                retired = predecode.chain_retired(exc.__traceback__, chain)
+                done += retired
+                pc += 4 * retired
+            raise
         finally:
             # Also on a trap, so SimError carries the retired counts.
             self.pc = pc
-            self._analyzed = analyzed
-            self._total = total + (analyzed - analyzed_start)
+            if warmup:
+                self._total = done
+            else:
+                self._analyzed = done
+                self._total += done - start
         return stop
 
     def _run_full(self) -> str:

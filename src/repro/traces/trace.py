@@ -20,7 +20,10 @@ Traces are cut from the stream at control and side-effect boundaries:
   touch external state), so a trace always ends before them.
 
 Every instruction of a trace but the last falls through, so a trace is
-the run of static instructions ``start_pc, start_pc + 4, ...``.
+the run of static instructions ``start_pc, start_pc + 4, ...``.  The
+rule itself, :func:`~repro.isa.instructions.boundary_kind`, lives with
+the instruction set because the predecoded engine cuts its chains at
+the same boundaries (:func:`repro.sim.predecode.chain`).
 
 The numeric constants here are compared with ``is``/``==`` in hot loops;
 keep them small ints.
@@ -30,8 +33,14 @@ from __future__ import annotations
 
 from typing import Tuple
 
-from repro.isa.instructions import Instruction, Kind
-from repro.isa.registers import RA
+from repro.isa.instructions import (  # noqa: F401  (the boundary rule is re-exported)
+    BOUNDARY_END,
+    BOUNDARY_EXCLUDE,
+    BOUNDARY_NONE,
+    Instruction,
+    Kind,
+    boundary_kind,
+)
 
 #: Instruction-class taxonomy for the Coppieters-style decomposition of
 #: trace-covered instructions (Table 10T's class panel).
@@ -59,26 +68,6 @@ _KIND_TO_CLASS = {
 def class_of(instr: Instruction) -> int:
     """Taxonomy slot for one instruction (``CLASS_*``)."""
     return _KIND_TO_CLASS.get(instr.op.kind, CLASS_OTHER)
-
-
-#: The instruction may appear mid-trace.
-BOUNDARY_NONE = 0
-#: The instruction ends the trace and belongs to it (branch/jump).
-BOUNDARY_END = 1
-#: The instruction may not appear in a trace at all (call/return/syscall).
-BOUNDARY_EXCLUDE = 2
-
-
-def boundary_kind(instr: Instruction) -> int:
-    """How ``instr`` interacts with trace formation (``BOUNDARY_*``)."""
-    kind = instr.op.kind
-    if kind is Kind.BRANCH or kind is Kind.JUMP:
-        return BOUNDARY_END
-    if kind is Kind.JUMP_REG:
-        return BOUNDARY_EXCLUDE if instr.rs == RA else BOUNDARY_END
-    if kind is Kind.CALL or kind is Kind.SYSCALL:
-        return BOUNDARY_EXCLUDE
-    return BOUNDARY_NONE
 
 
 class Trace:

@@ -10,7 +10,7 @@ import pytest
 
 from repro.asm import assemble
 from repro.core import RepetitionTracker
-from repro.sim import SimError, Simulator
+from repro.sim import SimError, Simulator, predecode
 from repro.sim.simulator import ENGINES
 
 # Four instructions, then a jump into the data segment: five retire and
@@ -80,3 +80,59 @@ def test_trap_inside_an_instruction_leaves_no_analyzer_state(engine, skip, obser
         # The load never retired, so the tracker never compiled it.
         assert report.static_executed == 4 - skip
 
+
+
+# A jump ends the set-up's straight-line run, so BLOCK starts a fresh
+# one on the predecoded engine; the unaligned access sits at POSITION
+# inside a run of BLOCK_LENGTH instructions, longer than one chain.
+BLOCK_LENGTH = 20
+SETUP = 3
+
+
+def _trap_program(access: str, position: int) -> str:
+    lines = [f"addiu $t{i % 3}, $t{i % 3}, {i + 1}" for i in range(BLOCK_LENGTH)]
+    lines[position] = access
+    body = "\n".join(f"        {line}" for line in lines)
+    return f"""
+        .text
+        .ent main, 0
+main:
+        lui $t3, 0x1000
+        addiu $t3, $t3, 1
+        j block
+block:
+{body}
+        jr $ra
+        .end main
+"""
+
+
+def _trap_state(program, engine: str, skip: int, observed: bool):
+    tracker = RepetitionTracker()
+    simulator = Simulator(program, analyzers=[tracker] if observed else [], engine=engine)
+    with pytest.raises(SimError, match="unaligned") as info:
+        simulator.run(skip=skip)
+    error = info.value
+    return (
+        str(error),
+        error.retired_total,
+        error.retired_analyzed,
+        simulator.pc,
+        list(simulator.regs),
+        tracker.dynamic_total if observed else None,
+    )
+
+
+@pytest.mark.parametrize("access", ["lw $t4, 0($t3)", "sh $t0, 0($t3)", "sw $t1, 4($t3)"])
+@pytest.mark.parametrize("skip", [0, 100], ids=["analysis", "warmup"])
+@pytest.mark.parametrize("observed", [False, True], ids=["bare", "observed"])
+def test_trap_at_every_position_of_a_straight_line_run(access, skip, observed):
+    assert predecode.CHAIN_CAP < BLOCK_LENGTH
+    for position in range(BLOCK_LENGTH):
+        program = assemble(_trap_program(access, position))
+        fast, reference = (
+            _trap_state(program, engine, skip, observed) for engine in ("predecoded", "interpreter")
+        )
+        assert fast == reference, f"position {position}"
+        retired = SETUP + position
+        assert fast[1:4] == (retired, max(0, retired - skip), program.text_base + 4 * retired)
