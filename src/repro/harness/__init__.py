@@ -12,7 +12,6 @@ from repro.harness.failures import (
 )
 from repro.harness.cache import CACHE_FORMAT_VERSION, ResultCache
 from repro.harness.experiments import EXPERIMENT_ORDER, EXPERIMENTS, Experiment
-from repro.harness.parallel import run_suite_parallel
 from repro.harness.runner import (
     SuiteConfig,
     WorkloadResult,
@@ -43,7 +42,6 @@ __all__ = [
     "clear_cache",
     "result_digest",
     "run_suite",
-    "run_suite_parallel",
     "run_workload",
     "set_cache_dir",
 ]

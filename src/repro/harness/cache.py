@@ -14,8 +14,8 @@ is a SHA-256 over:
   every stale entry automatically.
 
 Writes are atomic (temp file + ``os.replace``), so concurrent suite
-runs — including the process-pool workers in
-:mod:`repro.harness.parallel` — can share one directory safely.
+runs — including the forked children of ``run_suite(jobs=N)`` — can
+share one directory safely.
 
 :meth:`ResultCache.load` reads an entry's bytes in one call and unpickles
 them with the cyclic garbage collector paused.  A result unpickles into

@@ -1,7 +1,7 @@
 """Failure taxonomy and recovery policy for suite execution.
 
 Everything that can go wrong while running a workload — assembly /
-compile errors, simulator traps, crashed pool workers, watchdog
+compile errors, simulator traps, crashed child processes, watchdog
 timeouts, cache corruption — is classified into a picklable
 :class:`FailureRecord` so the suite runner can *keep going*: a
 non-strict run returns a :class:`SuiteReport` carrying every finished
@@ -15,10 +15,10 @@ The recovery policy is deliberately small and table-driven
 * compile/assembly errors are permanent — fail immediately, no retry;
 * simulator traps under the predecoded engine degrade once to the
   reference interpreter (``degrade.engine_fallback``);
-* worker crashes (a pool worker, or the forked analysis child of a
-  split run), pool timeouts, and unknown errors are transient —
-  bounded retry with exponential backoff and seeded jitter
-  (``retry.attempts``);
+* worker crashes (a ``run_suite(jobs>1)`` child, or the forked
+  analysis child of a split run), timeouts of a forked suite attempt,
+  and unknown errors are transient — bounded retry with exponential
+  backoff and seeded jitter (``retry.attempts``);
 * serial watchdog timeouts are deterministic (same workload, same
   steps) and therefore permanent.
 
@@ -34,7 +34,6 @@ import pickle
 import threading
 import time
 import traceback
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -66,9 +65,9 @@ FAILURE_KINDS = (
 class WorkloadTimeout(Exception):
     """A workload exceeded its wall-clock budget.
 
-    Raised by the serial watchdog (which pauses the simulator at an
-    instruction boundary) and synthesized by the parallel runner when a
-    pool task misses its parent-side deadline.
+    Raised by the watchdog (which pauses the simulator at an
+    instruction boundary) and by the parent of a forked child that
+    outlives its deadline plus ``CHILD_GRACE_S``.
     """
 
     def __init__(
@@ -86,7 +85,8 @@ class WorkloadTimeout(Exception):
 
 
 class AnalysisChildCrash(Exception):
-    """The forked analysis child of a split run died without a result.
+    """A forked child (a split run's analysis child, or a suite attempt's)
+    died without a result.
 
     ``status`` is its exit code (negative: the signal that killed it).
     """
@@ -95,7 +95,7 @@ class AnalysisChildCrash(Exception):
         self.workload = workload
         self.status = status
         super().__init__(
-            f"analysis child for {workload!r} exited with status {status} "
+            f"child process for {workload!r} exited with status {status} "
             "without a result"
         )
 
@@ -134,7 +134,7 @@ def classify_failure(
     """Map an exception onto the failure taxonomy."""
     if isinstance(exc, WorkloadTimeout):
         kind = KIND_TIMEOUT
-    elif isinstance(exc, (BrokenProcessPool, AnalysisChildCrash)):
+    elif isinstance(exc, AnalysisChildCrash):
         kind = KIND_WORKER_CRASH
     elif isinstance(exc, SimError):
         kind = KIND_SIM_TRAP
@@ -239,9 +239,9 @@ def plan_next_action(
 
     ``transient_timeouts=False`` (serial runs) treats timeouts as
     permanent: the simulator is deterministic, so a sliced re-run would
-    burn the same wall clock and time out again.  Pool timeouts stay
-    retryable — a hung worker is an infrastructure flake, not a
-    property of the workload.
+    burn the same wall clock and time out again.  Timeouts of a forked
+    suite attempt stay retryable — a hung child is an infrastructure
+    flake, not a property of the workload.
     """
     if record.kind == KIND_COMPILE:
         return "fail"
@@ -308,7 +308,7 @@ def _canonical(obj):
     """A deterministic, order-independent form of a report object.
 
     Sets (and dict buckets) iterate in layout order, which a pickle
-    round-trip across the process pool can permute — two semantically
+    round-trip across a process boundary can permute — two semantically
     equal results must still digest identically, so unordered
     containers are sorted and dataclasses flattened to field tuples.
     """

@@ -31,9 +31,10 @@ Spec grammar (comma-separated)::
 ``times`` bounds how often a spec fires (``*`` = unlimited, default 1);
 ``p<float>`` makes firing probabilistic, driven by a seeded LCG so the
 same seed always injects the same faults.  Counts are per installed
-plan: pool workers re-install the plan from the config for every task,
-so worker-site specs fire per *attempt* (which is what chaos tests
-want), while a serial suite shares one plan across all its workloads.
+plan: each forked attempt of ``run_suite(jobs>1)`` installs the plan
+from the config afresh, so worker-site specs fire per *attempt* (which
+is what chaos tests want), while a serial suite shares one plan across
+all its workloads.
 """
 
 from __future__ import annotations
@@ -58,8 +59,8 @@ HANG_SECONDS = 60.0
 
 #: The injection-site catalog: site name -> what firing does.
 SITES: Dict[str, str] = {
-    "worker.crash": "pool worker dies with os._exit (BrokenProcessPool)",
-    "worker.hang": f"pool worker sleeps {HANG_SECONDS:.0f}s (watchdog timeout)",
+    "worker.crash": "suite child dies with os._exit (AnalysisChildCrash)",
+    "worker.hang": f"suite child sleeps {HANG_SECONDS:.0f}s (parent deadline)",
     "cache.corrupt": "persistent-cache entry is scribbled after a store",
     "cache.torn_write": "persistent-cache store dies mid-write (before replace)",
     "engine.predecode_raise": "predecoded engine raises SimError at run start",
@@ -272,8 +273,8 @@ def check(site: str, workload: Optional[str] = None) -> None:
     if spec is None:
         return
     if site == "worker.crash":
-        # Simulates a hard worker death (segfault, OOM-kill): no
-        # exception crosses the pool, the parent sees BrokenProcessPool.
+        # Simulates a hard child death (segfault, OOM-kill): no payload
+        # crosses the pipe, the parent raises AnalysisChildCrash.
         os._exit(70)
     if site == "worker.hang":
         time.sleep(HANG_SECONDS)

@@ -11,19 +11,23 @@ tables and figures, so results are cached at two layers:
   environment variable; entries self-invalidate when the source tree
   changes (see :mod:`repro.harness.cache`).
 
-``run_suite(..., jobs=N)`` fans the suite out over a process pool
-(:mod:`repro.harness.parallel`); both cache layers are consulted before
-any worker is spawned.
+``run_suite(..., jobs=N)`` runs up to N workloads at once, each attempt
+in a forked child; both cache layers are consulted before any child is
+forked.
 
 With two usable CPUs, one workload is analyzed in two processes: the
 tracker group in this one and the stream group in a forked child that
 simulates the same program (:data:`TRACKER_GROUP`, :data:`STREAM_GROUP`).
+
+Both uses share one mechanism, :class:`_Child`, and both suite drivers
+share one recovery state, :class:`_Recovery`.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import logging
+import math
 import os
 import pickle
 import select
@@ -249,16 +253,18 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+#: True in a ``run_suite(jobs>1)`` child: the suite's children already
+#: keep the CPUs busy, so ``run_workload`` analyzes in one process there.
+_IN_SUITE_CHILD = False
+
+
 def _splits_analysis() -> bool:
     """Whether a workload is analyzed in two processes (DESIGN §6b).
 
     Not on a one-CPU host, not without ``os.fork``, and not inside a
-    ``run_suite(jobs>1)`` pool worker, whose CPUs the pool already keeps
-    busy.
+    ``run_suite(jobs>1)`` child.
     """
-    from repro.harness.parallel import in_pool_worker
-
-    return hasattr(os, "fork") and _usable_cpus() > 1 and not in_pool_worker()
+    return hasattr(os, "fork") and _usable_cpus() > 1 and not _IN_SUITE_CHILD
 
 
 def run_workload(
@@ -277,7 +283,7 @@ def run_workload(
     at an instruction boundary and raises :class:`WorkloadTimeout`.
 
     With two usable CPUs the stream group is analyzed in a forked child
-    (:class:`_AnalysisChild`); the result, the telemetry and the failure
+    (:func:`_analyze_stream`); the result, the telemetry and the failure
     a caller sees are those of a one-process run.
     """
     cached = cached_result(workload, config)
@@ -306,10 +312,19 @@ def _compute_workload(
 
     input_data = config.input_for(workload)
     analyzers = build_analyzers(config)
-    child = None
+    child = split_timing = None
     if _splits_analysis():
-        child = _AnalysisChild(
-            workload, program, input_data, config, analyzers[STREAM_GROUP], profile, deadline_s
+        stream = analyzers[STREAM_GROUP]
+        if config.engine == "predecoded":
+            _prime_factories(program, stream, config)
+        child = _Child(
+            _analyze_stream,
+            (workload, program, input_data, config, stream, profile, deadline_s),
+            workload.name,
+            config.engine,
+            deadline_s,
+            # The parent publishes the run's sim.* counters itself.
+            skip_metrics="sim.",
         )
         analyzers = analyzers[TRACKER_GROUP]
     try:
@@ -321,7 +336,15 @@ def _compute_workload(
         with obs_tracing.span("report", workload=workload.name):
             reports = _reports(analyzers, workload.name)
             if child is not None:
-                reports += child.join(run)
+                waited = time.perf_counter()
+                child_run, child_reports, split_timing = child.join()
+                split_timing["wait"] = time.perf_counter() - waited
+                if child_run != run:
+                    raise RuntimeError(
+                        f"{workload.name}: the analysis processes disagree: "
+                        f"{run} != {child_run}"
+                    )
+                reports += child_reports
             result = WorkloadResult(
                 workload,
                 run,
@@ -340,7 +363,7 @@ def _compute_workload(
         config,
         source_digest(),
         timing,
-        split_timing=child.timing if child is not None else None,
+        split_timing=split_timing,
     )
     registry.observe("suite.workload_seconds", timing["total"])
     install_result(result, config)
@@ -394,123 +417,33 @@ def _reports(analyzers: List[Analyzer], workload_name: str) -> list:
     return reports
 
 
-class _ChildTraceback(Exception):
-    """The analysis child's traceback, chained to the exception it raised."""
-
-
-class _AnalysisChild:
-    """A forked process that analyzes one workload with the stream group.
+def _analyze_stream(
+    workload: Workload,
+    program,
+    input_data: bytes,
+    config: SuiteConfig,
+    analyzers: List[Analyzer],
+    profile: bool,
+    deadline_s: Optional[float],
+) -> Tuple[RunResult, list, Dict[str, float]]:
+    """The analysis child's work: its run, its group's reports, its timing.
 
     The child simulates the same program, input, engine and window as
-    the parent and sends its run, its group's reports, its registry
-    snapshot (without the ``sim.*`` counters the parent publishes) and
-    its trace events back over a pipe, or else its exception.  The
-    parent reads them in :meth:`join` after its own run: a plain pipe,
-    no helper thread.
+    the parent, with the stream group.
     """
-
-    def __init__(
-        self,
-        workload: Workload,
-        program,
-        input_data: bytes,
-        config: SuiteConfig,
-        analyzers: List[Analyzer],
-        profile: bool,
-        deadline_s: Optional[float],
-    ) -> None:
-        self.workload = workload.name
-        self.engine = config.engine
-        self.deadline_s = deadline_s
-        #: Child simulate and report seconds, and the parent's wait.
-        self.timing: Dict[str, float] = {}
-        if config.engine == "predecoded":
-            _prime_factories(program, analyzers, config)
-        read_fd, write_fd = os.pipe()
-        self.started = time.monotonic()
-        try:
-            pid = os.fork()
-        except BaseException:
-            os.close(read_fd)
-            os.close(write_fd)
-            raise
-        if pid == 0:
-            os.close(read_fd)
-            _child_main(
-                write_fd, workload, program, input_data, config, analyzers, profile, deadline_s
-            )
-        os.close(write_fd)
-        self.pid: Optional[int] = pid
-        self.fd: Optional[int] = read_fd
-
-    def join(self, run: RunResult) -> list:
-        """The stream group's reports; raises what the child raised.
-
-        ``run`` is the parent's own run: the child's must equal it.
-        """
-        waited = time.perf_counter()
-        try:
-            data = self._read()
-        except BaseException:
-            self.kill()
-            raise
-        status = self._reap()
-        self.timing["wait"] = time.perf_counter() - waited
-        try:
-            payload = pickle.loads(data)
-        except Exception:
-            raise AnalysisChildCrash(self.workload, status) from None
-        if payload[0] == "err":
-            _, exc, text = payload
-            raise exc from _ChildTraceback(text)
-        _, child_run, reports, timing, metrics, events = payload
-        if child_run != run:
-            raise RuntimeError(
-                f"{self.workload}: the analysis processes disagree: {run} != {child_run}"
-            )
-        self.timing.update(timing)
-        registry = obs_metrics.REGISTRY
-        if registry.enabled:
-            registry.merge(metrics)
-        tracer = obs_tracing.current_tracer()
-        if tracer is not None and events:
-            tracer.extend(events)
-        return reports
-
-    def kill(self) -> None:
-        """Stop the child at once and reap it (idempotent)."""
-        if self.pid is not None:
-            os.kill(self.pid, signal.SIGKILL)
-        self._reap()
-
-    def _read(self) -> bytes:
-        """The child's whole payload, up to its end of file."""
-        poller = None
-        if self.deadline_s is not None:
-            give_up = self.started + self.deadline_s + CHILD_GRACE_S
-            poller = select.poll()
-            poller.register(self.fd, select.POLLIN)
-        chunks = []
-        while True:
-            if poller is not None and not poller.poll(
-                max(0.0, give_up - time.monotonic()) * 1000
-            ):
-                raise WorkloadTimeout(self.workload, self.deadline_s, self.engine)
-            chunk = os.read(self.fd, 1 << 20)
-            if not chunk:
-                return b"".join(chunks)
-            chunks.append(chunk)
-
-    def _reap(self) -> Optional[int]:
-        """Close the pipe and wait for the child; its exit code, once."""
-        if self.fd is not None:
-            os.close(self.fd)
-            self.fd = None
-        if self.pid is None:
-            return None
-        pid, self.pid = self.pid, None
-        _, status = os.waitpid(pid, 0)
-        return os.waitstatus_to_exitcode(status)
+    # The parent's run checks the engine fault sites; none fires twice.
+    faults.install_plan(None)
+    # The parent traces the engine phases; the child only its own spans.
+    tracer = obs_tracing.current_tracer()
+    obs_tracing.install_tracer(None)
+    started = time.perf_counter()
+    with tracer.span("analysis-child", workload=workload.name) if tracer else nullcontext():
+        run = _simulate(workload, program, input_data, config, analyzers, profile, deadline_s)
+    simulated = time.perf_counter()
+    obs_tracing.install_tracer(tracer)
+    reports = _reports(analyzers, workload.name)
+    timing = {"simulate": simulated - started, "report": time.perf_counter() - simulated}
+    return run, reports, timing
 
 
 def _prime_factories(program, analyzers: List[Analyzer], config: SuiteConfig) -> None:
@@ -531,55 +464,186 @@ def _prime_factories(program, analyzers: List[Analyzer], config: SuiteConfig) ->
             predecode._factory(instr, predecode.OBSERVED, counts, count)
 
 
-def _child_main(
-    write_fd: int,
-    workload: Workload,
-    program,
-    input_data: bytes,
+def _suite_attempt(
+    name: str,
     config: SuiteConfig,
-    analyzers: List[Analyzer],
+    attempt: int,
     profile: bool,
     deadline_s: Optional[float],
-) -> None:
-    """The forked child: analyze, send the payload, ``os._exit``."""
+) -> Tuple[WorkloadResult, float]:
+    """One attempt at one workload in a ``run_suite(jobs>1)`` child.
+
+    The plan is installed afresh from the config, so worker-site specs
+    fire per attempt: ``worker.crash:go`` crashes every attempt,
+    ``worker.crash:go@1`` only the first.  Returns the result and the
+    attempt's seconds.
+    """
+    global _IN_SUITE_CHILD
+    _IN_SUITE_CHILD = True
+    started = time.perf_counter()
+    with faults.scope(workload=name, attempt=attempt):
+        faults.install_plan(faults.resolve_plan(config.fault_plan))
+        if faults.armed():
+            faults.check("worker.crash", name)
+            faults.check("worker.hang", name)
+        result = run_workload(get_workload(name), config, profile=profile, deadline_s=deadline_s)
+    return result, time.perf_counter() - started
+
+
+class _ChildTraceback(Exception):
+    """A child's traceback, chained to the exception it raised."""
+
+
+def _poll_ms(give_up: float) -> Optional[float]:
+    """Milliseconds until ``give_up`` (``time.monotonic``), for ``poll``."""
+    if give_up == math.inf:
+        return None
+    return max(0.0, give_up - time.monotonic()) * 1000
+
+
+class _Child:
+    """``fn(*args)`` run in a forked process, its outcome sent over a pipe.
+
+    The child starts from an empty metrics registry and an empty event
+    list on the inherited tracer (so its spans share the parent's clock
+    origin), then sends back ``fn``'s return value, its registry
+    snapshot and its trace events, or else its exception and traceback,
+    and leaves with ``os._exit``.  The parent reads the pipe to its end
+    (:meth:`join`, or the suite's poll loop through :meth:`read`),
+    merges the telemetry, and raises what the child raised:
+
+    * a child that dies without a whole payload raises
+      :class:`AnalysisChildCrash`;
+    * one still running ``CHILD_GRACE_S`` past ``deadline_s`` (its own
+      watchdog should have stopped it) is killed, and
+      :class:`WorkloadTimeout` raised.
+
+    Every path closes the pipe and reaps the child.  A plain pipe read
+    by the caller: no helper thread.
+    """
+
+    def __init__(
+        self,
+        fn,
+        args: tuple,
+        workload: str,
+        engine: str,
+        deadline_s: Optional[float],
+        skip_metrics: Optional[str] = None,
+    ) -> None:
+        self.workload = workload
+        self.engine = engine
+        self.deadline_s = deadline_s
+        #: Prefix of the metrics the parent publishes itself.
+        self.skip_metrics = skip_metrics
+        self.chunks: List[bytes] = []
+        self.status: Optional[int] = None
+        read_fd, write_fd = os.pipe()
+        self.started = time.monotonic()
+        try:
+            pid = os.fork()
+        except BaseException:
+            os.close(read_fd)
+            os.close(write_fd)
+            raise
+        if pid == 0:
+            os.close(read_fd)
+            _child_main(write_fd, fn, args)
+        os.close(write_fd)
+        self.pid = pid
+        self.fd: Optional[int] = read_fd
+
+    @property
+    def give_up(self) -> float:
+        """When the parent stops waiting (``time.monotonic``)."""
+        if self.deadline_s is None:
+            return math.inf
+        return self.started + self.deadline_s + CHILD_GRACE_S
+
+    def read(self) -> bool:
+        """Read what the pipe holds; True at its end of file."""
+        chunk = os.read(self.fd, 1 << 20)
+        self.chunks.append(chunk)
+        return not chunk
+
+    def join(self):
+        """Wait for the child; its return value (see :meth:`outcome`)."""
+        poller = select.poll()
+        poller.register(self.fd, select.POLLIN)
+        try:
+            while poller.poll(_poll_ms(self.give_up)):
+                if self.read():
+                    return self.outcome()
+            self.expire()
+        except BaseException:
+            self.kill()
+            raise
+
+    def outcome(self):
+        """After the pipe's end: the return value, or what the child raised."""
+        status = self._reap()
+        try:
+            payload = pickle.loads(b"".join(self.chunks))
+        except Exception:
+            raise AnalysisChildCrash(self.workload, status) from None
+        if payload[0] == "err":
+            _, exc, text = payload
+            raise exc from _ChildTraceback(text)
+        _, value, metrics, events = payload
+        registry = obs_metrics.REGISTRY
+        if registry.enabled:
+            if self.skip_metrics is not None:
+                metrics = {
+                    kind: {k: v for k, v in values.items() if not k.startswith(self.skip_metrics)}
+                    for kind, values in metrics.items()
+                }
+            registry.merge(metrics)
+        tracer = obs_tracing.current_tracer()
+        if tracer is not None and events:
+            tracer.extend(events)
+        return value
+
+    def expire(self) -> None:
+        """Kill a child past :attr:`give_up`; raises its timeout."""
+        self.kill()
+        raise WorkloadTimeout(self.workload, self.deadline_s, self.engine)
+
+    def kill(self) -> None:
+        """Stop the child at once and reap it (idempotent)."""
+        if self.status is None:
+            os.kill(self.pid, signal.SIGKILL)
+        self._reap()
+
+    def _reap(self) -> int:
+        """Close the pipe and wait for the child; its exit code."""
+        if self.fd is not None:
+            os.close(self.fd)
+            self.fd = None
+        if self.status is None:
+            _, status = os.waitpid(self.pid, 0)
+            self.status = os.waitstatus_to_exitcode(status)
+        return self.status
+
+
+def _child_main(write_fd: int, fn, args: tuple) -> None:
+    """The forked child: run ``fn``, send the payload, ``os._exit``."""
     status = 1
     try:
-        # The parent's run checks the engine fault sites; none fires twice.
-        faults.install_plan(None)
         registry = obs_metrics.REGISTRY
         registry.reset()
-        # The parent traces the engine phases; the child keeps the
-        # inherited tracer (and its clock origin) for its own spans.
         tracer = obs_tracing.current_tracer()
-        obs_tracing.install_tracer(None)
         if tracer is not None:
             tracer.events = []
         try:
-            started = time.perf_counter()
-            with tracer.span("analysis-child", workload=workload.name) if tracer else nullcontext():
-                run = _simulate(
-                    workload, program, input_data, config, analyzers, profile, deadline_s
-                )
-            simulated = time.perf_counter()
-            obs_tracing.install_tracer(tracer)
-            reports = _reports(analyzers, workload.name)
-            timing = {
-                "simulate": simulated - started,
-                "report": time.perf_counter() - simulated,
-            }
-            snapshot = registry.snapshot()
-            metrics = {
-                kind: {k: v for k, v in values.items() if not k.startswith("sim.")}
-                for kind, values in snapshot.items()
-            }
+            value = fn(*args)
             events = tracer.events if tracer is not None else None
-            payload = ("ok", run, reports, timing, metrics, events)
+            payload = ("ok", value, registry.snapshot(), events)
         except Exception as exc:
             payload = ("err", exc, traceback.format_exc())
         try:
             data = pickle.dumps(payload, pickle.HIGHEST_PROTOCOL)
         except Exception as exc:
-            error = RuntimeError(f"analysis child payload does not pickle: {exc!r}")
+            error = RuntimeError(f"child payload does not pickle: {exc!r}")
             data = pickle.dumps(("err", error, traceback.format_exc()))
         with os.fdopen(write_fd, "wb") as pipe:
             pipe.write(data)
@@ -588,94 +652,196 @@ def _child_main(
         os._exit(status)
 
 
-def _annotate_result(
-    result: WorkloadResult,
-    history: List[FailureRecord],
-    attempts: int,
-    degraded_from: Optional[str] = None,
-) -> WorkloadResult:
-    """A copy of ``result`` whose manifest records its recovery story.
+class _Recovery:
+    """One workload's attempts under a :class:`RecoveryPolicy`.
 
-    Copies (``dataclasses.replace``) so the cache layers keep the
-    pristine object: a degraded interpreter result is a perfectly clean
-    cache entry *for the interpreter config* — only the caller that
-    asked for predecode sees the degradation flag.
+    Both suite drivers keep one per workload: :meth:`failed` classifies
+    a failed attempt and plans the next, :meth:`succeeded` ends the
+    story with a result annotated with what it took.
     """
-    if result.manifest is None:
-        return result
-    manifest = dataclasses.replace(
-        result.manifest,
-        degraded=degraded_from is not None,
-        degraded_from=degraded_from,
-        attempts=attempts,
-        failures=[record.to_dict() for record in history],
-    )
-    return dataclasses.replace(result, manifest=manifest)
+
+    def __init__(
+        self, name: str, config: SuiteConfig, policy: RecoveryPolicy, transient_timeouts: bool
+    ) -> None:
+        self.name = name
+        #: The next attempt's config (the reference engine once degraded).
+        self.config = config
+        self.policy = policy
+        self.transient_timeouts = transient_timeouts
+        self.attempt = 1
+        self.degraded_from: Optional[str] = None
+        self.history: List[FailureRecord] = []
+        self.result: Optional[WorkloadResult] = None
+
+    def failed(self, exc: Exception) -> Optional[float]:
+        """Record a failed attempt; seconds to wait before the next one.
+
+        ``None`` when the failure is terminal; re-raises ``exc`` under a
+        strict policy.
+        """
+        engine = self.config.engine
+        record = classify_failure(exc, workload=self.name, engine=engine, attempt=self.attempt)
+        self.history.append(record)
+        note_failure(record)
+        if self.policy.strict:
+            raise exc
+        action = plan_next_action(
+            record,
+            engine=engine,
+            degraded=self.degraded_from is not None,
+            attempt=self.attempt,
+            retries=self.policy.retries,
+            transient_timeouts=self.transient_timeouts,
+        )
+        registry = obs_metrics.REGISTRY
+        if action == "fail":
+            registry.inc("suite.partial_failures")
+            return None
+        backoff = 0.0
+        if action == "degrade":
+            registry.inc("degrade.engine_fallback")
+            logger.warning(
+                "workload %s failed on engine %s (%s); degrading to %s",
+                self.name,
+                engine,
+                record.message,
+                REFERENCE_ENGINE,
+            )
+            self.degraded_from = engine
+            self.config = dataclasses.replace(self.config, engine=REFERENCE_ENGINE)
+        else:
+            registry.inc("retry.attempts")
+            backoff = self.policy.backoff_seconds(self.name, self.attempt)
+        self.attempt += 1
+        return backoff
+
+    def succeeded(self, result: WorkloadResult) -> None:
+        """End with ``result``; its manifest records the recovery story.
+
+        On a copy (``dataclasses.replace``), so the cache layers keep
+        the pristine object: a degraded interpreter result is a clean
+        cache entry *for the interpreter config* — only the caller that
+        asked for predecode sees the degradation flag.
+        """
+        # A degrade always follows a failed attempt, so history covers it.
+        if self.history and result.manifest is not None:
+            manifest = dataclasses.replace(
+                result.manifest,
+                degraded=self.degraded_from is not None,
+                degraded_from=self.degraded_from,
+                attempts=self.attempt,
+                failures=[record.to_dict() for record in self.history],
+            )
+            result = dataclasses.replace(result, manifest=manifest)
+        self.result = result
 
 
-def run_workload_recovering(
-    workload: Workload,
+def _run_serial(
+    config: SuiteConfig, names: Tuple[str, ...], profile: bool, policy: RecoveryPolicy
+) -> List[_Recovery]:
+    """Each workload's attempts back to back in this process, in order.
+
+    One plan serves the whole suite, so seeded specs count across
+    workloads.  A timeout is permanent here: the simulator is
+    deterministic, so the same workload would burn the same wall clock
+    again.
+    """
+    stories = []
+    with faults.armed_plan(config.fault_plan):
+        for name in names:
+            story = _Recovery(name, config, policy, transient_timeouts=False)
+            stories.append(story)
+            while story.result is None:
+                try:
+                    with faults.scope(workload=name, attempt=story.attempt):
+                        result = run_workload(
+                            get_workload(name),
+                            story.config,
+                            profile=profile,
+                            deadline_s=policy.timeout_s,
+                        )
+                except Exception as exc:
+                    backoff = story.failed(exc)
+                    if backoff is None:
+                        break
+                    time.sleep(backoff)
+                else:
+                    story.succeeded(result)
+    return stories
+
+
+def _run_forked(
     config: SuiteConfig,
+    names: Tuple[str, ...],
+    jobs: int,
+    profile: bool,
     policy: RecoveryPolicy,
-    profile: bool = False,
-) -> Tuple[Optional[WorkloadResult], List[FailureRecord]]:
-    """Run one workload under the recovery policy (serial path).
+) -> List[_Recovery]:
+    """Up to ``jobs`` forked children, each one attempt of one workload.
 
-    Returns ``(result, failed_attempts)``; ``result`` is ``None`` when
-    every attempt failed (the last record in the history is terminal).
-    With ``policy.strict`` the first failure re-raises instead.
+    The next attempt starts as soon as a child ends; a failed one goes
+    back in the queue behind its backoff.  A crash or a hang takes only
+    its own child down.  Each child's deadline runs from its own start,
+    and a timeout is retried: a hung child is a property of the host,
+    not of the workload.  Under a strict policy the first failure kills
+    and reaps the other children, then raises.
     """
     registry = obs_metrics.REGISTRY
-    history: List[FailureRecord] = []
-    attempt = 1
-    run_config = config
-    degraded_from: Optional[str] = None
-    while True:
+    stories = [_Recovery(name, config, policy, transient_timeouts=True) for name in names]
+    queue: List[Tuple[float, _Recovery]] = []
+    for story in stories:
+        story.result = cached_result(get_workload(story.name), config)
+        if story.result is None:
+            queue.append((0.0, story))
+    running: Dict[int, Tuple[_Child, _Recovery]] = {}
+    poller = select.poll()
+
+    def settle(fd: int, outcome) -> None:
+        child, story = running.pop(fd)
+        poller.unregister(fd)
         try:
-            with faults.scope(workload=workload.name, attempt=attempt):
-                result = run_workload(
-                    workload, run_config, profile=profile, deadline_s=policy.timeout_s
-                )
+            result, seconds = outcome()
         except Exception as exc:
-            record = classify_failure(
-                exc, workload=workload.name, engine=run_config.engine, attempt=attempt
-            )
-            history.append(record)
-            note_failure(record)
-            if policy.strict:
-                raise
-            action = plan_next_action(
-                record,
-                engine=run_config.engine,
-                degraded=degraded_from is not None,
-                attempt=attempt,
-                retries=policy.retries,
-                # A serial timeout is deterministic: the same workload
-                # would burn the same wall clock again.
-                transient_timeouts=False,
-            )
-            if action == "degrade":
-                registry.inc("degrade.engine_fallback")
-                logger.warning(
-                    "workload %s failed on engine %s (%s); degrading to %s",
-                    workload.name,
-                    run_config.engine,
-                    record.message,
-                    REFERENCE_ENGINE,
+            backoff = story.failed(exc)
+            if backoff is not None:
+                queue.append((time.monotonic() + backoff, story))
+            return
+        # The child already wrote the disk entry.
+        install_result(result, story.config, to_disk=False)
+        registry.inc("parallel.tasks")
+        registry.inc(f"parallel.worker.{child.pid}.tasks")
+        registry.observe(f"parallel.worker.{child.pid}.seconds", seconds)
+        story.succeeded(result)
+
+    try:
+        while queue or running:
+            now = time.monotonic()
+            for entry in [entry for entry in queue if entry[0] <= now][: jobs - len(running)]:
+                queue.remove(entry)
+                story = entry[1]
+                child = _Child(
+                    _suite_attempt,
+                    (story.name, story.config, story.attempt, profile, policy.timeout_s),
+                    story.name,
+                    story.config.engine,
+                    policy.timeout_s,
                 )
-                degraded_from = run_config.engine
-                run_config = dataclasses.replace(run_config, engine=REFERENCE_ENGINE)
-                attempt += 1
-                continue
-            if action == "retry":
-                registry.inc("retry.attempts")
-                time.sleep(policy.backoff_seconds(workload.name, attempt))
-                attempt += 1
-                continue
-            return None, history
-        if history or degraded_from is not None:
-            result = _annotate_result(result, history, attempt, degraded_from)
-        return result, history
+                running[child.fd] = (child, story)
+                poller.register(child.fd, select.POLLIN)
+            wake = [child.give_up for child, _ in running.values()]
+            if len(running) < jobs:
+                wake += [ready for ready, _ in queue]
+            for fd, _ in poller.poll(_poll_ms(min(wake))):
+                if running[fd][0].read():
+                    settle(fd, running[fd][0].outcome)
+            now = time.monotonic()
+            for fd, (child, _) in list(running.items()):
+                if child.give_up <= now:
+                    settle(fd, child.expire)
+    finally:
+        for child, _ in running.values():
+            child.kill()
+    return stories
 
 
 def run_suite(
@@ -690,9 +856,10 @@ def run_suite(
 ) -> SuiteReport:
     """Run the whole suite (or ``names``) and return results in order.
 
-    ``jobs > 1`` fans uncached workloads out over a process pool; worker
-    metrics snapshots are merged into this process's registry, so the
-    aggregate telemetry is the same as a serial run's.
+    ``jobs > 1`` runs up to ``jobs`` uncached workloads at once, each
+    attempt in a forked child; child metrics snapshots are merged into
+    this process's registry, so the aggregate telemetry is the same as
+    a serial run's.  Without ``os.fork`` the suite runs serially.
 
     The return value is a :class:`SuiteReport` — a dict of surviving
     ``WorkloadResult`` in suite order, plus ``failures``/``history``.
@@ -702,26 +869,21 @@ def run_suite(
     if not isinstance(jobs, int) or jobs < 1:
         raise ValueError(f"jobs must be a positive integer, got {jobs!r}")
     selected = tuple(names) if names is not None else WORKLOAD_ORDER
+    duplicates = sorted({name for name in selected if selected.count(name) > 1})
+    if duplicates:
+        raise ValueError(f"duplicate workload names: {', '.join(duplicates)}")
     effective = resolve_policy(policy, strict, retries, timeout_s)
-    if jobs > 1:
-        from repro.harness.parallel import run_suite_parallel
-
-        return run_suite_parallel(
-            config, selected, jobs=jobs, profile=profile, policy=effective
-        )
+    if jobs > 1 and hasattr(os, "fork"):
+        stories = _run_forked(config, selected, jobs, profile, effective)
+    else:
+        stories = _run_serial(config, selected, profile, effective)
     report = SuiteReport(config=config)
-    registry = obs_metrics.REGISTRY
-    with faults.armed_plan(config.fault_plan):
-        for name in selected:
-            result, failed = run_workload_recovering(
-                get_workload(name), config, effective, profile=profile
-            )
-            report.history.extend(failed)
-            if result is not None:
-                report[name] = result
-            else:
-                report.failures[name] = failed[-1]
-                registry.inc("suite.partial_failures")
+    for story in stories:
+        report.history.extend(story.history)
+        if story.result is not None:
+            report[story.name] = story.result
+        else:
+            report.failures[story.name] = story.history[-1]
     return report
 
 

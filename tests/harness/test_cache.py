@@ -9,7 +9,6 @@ import pytest
 
 from repro.harness import runner
 from repro.harness.cache import CACHE_FORMAT_VERSION, ResultCache, source_digest
-from repro.harness.parallel import run_suite_parallel
 from repro.harness.runner import (
     SuiteConfig,
     WorkloadResult,
@@ -215,7 +214,7 @@ class TestParallelSuite:
         clear_cache()
         serial = {n: run_workload(get_workload(n), config) for n in names}
         clear_cache()
-        parallel = run_suite_parallel(config, names, jobs=2)
+        parallel = run_suite(config, names, jobs=2)
         assert tuple(parallel) == names
         for name in names:
             assert parallel[name].run == serial[name].run
@@ -226,8 +225,8 @@ class TestParallelSuite:
         config = SuiteConfig(**_SMALL)
         clear_cache()
         first = run_workload(get_workload("go"), config)
-        results = run_suite_parallel(config, ("go",), jobs=2)
-        assert results["go"] is first  # memory hit, no pool spawn
+        results = run_suite(config, ("go",), jobs=2)
+        assert results["go"] is first  # memory hit, no child forked
 
     def test_run_suite_jobs_parameter(self, no_disk_cache):
         config = SuiteConfig(**_SMALL)
@@ -242,7 +241,7 @@ class TestParallelSuite:
     def test_parallel_workers_share_disk_cache(self, isolated_cache):
         config = SuiteConfig(**_SMALL)
         clear_cache()
-        run_suite_parallel(config, ("compress",), jobs=2)
-        # Worker processes wrote their entries into the shared directory.
+        run_suite(config, ("compress",), jobs=2)
+        # The child process wrote its entry into the shared directory.
         fresh = ResultCache(isolated_cache)
         assert fresh.load("compress", config) is not None

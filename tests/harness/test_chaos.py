@@ -11,9 +11,12 @@ the faulted workload, the *surviving* results are bit-identical
 from __future__ import annotations
 
 import dataclasses
+import os
+import time
 
 import pytest
 
+from repro.asm.errors import AsmError
 from repro.harness import faults, runner
 from repro.harness.failures import (
     KIND_COMPILE,
@@ -107,6 +110,26 @@ class TestWorkerCrash:
         assert report["go"].manifest.failures  # the crash is on record
         assert metrics_enabled.value("retry.attempts") >= 1
         assert metrics_enabled.value("suite.partial_failures") == 0
+
+    def test_crash_costs_its_siblings_nothing(self, baselines):
+        clean_digests, _ = baselines
+        report = run_suite(
+            _plan("worker.crash:go"), names=_NAMES, jobs=2, strict=False, retries=0
+        )
+        assert set(report.failures) == {"go"}
+        assert [record.workload for record in report.history] == ["go"]
+        assert result_digest(report["compress"]) == clean_digests["compress"]
+        assert report["compress"].manifest.attempts == 1
+
+    def test_retried_crash_charges_only_the_crasher(self, metrics_enabled):
+        report = run_suite(
+            _plan("worker.crash:go@1"), names=_NAMES, jobs=2, strict=False
+        )
+        assert report.ok
+        assert [record.workload for record in report.history] == ["go"]
+        assert report["compress"].manifest.attempts == 1
+        assert not report["compress"].manifest.failures
+        assert metrics_enabled.value("retry.attempts") == 1
 
     def test_recovered_telemetry_matches_serial(self, metrics_enabled):
         """Aggregated sim counters equal a clean serial run: the crashed
@@ -289,3 +312,41 @@ class TestFailureSpans:
         assert failure_events
         args = failure_events[0].get("args", {})
         assert args.get("workload") == "go" and args.get("kind") == KIND_COMPILE
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+class TestSuiteChildren:
+    """``run_suite(jobs=2)`` leaves no child process and no pipe behind."""
+
+    def test_strict_failure_reaps_the_other_children(self, leaves_nothing_behind):
+        with pytest.raises(AsmError, match="asm.error"):
+            run_suite(_plan("asm.error:go"), names=_NAMES, jobs=2)
+
+    def test_crash(self, leaves_nothing_behind):
+        report = run_suite(
+            _plan("worker.crash:go"), names=_NAMES, jobs=2, strict=False, retries=0
+        )
+        assert report.failures["go"].kind == KIND_WORKER_CRASH
+
+    def test_hang_past_its_grace(self, leaves_nothing_behind, monkeypatch):
+        monkeypatch.setattr(runner, "CHILD_GRACE_S", 0.2)
+        started = time.monotonic()
+        report = run_suite(
+            _plan("worker.hang:go"),
+            names=_NAMES,
+            jobs=2,
+            strict=False,
+            retries=0,
+            timeout_s=0.3,
+        )
+        assert time.monotonic() - started < faults.HANG_SECONDS / 6
+        assert report.failures["go"].kind == KIND_TIMEOUT
+        assert "compress" in report
+
+    def test_without_fork_runs_serially(self, baselines, monkeypatch):
+        clean_digests, _ = baselines
+        monkeypatch.delattr(os, "fork")
+        report = run_suite(_CHAOS, names=_NAMES, jobs=2)
+        assert {name: result_digest(r) for name, r in report.items()} == clean_digests
+        for result in report.values():
+            assert result.manifest.analysis_processes == 1

@@ -26,7 +26,6 @@ from repro.harness.failures import (
     result_digest,
 )
 from repro.harness.faults import FaultInjected
-from repro.harness.parallel import run_suite_parallel
 from repro.core import RepetitionTracker
 from repro.harness.runner import SuiteConfig, run_suite
 from repro.lang.errors import MiniCError
@@ -51,12 +50,6 @@ class TestClassification:
     def test_compile_errors(self):
         assert _classify(AsmError("bad opcode")).kind == KIND_COMPILE
         assert _classify(MiniCError("parse error")).kind == KIND_COMPILE
-
-    def test_broken_pool_is_worker_crash(self):
-        from concurrent.futures.process import BrokenProcessPool
-
-        record = _classify(BrokenProcessPool("terminated abruptly"))
-        assert record.kind == KIND_WORKER_CRASH
 
     def test_timeout(self):
         record = _classify(WorkloadTimeout("go", 1.5, "predecoded"))
@@ -260,13 +253,10 @@ class TestInputValidation:
         with pytest.raises(ValueError, match="jobs"):
             run_suite(SuiteConfig(), names=["go"], jobs=-2)
 
-    def test_run_suite_parallel_rejects_nonpositive_jobs(self):
-        with pytest.raises(ValueError, match="jobs"):
-            run_suite_parallel(SuiteConfig(), names=["go"], jobs=0)
-
-    def test_run_suite_parallel_rejects_duplicate_names(self):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_run_suite_rejects_duplicate_names(self, jobs):
         with pytest.raises(ValueError, match="duplicate workload names: go"):
-            run_suite_parallel(SuiteConfig(), names=["go", "compress", "go"], jobs=2)
+            run_suite(SuiteConfig(), names=["go", "compress", "go"], jobs=jobs)
 
 
 class TestResultDigest:

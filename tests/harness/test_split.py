@@ -149,32 +149,11 @@ class TestWhenItForks:
         with mock.patch.object(runner, "_usable_cpus", return_value=2):
             with mock.patch.object(os, "fork", _counting_fork(log)):
                 pooled = run_suite(SMALL, names, jobs=2)
-        # Only the parent forks: it starts the pool's workers.
+        # Only the parent forks: it starts the suite's children.
         assert set(_fork_callers(log)) <= {os.getpid()}
         for name in names:
             assert pooled[name].manifest.analysis_processes == 1
             _assert_same_results(_analyze(name, SMALL, cpus=2), pooled[name])
-
-
-def _open_fds():
-    return len(os.listdir("/proc/self/fd"))
-
-
-def _assert_no_children() -> None:
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-@pytest.fixture
-def leaves_nothing_behind():
-    """The test leaves no child process and no open file descriptor."""
-    if not os.path.isdir("/proc/self/fd"):
-        pytest.skip("needs /proc/self/fd")
-    _assert_no_children()
-    before = _open_fds()
-    yield
-    _assert_no_children()
-    assert _open_fds() == before
 
 
 def _failure(name: str, config: SuiteConfig, cpus: int, **kwargs):
