@@ -31,7 +31,6 @@ from typing import List, Optional
 
 from repro.harness.cache import source_digest
 from repro.harness.experiments import EXPERIMENT_ORDER, EXPERIMENTS
-from repro.harness.failures import RecoveryPolicy
 from repro.harness.runner import SuiteConfig, run_suite, set_cache_dir
 from repro.obs import manifest as obs_manifest
 from repro.obs import metrics as obs_metrics
@@ -158,8 +157,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--faults",
         metavar="PLAN",
         default=None,
-        help="fault-injection plan, e.g. 'worker.crash:go' "
-        "(see repro.harness.faults; also $REPRO_FAULTS)",
+        help="fault-injection plan, e.g. 'worker.crash:go' or "
+        "'engine.predecode_raise:*:2' (grammar: repro.harness.faults)",
     )
     return parser
 
@@ -219,9 +218,6 @@ def _run(argv: Optional[List[str]]) -> int:
         fault_plan=args.faults,
     )
     names = args.workloads.split(",") if args.workloads else None
-    policy = RecoveryPolicy(
-        strict=args.strict, retries=args.retries, timeout_s=args.timeout_s
-    )
 
     # Telemetry is process-global and opt-in; arm it for the run and
     # restore the previous state afterwards so embedding callers (and
@@ -239,7 +235,13 @@ def _run(argv: Optional[List[str]]) -> int:
     try:
         started = time.time()
         results = run_suite(
-            config, names, jobs=args.jobs, profile=args.profile, policy=policy
+            config,
+            names,
+            jobs=args.jobs,
+            profile=args.profile,
+            strict=args.strict,
+            retries=args.retries,
+            timeout_s=args.timeout_s,
         )
         elapsed = time.time() - started
         total = sum(r.run.analyzed_instructions for r in results.values())
@@ -288,7 +290,10 @@ def _run(argv: Optional[List[str]]) -> int:
         if args.profile:
             profiles = obs_profiling.profiles_from_snapshot(registry.snapshot())
             print("== profile ==")
-            print(obs_profiling.format_profile_table(profiles, phase_timing))
+            if profiles:
+                print(obs_profiling.format_profile_table(profiles, phase_timing))
+            else:
+                print("no analyzer ran: every result came from a cache")
             print()
         if args.markdown:
             from repro.analysis.report import build_markdown_report

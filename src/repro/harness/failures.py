@@ -2,7 +2,7 @@
 
 Everything that can go wrong while running a workload — assembly /
 compile errors, simulator traps, crashed child processes, watchdog
-timeouts, cache corruption — is classified into a picklable
+timeouts — is classified into a picklable
 :class:`FailureRecord` so the suite runner can *keep going*: a
 non-strict run returns a :class:`SuiteReport` carrying every finished
 :class:`~repro.harness.runner.WorkloadResult` plus one terminal record
@@ -17,10 +17,14 @@ The recovery policy is deliberately small and table-driven
   reference interpreter (``degrade.engine_fallback``);
 * worker crashes (a ``run_suite(jobs>1)`` child, or the forked
   analysis child of a split run), timeouts of a forked suite attempt,
-  and unknown errors are transient — bounded retry with exponential
-  backoff and seeded jitter (``retry.attempts``);
+  and unknown errors are transient — bounded retry with capped
+  exponential backoff and deterministic jitter (``retry.attempts``);
 * serial watchdog timeouts are deterministic (same workload, same
   steps) and therefore permanent.
+
+Cache faults never fail a workload: a failed store is logged and the
+computed result kept (``runner.install_result``), and an unreadable
+entry is a miss (:meth:`~repro.harness.cache.ResultCache.load`).
 
 ``strict=True`` — the default everywhere — preserves the historical
 raise-on-first-error behaviour exactly.
@@ -38,7 +42,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.asm.errors import AsmError
-from repro.harness.faults import FaultInjected
 from repro.lang.errors import MiniCError
 from repro.obs import tracing as obs_tracing
 from repro.sim.errors import SimError
@@ -49,7 +52,6 @@ KIND_COMPILE = "compile-error"
 KIND_SIM_TRAP = "sim-trap"
 KIND_WORKER_CRASH = "worker-crash"
 KIND_TIMEOUT = "timeout"
-KIND_CACHE = "cache-error"
 KIND_UNKNOWN = "unknown"
 
 FAILURE_KINDS = (
@@ -57,7 +59,6 @@ FAILURE_KINDS = (
     KIND_SIM_TRAP,
     KIND_WORKER_CRASH,
     KIND_TIMEOUT,
-    KIND_CACHE,
     KIND_UNKNOWN,
 )
 
@@ -140,8 +141,6 @@ def classify_failure(
         kind = KIND_SIM_TRAP
     elif isinstance(exc, (AsmError, MiniCError)):
         kind = KIND_COMPILE
-    elif isinstance(exc, (OSError, pickle.PickleError, EOFError, FaultInjected)):
-        kind = KIND_CACHE if _looks_like_cache(exc) else KIND_UNKNOWN
     else:
         kind = KIND_UNKNOWN
     formatted = "".join(
@@ -157,11 +156,6 @@ def classify_failure(
         traceback_digest=hashlib.sha256(formatted.encode()).hexdigest()[:12],
         injected=bool(getattr(exc, "injected", False)),
     )
-
-
-def _looks_like_cache(exc: BaseException) -> bool:
-    site = getattr(exc, "site", "")
-    return isinstance(site, str) and site.startswith("cache.")
 
 
 def note_failure(record: FailureRecord) -> None:
@@ -192,38 +186,20 @@ class RecoveryPolicy:
     retries: int = 2
     #: Per-workload wall-clock budget (None = no watchdog).
     timeout_s: Optional[float] = None
-    #: Exponential backoff base / cap between retry attempts.
-    backoff_base_s: float = 0.05
-    backoff_cap_s: float = 2.0
-    #: Seed for the deterministic backoff jitter.
-    seed: int = 0
-
-    def backoff_seconds(self, workload: str, attempt: int) -> float:
-        """Capped exponential backoff with deterministic jitter."""
-        base = min(self.backoff_cap_s, self.backoff_base_s * (2 ** (attempt - 1)))
-        digest = hashlib.sha256(
-            f"{self.seed}:{workload}:{attempt}".encode()
-        ).digest()
-        jitter = int.from_bytes(digest[:4], "big") / float(1 << 32)
-        return base * (1.0 + jitter)
 
 
-def resolve_policy(
-    policy: Optional[RecoveryPolicy] = None,
-    strict: Optional[bool] = None,
-    retries: Optional[int] = None,
-    timeout_s: Optional[float] = None,
-) -> RecoveryPolicy:
-    """Merge convenience keyword overrides into a policy."""
-    base = policy if policy is not None else RecoveryPolicy()
-    overrides = {}
-    if strict is not None:
-        overrides["strict"] = strict
-    if retries is not None:
-        overrides["retries"] = retries
-    if timeout_s is not None:
-        overrides["timeout_s"] = timeout_s
-    return dataclasses.replace(base, **overrides) if overrides else base
+#: Exponential backoff between retry attempts: base and cap, in seconds.
+BACKOFF_BASE_S = 0.05
+BACKOFF_CAP_S = 2.0
+
+
+def backoff_seconds(workload: str, attempt: int) -> float:
+    """Capped exponential backoff with deterministic jitter in [0, 100%)."""
+    base = min(BACKOFF_CAP_S, BACKOFF_BASE_S * (2 ** (attempt - 1)))
+    # The "0:" prefix keeps the jitter of the former seed-0 default.
+    digest = hashlib.sha256(f"0:{workload}:{attempt}".encode()).digest()
+    jitter = int.from_bytes(digest[:4], "big") / float(1 << 32)
+    return base * (1.0 + jitter)
 
 
 def plan_next_action(

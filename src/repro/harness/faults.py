@@ -1,4 +1,4 @@
-"""Deterministic, seeded fault injection for the suite harness.
+"""Deterministic fault injection for the suite harness.
 
 Every recovery path in the harness (retry, watchdog, engine
 degradation, cache self-healing — see :mod:`repro.harness.failures`)
@@ -9,13 +9,11 @@ a small catalog of named sites, and an armed :class:`FaultPlan` decides
 site checks are a single module-attribute test, so zero-fault runs pay
 nothing measurable.
 
-Plans are armed three ways:
+Plans are armed two ways:
 
-* ``SuiteConfig.fault_plan`` — a spec string carried by the run
-  configuration (and therefore by the cache key, so faulted runs can
-  never serve or poison clean cache entries);
-* the ``REPRO_FAULTS`` environment variable (same grammar), seeded by
-  ``REPRO_FAULTS_SEED`` — how the CI chaos job arms itself;
+* ``SuiteConfig.fault_plan`` (``repro-run --faults``) — a spec string
+  carried by the run configuration, and therefore by the cache key, so
+  faulted runs can never serve or poison clean cache entries;
 * :func:`install_plan` directly (tests).
 
 Spec grammar (comma-separated)::
@@ -26,15 +24,14 @@ Spec grammar (comma-separated)::
     worker.crash:go@1          crash only go's first attempt
     engine.predecode_raise:*:2 fail the first two predecoded runs
     cache.corrupt:compress     corrupt compress's cache entry on store
-    asm.error:li:p0.5          fail li's assembly with probability 0.5
 
-``times`` bounds how often a spec fires (``*`` = unlimited, default 1);
-``p<float>`` makes firing probabilistic, driven by a seeded LCG so the
-same seed always injects the same faults.  Counts are per installed
-plan: each forked attempt of ``run_suite(jobs>1)`` installs the plan
-from the config afresh, so worker-site specs fire per *attempt* (which
-is what chaos tests want), while a serial suite shares one plan across
-all its workloads.
+``times`` bounds how often a spec fires: an integer, or ``*`` for
+unlimited (default 1).  Counts are per installed plan: each forked
+attempt of ``run_suite(jobs>1)`` installs the plan from the config
+afresh, so worker-site specs fire per *attempt* (which is what chaos
+tests want), while a serial suite shares one plan across all its
+workloads.  The engine sites fire in the runner just before it builds
+the simulator, before any analyzer state is touched.
 """
 
 from __future__ import annotations
@@ -42,16 +39,12 @@ from __future__ import annotations
 import os
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.asm.errors import AsmError
 from repro.obs import metrics as obs_metrics
 from repro.sim.errors import SimError
-
-#: Environment variables arming the harness outside of SuiteConfig.
-FAULTS_ENV = "REPRO_FAULTS"
-FAULTS_SEED_ENV = "REPRO_FAULTS_SEED"
 
 #: How long an injected hang sleeps.  Bounded (not infinite) so a
 #: broken watchdog stalls a test run by a minute, not forever.
@@ -90,7 +83,6 @@ class FaultSpec:
     workload: str = "*"
     attempt: Optional[int] = None
     times: Optional[int] = 1  # None = unlimited
-    probability: Optional[float] = None
     fired: int = 0
 
     @classmethod
@@ -100,6 +92,8 @@ class FaultSpec:
         if site not in SITES:
             known = ", ".join(sorted(SITES))
             raise ValueError(f"unknown fault site {site!r} (known: {known})")
+        if len(parts) > 3:
+            raise ValueError(f"malformed fault spec {token!r}")
         workload, attempt = "*", None
         if len(parts) > 1 and parts[1]:
             workload = parts[1].strip()
@@ -108,19 +102,15 @@ class FaultSpec:
                 workload = workload or "*"
                 attempt = int(attempt_text)
         times: Optional[int] = 1
-        probability = None
         if len(parts) > 2 and parts[2]:
             bound = parts[2].strip()
             if bound == "*":
                 times = None
-            elif bound.startswith("p"):
-                probability = float(bound[1:])
-                times = None
-            else:
+            elif bound.isdigit():
                 times = int(bound)
-        if len(parts) > 3:
-            raise ValueError(f"malformed fault spec {token!r}")
-        return cls(site, workload, attempt, times, probability)
+            else:
+                raise ValueError(f"malformed fault spec {token!r} (times: an integer or *)")
+        return cls(site, workload, attempt, times)
 
     def matches(self, site: str, workload: Optional[str], attempt: Optional[int]) -> bool:
         if site != self.site:
@@ -134,34 +124,21 @@ class FaultSpec:
         return True
 
 
-class _Lcg:
-    """Tiny deterministic generator for probabilistic specs."""
-
-    def __init__(self, seed: int) -> None:
-        self._state = (seed ^ 0x5DEECE66D) & 0x7FFFFFFF
-
-    def next_unit(self) -> float:
-        self._state = (self._state * 1103515245 + 12345) & 0x7FFFFFFF
-        return self._state / float(0x80000000)
-
-
 class FaultPlan:
-    """A parsed set of :class:`FaultSpec` plus the seeded random source."""
+    """A parsed set of :class:`FaultSpec`."""
 
-    def __init__(self, specs: Tuple[FaultSpec, ...], seed: int = 0, text: str = "") -> None:
+    def __init__(self, specs: Tuple[FaultSpec, ...], text: str = "") -> None:
         self.specs = tuple(specs)
-        self.seed = seed
         self.text = text
-        self._rng = _Lcg(seed)
 
     @classmethod
-    def parse(cls, text: str, seed: int = 0) -> "FaultPlan":
+    def parse(cls, text: str) -> "FaultPlan":
         specs = tuple(
             FaultSpec.parse(token) for token in text.split(",") if token.strip()
         )
         if not specs:
             raise ValueError(f"empty fault plan {text!r}")
-        return cls(specs, seed=seed, text=text)
+        return cls(specs, text=text)
 
     def should_fire(
         self, site: str, workload: Optional[str], attempt: Optional[int]
@@ -169,8 +146,6 @@ class FaultPlan:
         """The first matching spec that fires now, updating its count."""
         for spec in self.specs:
             if not spec.matches(site, workload, attempt):
-                continue
-            if spec.probability is not None and self._rng.next_unit() >= spec.probability:
                 continue
             spec.fired += 1
             obs_metrics.REGISTRY.inc(f"fault.injected.{site}")
@@ -201,30 +176,18 @@ def armed() -> bool:
     return _ACTIVE is not None
 
 
-def resolve_plan(spec: Optional[str]) -> Optional[FaultPlan]:
-    """Plan from an explicit spec string, else ``$REPRO_FAULTS``, else None."""
-    text = spec or os.environ.get(FAULTS_ENV)
-    if not text:
-        return None
-    seed = int(os.environ.get(FAULTS_SEED_ENV, "0") or "0")
-    return FaultPlan.parse(text, seed=seed)
-
-
 @contextmanager
 def armed_plan(spec: Optional[str]):
-    """Arm the plan resolved from ``spec``/env for the block.
+    """Arm the plan parsed from ``spec`` for the block.
 
     An already-armed plan is kept (so a suite-level plan persists its
-    fired counts across the workloads it runs); otherwise the resolved
-    plan is installed on entry and disarmed on exit.
+    fired counts across the workloads it runs); otherwise the plan is
+    installed on entry and disarmed on exit.
     """
-    if _ACTIVE is not None:
+    if _ACTIVE is not None or not spec:
         yield _ACTIVE
         return
-    plan = resolve_plan(spec)
-    if plan is None:
-        yield None
-        return
+    plan = FaultPlan.parse(spec)
     install_plan(plan)
     try:
         yield plan
@@ -237,8 +200,8 @@ def scope(workload: Optional[str] = None, attempt: Optional[int] = None):
     """Attach workload/attempt context for site checks inside the block.
 
     Nested scopes merge: an inner ``scope(workload=...)`` inherits the
-    outer scope's attempt, so the simulator-level sites (which know
-    nothing about attempts) still match ``@attempt`` specs.
+    outer scope's attempt, so the sites inside ``run_workload`` (which
+    knows nothing about attempts) still match ``@attempt`` specs.
     """
     merged = dict(_SCOPE[-1]) if _SCOPE else {}
     if workload is not None:

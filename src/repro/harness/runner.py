@@ -53,10 +53,10 @@ from repro.harness.failures import (
     SuiteReport,
     Watchdog,
     WorkloadTimeout,
+    backoff_seconds,
     classify_failure,
     note_failure,
     plan_next_action,
-    resolve_policy,
 )
 from repro.obs import metrics as obs_metrics
 from repro.obs import profiling as obs_profiling
@@ -275,9 +275,10 @@ def run_workload(
 ) -> WorkloadResult:
     """Run one workload under the full analyzer stack (cached).
 
-    ``profile=True`` wraps every analyzer in a per-hook timing proxy
-    (:mod:`repro.obs.profiling`); the measured attribution lands in the
-    metrics registry under ``profile.<Analyzer>.<hook>``.
+    ``profile=True`` times every analyzer's hooks and compiled steps in
+    place (:func:`repro.obs.profiling.instrument`) into the metrics
+    registry as ``profile.<Analyzer>.<hook>``.  Like every other metric,
+    it records nothing while the registry is disabled.
 
     ``deadline_s`` arms a wall-clock watchdog that pauses the simulator
     at an instruction boundary and raises :class:`WorkloadTimeout`.
@@ -382,11 +383,18 @@ def _simulate(
     """One simulation of ``workload`` feeding ``analyzers``, in order.
 
     Both analysis processes run this, each with its group; a one-process
-    run passes the whole stack.  Profiles are published to the registry.
+    run passes the whole stack.  The engine fault sites fire here, before
+    any analyzer state is touched, so a failed attempt pollutes nothing
+    a retry would reuse.  ``profile`` instruments the analyzers while the
+    registry is enabled.
     """
-    profiles = None
-    if profile:
-        analyzers, profiles = obs_profiling.wrap_all(analyzers)
+    if faults.armed():
+        interpreter = config.engine == "interpreter"
+        faults.check("engine.interp_raise" if interpreter else "engine.predecode_raise")
+    registry = obs_metrics.REGISTRY
+    if profile and registry.enabled:
+        for analyzer in analyzers:
+            obs_profiling.instrument(analyzer, registry)
     simulator = Simulator(
         program, input_data=input_data, analyzers=analyzers, engine=config.engine
     )
@@ -401,9 +409,6 @@ def _simulate(
         run = simulator.run(
             limit=config.limit_instructions, skip=config.skip_instructions
         )
-    if profiles is not None:
-        for analyzer_profile in profiles:
-            analyzer_profile.publish(obs_metrics.REGISTRY)
     return run
 
 
@@ -482,7 +487,8 @@ def _suite_attempt(
     _IN_SUITE_CHILD = True
     started = time.perf_counter()
     with faults.scope(workload=name, attempt=attempt):
-        faults.install_plan(faults.resolve_plan(config.fault_plan))
+        plan = config.fault_plan
+        faults.install_plan(faults.FaultPlan.parse(plan) if plan else None)
         if faults.armed():
             faults.check("worker.crash", name)
             faults.check("worker.hang", name)
@@ -711,7 +717,7 @@ class _Recovery:
             self.config = dataclasses.replace(self.config, engine=REFERENCE_ENGINE)
         else:
             registry.inc("retry.attempts")
-            backoff = self.policy.backoff_seconds(self.name, self.attempt)
+            backoff = backoff_seconds(self.name, self.attempt)
         self.attempt += 1
         return backoff
 
@@ -741,7 +747,7 @@ def _run_serial(
 ) -> List[_Recovery]:
     """Each workload's attempts back to back in this process, in order.
 
-    One plan serves the whole suite, so seeded specs count across
+    One plan serves the whole suite, so ``times`` bounds count across
     workloads.  A timeout is permanent here: the simulator is
     deterministic, so the same workload would burn the same wall clock
     again.
@@ -849,9 +855,8 @@ def run_suite(
     names: Optional[Iterable[str]] = None,
     jobs: int = 1,
     profile: bool = False,
-    policy: Optional[RecoveryPolicy] = None,
-    strict: Optional[bool] = None,
-    retries: Optional[int] = None,
+    strict: bool = True,
+    retries: int = 2,
     timeout_s: Optional[float] = None,
 ) -> SuiteReport:
     """Run the whole suite (or ``names``) and return results in order.
@@ -860,11 +865,14 @@ def run_suite(
     attempt in a forked child; child metrics snapshots are merged into
     this process's registry, so the aggregate telemetry is the same as
     a serial run's.  Without ``os.fork`` the suite runs serially.
+    ``profile=True`` records per-analyzer timers while the registry is
+    enabled (see :func:`run_workload`).
 
     The return value is a :class:`SuiteReport` — a dict of surviving
     ``WorkloadResult`` in suite order, plus ``failures``/``history``.
-    Under the default strict policy the first error still raises, so
-    existing callers see exactly the historical behaviour.
+    ``strict`` (default) raises the first error; otherwise transient
+    failures get up to ``retries`` more attempts.  ``timeout_s`` is each
+    attempt's wall-clock budget (``None``: no watchdog).
     """
     if not isinstance(jobs, int) or jobs < 1:
         raise ValueError(f"jobs must be a positive integer, got {jobs!r}")
@@ -872,7 +880,7 @@ def run_suite(
     duplicates = sorted({name for name in selected if selected.count(name) > 1})
     if duplicates:
         raise ValueError(f"duplicate workload names: {', '.join(duplicates)}")
-    effective = resolve_policy(policy, strict, retries, timeout_s)
+    effective = RecoveryPolicy(strict, retries, timeout_s)
     if jobs > 1 and hasattr(os, "fork"):
         stories = _run_forked(config, selected, jobs, profile, effective)
     else:

@@ -20,12 +20,7 @@ from repro.obs.manifest import (
     write_manifest,
 )
 from repro.obs.metrics import REGISTRY, MetricsRegistry, disable, enable, enabled
-from repro.obs.profiling import (
-    AnalyzerProfile,
-    format_profile_table,
-    wrap_all,
-    wrap_profiled,
-)
+from repro.obs.profiling import AnalyzerProfile, format_profile_table, instrument
 from repro.obs.tracing import SpanTracer, current_tracer, install_tracer, span
 
 __all__ = [
@@ -43,8 +38,7 @@ __all__ = [
     "enabled",
     "format_profile_table",
     "install_tracer",
+    "instrument",
     "span",
-    "wrap_all",
-    "wrap_profiled",
     "write_manifest",
 ]

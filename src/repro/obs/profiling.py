@@ -1,32 +1,31 @@
 """Per-analyzer profiling: attribute run time to each attached Analyzer.
 
-:func:`wrap_profiled` wraps an :class:`~repro.sim.observer.Analyzer` in
-a transparent proxy that times every hook invocation into an
-:class:`AnalyzerProfile`.  The proxy *class* is generated per set of
-overridden hooks (and cached), because the simulator's fast path
-decides per hook whether an analyzer participates by looking at the
-analyzer's **type** (:func:`repro.sim.simulator._hooks_for`): a proxy
-that blindly overrode ``on_step`` for a call-graph-only analyzer would
-force step-record materialization and destroy the record-free fast
-path.  Wrapping therefore preserves exactly the event stream the bare
-analyzer would have had, plus one timed call frame per delivered event.
-A proxy takes steps through ``on_step``, so the predecoded engine builds
-a step record for it that the bare compiled analyzer would not need;
-its step times include that record's unpacking, not its construction.
+:func:`instrument` times an :class:`~repro.sim.observer.Analyzer` where
+it already runs.  On the instance, it replaces each hook the analyzer's
+class overrides with a timed wrapper, and ``compile_step`` with one that
+wraps every compiled step in a timer.  The simulator chooses an
+analyzer's hooks by its *type* (:func:`repro.sim.simulator._hooks_for`,
+:func:`~repro.sim.observer.takes_steps`), which instrumenting leaves
+alone, so a profiled run takes exactly the path an unprofiled run takes:
+compiled steps stay on the predecoded engine's record-free path, and an
+analyzer is charged only for the steps it compiled (the function
+analyzer for loads and stores, the value profiler for loads).
 
-Profiling is opt-in (``--profile`` / ``run_suite(profile=True)``); the
-measured hook times are published to the metrics registry under
-``profile.<Analyzer>.<hook>`` and rendered by
-:func:`format_profile_table`.
+Timers go straight into the registry as ``profile.<Analyzer>.<hook>``:
+``count`` calls taking ``total`` seconds.  Compiled steps count under
+``on_step``, whose total also holds the ``compile_step`` calls.  The
+runner instruments only while the registry is enabled (``--profile`` /
+``run_suite(profile=True)``); :func:`profiles_from_snapshot` reads the
+timers back and :func:`format_profile_table` renders them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Dict, List, Tuple, Type
+from typing import Dict, List
 
-from repro.sim.observer import Analyzer, takes_steps
+from repro.sim.observer import Analyzer, overrides_on_step, takes_steps
 
 #: Every hook the simulator can deliver.
 HOOKS = ("on_start", "on_step", "on_call", "on_return", "on_syscall", "on_finish")
@@ -48,90 +47,48 @@ class AnalyzerProfile:
     def total_calls(self) -> int:
         return sum(self.calls.values())
 
-    def publish(self, registry) -> None:
-        """Fold this profile into ``registry`` as ``profile.*`` timers."""
-        for hook, count in self.calls.items():
-            timer = registry.timer(f"profile.{self.name}.{hook}")
-            timer.count += count
-            timer.total += self.seconds.get(hook, 0.0)
 
+def _timed(fn, timer):
+    """``fn`` counted and timed into ``timer``, also when it raises."""
 
-def _make_hook(hook_name: str):
-    def hook(self, *event):
-        profile = self._profile
+    def timed(*args):
         started = perf_counter()
         try:
-            return getattr(self._inner, hook_name)(*event)
+            return fn(*args)
         finally:
-            elapsed = perf_counter() - started
-            profile.calls[hook_name] = profile.calls.get(hook_name, 0) + 1
-            profile.seconds[hook_name] = profile.seconds.get(hook_name, 0.0) + elapsed
+            timer.count += 1
+            timer.total += perf_counter() - started
 
-    hook.__name__ = hook_name
-    return hook
+    return timed
 
 
-#: Proxy classes keyed by the tuple of hooks they forward.
-_PROXY_CLASSES: Dict[Tuple[str, ...], Type[Analyzer]] = {}
-
-
-def _overridden_hooks(analyzer: Analyzer) -> Tuple[str, ...]:
-    """Hooks the proxy must forward.
-
-    A compiled analyzer (one overriding ``compile_step``) takes steps
-    through its ``on_step`` adapter, so its proxy forwards ``on_step``.
-    """
+def instrument(analyzer: Analyzer, registry) -> None:
+    """Time ``analyzer``'s hooks and compiled steps into ``registry``."""
     cls = type(analyzer)
-    return tuple(
-        name
-        for name in HOOKS
-        if getattr(cls, name) is not getattr(Analyzer, name)
-        or (name == "on_step" and takes_steps(cls))
-    )
+    prefix = f"profile.{cls.__name__}."
+    for hook in HOOKS:
+        if getattr(cls, hook) is not getattr(Analyzer, hook):
+            setattr(analyzer, hook, _timed(getattr(analyzer, hook), registry.timer(prefix + hook)))
+    if not takes_steps(cls) or overrides_on_step(cls):
+        return
+    compile_step = analyzer.compile_step
+    timer = registry.timer(prefix + "on_step")
 
+    def timed_compile_step(pc, instr):
+        started = perf_counter()
+        step = compile_step(pc, instr)
+        timer.total += perf_counter() - started
+        return None if step is None else _timed(step, timer)
 
-def _proxy_class(hooks: Tuple[str, ...]) -> Type[Analyzer]:
-    proxy = _PROXY_CLASSES.get(hooks)
-    if proxy is None:
-        namespace = {name: _make_hook(name) for name in hooks}
-        namespace["__slots__"] = ("_inner", "_profile")
-
-        def __init__(self, inner: Analyzer, profile: AnalyzerProfile) -> None:
-            self._inner = inner
-            self._profile = profile
-
-        namespace["__init__"] = __init__
-        proxy = type(f"Profiled[{','.join(hooks) or 'none'}]", (Analyzer,), namespace)
-        _PROXY_CLASSES[hooks] = proxy
-    return proxy
-
-
-def wrap_profiled(analyzer: Analyzer) -> Tuple[Analyzer, AnalyzerProfile]:
-    """A profiling proxy for ``analyzer`` plus its (live) profile."""
-    profile = AnalyzerProfile(name=type(analyzer).__name__)
-    proxy = _proxy_class(_overridden_hooks(analyzer))(analyzer, profile)
-    return proxy, profile
-
-
-def wrap_all(analyzers) -> Tuple[List[Analyzer], List[AnalyzerProfile]]:
-    """Wrap a whole analyzer stack; returns (proxies, profiles)."""
-    proxies: List[Analyzer] = []
-    profiles: List[AnalyzerProfile] = []
-    for analyzer in analyzers:
-        proxy, profile = wrap_profiled(analyzer)
-        proxies.append(proxy)
-        profiles.append(profile)
-    return proxies, profiles
+    analyzer.compile_step = timed_compile_step
 
 
 def profiles_from_snapshot(snapshot: Dict) -> List[AnalyzerProfile]:
     """Rebuild per-analyzer profiles from a registry snapshot.
 
-    Inverse of :meth:`AnalyzerProfile.publish` — folds every
-    ``profile.<Analyzer>.<hook>`` timer back into an
+    Folds every ``profile.<Analyzer>.<hook>`` timer into an
     :class:`AnalyzerProfile`, so the CLI can render a table for runs
-    whose profiles crossed a process boundary (or a cache) as metrics.
-    Per-hook timing distributions are summarized (count/total only).
+    whose timers crossed a process boundary as metrics.
     """
     by_name: Dict[str, AnalyzerProfile] = {}
     for key, stats in snapshot.get("timers", {}).items():

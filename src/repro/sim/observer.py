@@ -161,9 +161,8 @@ def record_step(on_step: Callable[[StepRecord], None], pc: int, instr: Instructi
 def step_compiler(analyzer: Analyzer) -> Callable[[int, Instruction], Optional[StepFn]]:
     """``(pc, instr) -> step`` for one analyzer.
 
-    Analyzers that override ``on_step`` (no ``compile_step``, or a proxy
-    wrapping one) get a per-pc :func:`record_step` adapter around their
-    bound ``on_step`` for every instruction.
+    Analyzers that override ``on_step`` get a per-pc :func:`record_step`
+    adapter around their bound ``on_step`` for every instruction.
     """
     if overrides_on_step(type(analyzer)):
         on_step = analyzer.on_step

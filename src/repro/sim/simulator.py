@@ -260,19 +260,6 @@ class Simulator:
         self._limit = limit
         self._skip = skip
 
-        # Engine fault sites fire before any analyzer state is touched,
-        # so a failed attempt pollutes nothing the retry would reuse.
-        # Lazy import: repro.harness imports this module at load time.
-        from repro.harness import faults as _faults
-
-        if _faults.armed():
-            site = (
-                "engine.interp_raise"
-                if self._engine == "interpreter"
-                else "engine.predecode_raise"
-            )
-            _faults.check(site)
-
         program = self.program
         self._step_hooks = _hooks_for(self._analyzers, "on_step")
         self._step_compilers = tuple(

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from repro.harness import runner
 from repro.harness.cli import build_parser, main
 
 from tests.helpers import child_env
@@ -135,6 +136,22 @@ class TestRobustnessFlags:
             ["table2", "--workloads", "compress", "--no-strict", "--retries", "1"]
         )
         assert code == 0
+
+
+class TestProfileFlag:
+    def test_all_cache_hits_say_no_analyzer_ran(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(runner, "_DISK_CACHE", None)
+        monkeypatch.setattr(runner, "_DISK_RESOLVED", False)
+        argv = ["table1", "--workloads", "compress", "--cache-dir", str(tmp_path), "--profile"]
+        profiles = []
+        for _ in range(2):  # cold, then warm from the disk cache only
+            monkeypatch.setattr(runner, "_CACHE", {})
+            assert main(argv) == 0
+            profiles.append(capsys.readouterr().out.split("== profile ==")[1])
+        cold, warm = profiles
+        assert "FunctionAnalyzer" in cold and "TOTAL" in cold
+        assert "no analyzer ran: every result came from a cache" in warm
+        assert "TOTAL" not in warm and "calls" not in warm
 
 
 class TestMain:

@@ -10,8 +10,6 @@ from repro.asm.errors import AsmError
 from repro.harness import faults
 from repro.harness.cache import ResultCache
 from repro.harness.faults import (
-    FAULTS_ENV,
-    FAULTS_SEED_ENV,
     SITES,
     FaultInjected,
     FaultPlan,
@@ -37,7 +35,7 @@ class TestSpecGrammar:
         spec = FaultSpec.parse("worker.crash")
         assert spec.site == "worker.crash"
         assert spec.workload == "*" and spec.attempt is None
-        assert spec.times == 1 and spec.probability is None
+        assert spec.times == 1
 
     def test_workload_and_attempt(self):
         spec = FaultSpec.parse("worker.crash:go@2")
@@ -46,8 +44,11 @@ class TestSpecGrammar:
     def test_times_bounds(self):
         assert FaultSpec.parse("asm.error:li:3").times == 3
         assert FaultSpec.parse("asm.error:li:*").times is None
-        spec = FaultSpec.parse("asm.error:li:p0.5")
-        assert spec.probability == 0.5 and spec.times is None
+
+    @pytest.mark.parametrize("times", ["p0.5", "x", "-1", "1.5"])
+    def test_malformed_times_rejected(self, times):
+        with pytest.raises(ValueError, match="malformed fault spec"):
+            FaultSpec.parse(f"asm.error:li:{times}")
 
     def test_unknown_site_rejected(self):
         with pytest.raises(ValueError, match="unknown fault site"):
@@ -93,34 +94,14 @@ class TestMatching:
         for _ in range(10):
             assert plan.should_fire("cache.torn_write", None, None)
 
-    def test_probability_is_seed_deterministic(self):
-        def firing_pattern(seed):
-            plan = FaultPlan.parse("cache.torn_write:*:p0.5", seed=seed)
-            return [
-                plan.should_fire("cache.torn_write", None, None) is not None
-                for _ in range(64)
-            ]
-
-        assert firing_pattern(7) == firing_pattern(7)
-        assert firing_pattern(7) != firing_pattern(8)
-        assert any(firing_pattern(7)) and not all(firing_pattern(7))
-
 
 class TestArming:
-    def test_resolve_plan_prefers_explicit_spec(self, monkeypatch):
-        monkeypatch.setenv(FAULTS_ENV, "worker.hang")
-        plan = faults.resolve_plan("worker.crash:go")
-        assert plan.specs[0].site == "worker.crash"
-
-    def test_resolve_plan_from_env(self, monkeypatch):
-        monkeypatch.setenv(FAULTS_ENV, "asm.error:li")
-        monkeypatch.setenv(FAULTS_SEED_ENV, "42")
-        plan = faults.resolve_plan(None)
-        assert plan.specs[0].site == "asm.error" and plan.seed == 42
-
-    def test_resolve_plan_none_when_unarmed(self, monkeypatch):
-        monkeypatch.delenv(FAULTS_ENV, raising=False)
-        assert faults.resolve_plan(None) is None
+    def test_armed_plan_without_spec_stays_disarmed(self, monkeypatch):
+        # The environment arms nothing: a plan is always part of the
+        # config, and so of the cache key.
+        monkeypatch.setenv("REPRO_FAULTS", "asm.error")
+        with faults.armed_plan(None) as plan:
+            assert plan is None and not faults.armed()
 
     def test_armed_plan_installs_and_disarms(self):
         assert not faults.armed()

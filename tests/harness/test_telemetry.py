@@ -8,8 +8,11 @@ pool, or served everything from cache.
 
 from __future__ import annotations
 
+import collections
+import dataclasses
 import json
 import logging
+from unittest import mock
 
 import pytest
 
@@ -17,18 +20,32 @@ from repro.core.repetition import RepetitionTracker
 from repro.core.reuse_buffer import ReuseBuffer
 from repro.harness import runner
 from repro.harness.cli import main
+from repro.harness.failures import result_digest
 from repro.harness.runner import (
     SuiteConfig,
     run_suite,
     run_workload,
     set_cache_dir,
 )
+from repro.isa.instructions import Kind
 from repro.obs import metrics as obs_metrics
+from repro.sim import Analyzer, StepRecord
 from repro.sim.simulator import Simulator
 from repro.workloads import get_workload
 
 _SMALL = SuiteConfig(limit_instructions=3_000)
 _NAMES = ("compress", "go")
+
+#: The suite stack's analyzers, as their profile timers name them.
+_ANALYZERS = (
+    "RepetitionTracker",
+    "GlobalSourceAnalyzer",
+    "FunctionAnalyzer",
+    "LocalAnalyzer",
+    "ReuseBuffer",
+    "GlobalLoadValueProfiler",
+    "TraceReuseAnalyzer",
+)
 
 
 @pytest.fixture
@@ -58,6 +75,30 @@ def _simulate(engine: str, limit: int = 2_000, skip: int = 0, bare: bool = False
     )
     run = simulator.run(limit=limit, skip=skip)
     return run, tracker.report(), reuse.report()
+
+
+class _KindCounter(Analyzer):
+    def __init__(self) -> None:
+        self.kinds = collections.Counter()
+
+    def on_step(self, record) -> None:
+        self.kinds[record.instr.op.kind] += 1
+
+
+def _executed_loads_and_stores(config: SuiteConfig):
+    """Loads and stores executed in compress's analysis window."""
+    workload = get_workload("compress")
+    counter = _KindCounter()
+    Simulator(
+        workload.program(), input_data=config.input_for(workload), analyzers=[counter]
+    ).run(limit=config.limit_instructions, skip=config.skip_instructions)
+    return counter.kinds[Kind.LOAD], counter.kinds[Kind.STORE]
+
+
+def _profiled(cpus: int):
+    """A profiled compress run on ``cpus`` usable CPUs."""
+    with mock.patch.object(runner, "_usable_cpus", return_value=cpus):
+        return run_workload(get_workload("compress"), _SMALL, profile=True)
 
 
 class TestTelemetryIsPureObserver:
@@ -194,18 +235,22 @@ class TestSuiteAggregation:
         assert counters["reuse.probes"] > 0 and counters["trace.probes"] > 0
 
     def test_profile_times_every_analyzer(self, isolated_caches, metrics_enabled):
-        run_workload(get_workload("compress"), _SMALL, profile=True)
+        result = run_workload(get_workload("compress"), _SMALL, profile=True)
         timers = metrics_enabled.snapshot()["timers"]
-        for name in (
-            "RepetitionTracker",
-            "GlobalSourceAnalyzer",
-            "FunctionAnalyzer",
-            "LocalAnalyzer",
-            "ReuseBuffer",
-            "GlobalLoadValueProfiler",
-            "TraceReuseAnalyzer",
-        ):
-            assert timers[f"profile.{name}.on_step"]["count"] > 0, name
+        steps = {name: timers[f"profile.{name}.on_step"]["count"] for name in _ANALYZERS}
+        analyzed = result.run.analyzed_instructions
+        loads, stores = _executed_loads_and_stores(_SMALL)
+        # Each analyzer is charged for the steps it compiled, no more.
+        assert steps == {
+            "RepetitionTracker": analyzed,
+            "GlobalSourceAnalyzer": analyzed,
+            "FunctionAnalyzer": loads + stores,
+            "LocalAnalyzer": analyzed,
+            "ReuseBuffer": analyzed,
+            "GlobalLoadValueProfiler": loads,
+            "TraceReuseAnalyzer": analyzed,
+        }
+        assert stores > 0 and steps["FunctionAnalyzer"] < analyzed
 
     def test_manifest_attached_to_computed_result(self, isolated_caches):
         result = run_workload(get_workload("compress"), _SMALL)
@@ -215,6 +260,58 @@ class TestSuiteAggregation:
         assert manifest.engine == _SMALL.engine
         assert manifest.cache == "computed"
         assert set(manifest.timing) == {"assemble", "simulate", "report", "total"}
+
+
+class TestProfile:
+    @pytest.mark.parametrize("metrics", [True, False], ids=["metrics-on", "metrics-off"])
+    def test_split_and_one_process_runs_record_the_same_timers(
+        self, isolated_caches, metrics
+    ):
+        timers = {}
+        for cpus in (1, 2):
+            runner.clear_cache()
+            obs_metrics.REGISTRY.reset()
+            obs_metrics.REGISTRY.enabled = metrics
+            try:
+                _profiled(cpus)
+                snapshot = obs_metrics.REGISTRY.snapshot()["timers"]
+            finally:
+                obs_metrics.disable()
+                obs_metrics.REGISTRY.reset()
+            timers[cpus] = {name for name in snapshot if name.startswith("profile.")}
+        assert timers[1] == timers[2]
+        if metrics:
+            assert {name.split(".")[1] for name in timers[1]} == set(_ANALYZERS)
+        else:
+            assert timers[1] == set()
+
+    def test_predecoded_profile_builds_no_step_records(
+        self, isolated_caches, metrics_enabled, monkeypatch
+    ):
+        built = []
+        init = StepRecord.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(StepRecord, "__init__", counting_init)
+        result = _profiled(1)
+        assert result.run.analyzed_instructions == _SMALL.limit_instructions
+        assert metrics_enabled.timer("profile.RepetitionTracker.on_step").count > 0
+        assert built == []
+
+    @pytest.mark.parametrize("engine", ("predecoded", "interpreter"))
+    def test_profiled_result_digests_like_a_plain_one(
+        self, isolated_caches, metrics_enabled, engine
+    ):
+        config = dataclasses.replace(_SMALL, engine=engine)
+        workload = get_workload("compress")
+        plain = result_digest(run_workload(workload, config))
+        runner.clear_cache()
+        profiled = result_digest(run_workload(workload, config, profile=True))
+        assert metrics_enabled.timer("profile.RepetitionTracker.on_step").count > 0
+        assert profiled == plain
 
 
 class TestCorruptCacheEntries:

@@ -17,7 +17,8 @@ import pytest
 
 from repro.core import FunctionAnalyzer, RepetitionTracker
 from repro.harness import SuiteConfig, build_analyzers
-from repro.obs.profiling import wrap_profiled
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.profiling import instrument
 from repro.sim import Analyzer, Simulator, StepRecord
 from repro.sim.simulator import ENGINES, _hooks_for
 from repro.sim.trace import EventTrace, TraceRecorder
@@ -183,14 +184,17 @@ class TestDispatch:
         assert compiled_only == expected
         assert len(built) == run.analyzed_instructions
 
-    def test_uncompiled_and_proxied_analyzers_see_every_step(self):
+    def test_uncompiled_and_instrumented_analyzers_see_every_step(self):
         config = dataclasses.replace(WINDOW, engine="predecoded")
         plain = StepCounter()
-        proxy, profile = wrap_profiled(RepetitionTracker())
-        _, run, _ = _run("compress", config, extra=[plain, proxy])
+        tracker = RepetitionTracker()
+        registry = MetricsRegistry(enabled=True)
+        instrument(tracker, registry)
+        _, run, _ = _run("compress", config, extra=[plain, tracker])
         assert plain.steps == run.analyzed_instructions
-        assert profile.calls["on_step"] == run.analyzed_instructions
-        assert proxy._inner.dynamic_total == run.analyzed_instructions
+        timer = registry.timer("profile.RepetitionTracker.on_step")
+        assert timer.count == run.analyzed_instructions
+        assert tracker.dynamic_total == run.analyzed_instructions
 
     def test_adapter_recompiles_a_new_instruction_at_a_known_pc(self):
         tracker = RepetitionTracker()
