@@ -33,20 +33,6 @@ from repro.sim.observer import Analyzer, StepFn
 IMPURE_LOW, IMPURE_HIGH = DATA_BASE, STACK_LIMIT
 
 
-def classify_memory_access(address: int, is_store: bool) -> Optional[str]:
-    """Purity event for one memory access, or ``None`` if it has none.
-
-    Stores to global (data-segment) or heap memory are ``"side_effect"``
-    events; loads from them are ``"implicit_input"`` events.  Stack and
-    other accesses are invisible to the §5.2 analysis.  The trace-safety
-    filter (:mod:`repro.traces.safety`) reuses this classification for
-    its strict no-implicit-inputs mode.
-    """
-    if not IMPURE_LOW <= address < IMPURE_HIGH:
-        return None
-    return "side_effect" if is_store else "implicit_input"
-
-
 @dataclass
 class _FunctionStats:
     """Per-static-function call statistics."""

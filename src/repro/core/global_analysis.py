@@ -23,7 +23,7 @@ repeated) — the three panels of Table 3.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Set, Tuple
+from typing import Dict, Set, Tuple
 
 from repro.asm.program import Program
 from repro.isa.convention import segment_of
@@ -85,11 +85,11 @@ class GlobalAnalysisReport:
 class GlobalSourceAnalyzer(Analyzer):
     """Propagates source tags and bins instructions into Table 3 categories.
 
-    Needs a :class:`RepetitionTracker` attached *earlier* in the analyzer
-    list so the per-step repetition flag is fresh.
+    Takes the :class:`RepetitionTracker` attached *earlier* in the
+    analyzer list, so the per-step repetition flag is fresh.
     """
 
-    def __init__(self, tracker: Optional[RepetitionTracker] = None) -> None:
+    def __init__(self, tracker: RepetitionTracker) -> None:
         self.tracker = tracker
         self.reg_tags = [UNINIT] * NUM_REGISTERS
         #: One-element cell: the tag of the hi/lo pair.
@@ -165,11 +165,10 @@ class GlobalSourceAnalyzer(Analyzer):
                 reg_tags[rt] = INTERNAL if dest_is_zero else tag
                 stats = by_tag[tag]
                 stats.total += 1
-                if tracker is not None:
-                    if tracker.last_index != n:
-                        tracker.repeated_at(n)  # raises: out of order
-                    if tracker.last_was_repeated:
-                        stats.repeated += 1
+                if tracker.last_index != n:
+                    tracker.repeated_at(n)  # raises: out of order
+                if tracker.last_was_repeated:
+                    stats.repeated += 1
 
         elif kind == Kind.STORE:
             mem_tags = self.mem_tags
@@ -182,11 +181,10 @@ class GlobalSourceAnalyzer(Analyzer):
                 mem_tags[address & ~3] = value_tag
                 stats = by_tag[tag]
                 stats.total += 1
-                if tracker is not None:
-                    if tracker.last_index != n:
-                        tracker.repeated_at(n)
-                    if tracker.last_was_repeated:
-                        stats.repeated += 1
+                if tracker.last_index != n:
+                    tracker.repeated_at(n)
+                if tracker.last_was_repeated:
+                    stats.repeated += 1
 
         elif kind == Kind.MULDIV:
             hilo_tag = self._hilo_tag
@@ -199,11 +197,10 @@ class GlobalSourceAnalyzer(Analyzer):
                 hilo_tag[0] = tag
                 stats = by_tag[tag]
                 stats.total += 1
-                if tracker is not None:
-                    if tracker.last_index != n:
-                        tracker.repeated_at(n)
-                    if tracker.last_was_repeated:
-                        stats.repeated += 1
+                if tracker.last_index != n:
+                    tracker.repeated_at(n)
+                if tracker.last_was_repeated:
+                    stats.repeated += 1
 
         elif kind == Kind.MFHILO:
             rd = instr.rd
@@ -215,11 +212,10 @@ class GlobalSourceAnalyzer(Analyzer):
                     reg_tags[rd] = tag
                 stats = by_tag[tag]
                 stats.total += 1
-                if tracker is not None:
-                    if tracker.last_index != n:
-                        tracker.repeated_at(n)
-                    if tracker.last_was_repeated:
-                        stats.repeated += 1
+                if tracker.last_index != n:
+                    tracker.repeated_at(n)
+                if tracker.last_was_repeated:
+                    stats.repeated += 1
 
         else:
             # The rest take the supersede of their source tags and may
@@ -250,11 +246,10 @@ class GlobalSourceAnalyzer(Analyzer):
                     if dest:
                         reg_tags[dest] = INTERNAL
                     stats.total += 1
-                    if tracker is not None:
-                        if tracker.last_index != n:
-                            tracker.repeated_at(n)
-                        if tracker.last_was_repeated:
-                            stats.repeated += 1
+                    if tracker.last_index != n:
+                        tracker.repeated_at(n)
+                    if tracker.last_was_repeated:
+                        stats.repeated += 1
 
             else:
                 a = sources[0]
@@ -269,11 +264,10 @@ class GlobalSourceAnalyzer(Analyzer):
                         reg_tags[dest] = INTERNAL if link else tag
                     stats = by_tag[tag]
                     stats.total += 1
-                    if tracker is not None:
-                        if tracker.last_index != n:
-                            tracker.repeated_at(n)
-                        if tracker.last_was_repeated:
-                            stats.repeated += 1
+                    if tracker.last_index != n:
+                        tracker.repeated_at(n)
+                    if tracker.last_was_repeated:
+                        stats.repeated += 1
 
         self._shapes[shape] = step
         return step

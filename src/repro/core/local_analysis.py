@@ -41,6 +41,7 @@ from repro.isa.instructions import Format, Instruction, Kind
 from repro.isa.registers import A0, GP, NUM_REGISTERS, RA, SP, V0, ZERO
 from repro.sim.events import CallEvent, ReturnEvent, SyscallEvent
 from repro.sim.observer import Analyzer, StepFn
+from repro.core.global_analysis import CategoryStats
 from repro.core.repetition import RepetitionTracker
 
 # Local source tags, priority-ordered for the supersede rule (max-combine):
@@ -101,16 +102,6 @@ class _LocalFrame:
 
 
 @dataclass
-class CategoryStats:
-    total: int = 0
-    repeated: int = 0
-
-    @property
-    def propensity_pct(self) -> float:
-        return 100.0 * self.repeated / self.total if self.total else 0.0
-
-
-@dataclass
 class ProEpiContributor:
     """Table 9 row: one function's prologue+epilogue contribution."""
 
@@ -162,13 +153,13 @@ class LocalAnalysisReport:
 
 
 def _frame_task_counter(
-    tracker: Optional[RepetitionTracker], proepi: Dict[str, List[int]]
+    tracker: RepetitionTracker, proepi: Dict[str, List[int]]
 ) -> Callable[[CategoryStats, _LocalFrame, int], None]:
     """Counts one prologue/epilogue step ``n``, also against its function."""
 
     def count(stats: CategoryStats, frame: _LocalFrame, n: int) -> None:
         stats.total += 1
-        repeated = tracker is not None and tracker.repeated_at(n)
+        repeated = tracker.repeated_at(n)
         if repeated:
             stats.repeated += 1
         if frame.function is not None:
@@ -185,12 +176,11 @@ def _frame_task_counter(
 class LocalAnalyzer(Analyzer):
     """Bins instructions into the paper's local categories.
 
-    Needs a :class:`RepetitionTracker` attached earlier in the analyzer
-    list (pass it in) for the repeated-per-category split; without one,
-    only the overall breakdown (Table 5) is populated.
+    Takes the :class:`RepetitionTracker` attached *earlier* in the
+    analyzer list, for the repeated-per-category split.
     """
 
-    def __init__(self, tracker: Optional[RepetitionTracker] = None) -> None:
+    def __init__(self, tracker: RepetitionTracker) -> None:
         self.tracker = tracker
         self.stats = {name: CategoryStats() for name in CATEGORY_ORDER}
         self._stats_by_tag = [self.stats[_TAG_CATEGORY[tag]] for tag in sorted(_TAG_CATEGORY)]
@@ -275,11 +265,10 @@ class LocalAnalyzer(Analyzer):
                 # address (SP/gp-derived) does not reclassify it.
                 stats = by_tag[value_tag]
                 stats.total += 1
-                if tracker is not None:
-                    if tracker.last_index != n:
-                        tracker.repeated_at(n)  # raises: out of order
-                    if tracker.last_was_repeated:
-                        stats.repeated += 1
+                if tracker.last_index != n:
+                    tracker.repeated_at(n)  # raises: out of order
+                if tracker.last_was_repeated:
+                    stats.repeated += 1
 
         elif kind == Kind.LOAD:
             epilogue = self.stats["epilogue"]
@@ -302,11 +291,10 @@ class LocalAnalyzer(Analyzer):
                     frame.reg_tags[rt] = tag
                 stats = by_tag[tag]
                 stats.total += 1
-                if tracker is not None:
-                    if tracker.last_index != n:
-                        tracker.repeated_at(n)
-                    if tracker.last_was_repeated:
-                        stats.repeated += 1
+                if tracker.last_index != n:
+                    tracker.repeated_at(n)
+                if tracker.last_was_repeated:
+                    stats.repeated += 1
 
         elif kind == Kind.ALU and rt == SP and rs == SP and op.name == "addiu":
             # Stack frame allocation / deallocation.
@@ -327,11 +315,10 @@ class LocalAnalyzer(Analyzer):
                 frame.hilo_tag = tag
                 stats = by_tag[tag]
                 stats.total += 1
-                if tracker is not None:
-                    if tracker.last_index != n:
-                        tracker.repeated_at(n)
-                    if tracker.last_was_repeated:
-                        stats.repeated += 1
+                if tracker.last_index != n:
+                    tracker.repeated_at(n)
+                if tracker.last_was_repeated:
+                    stats.repeated += 1
 
         elif kind == Kind.MFHILO:
             rd = instr.rd
@@ -343,11 +330,10 @@ class LocalAnalyzer(Analyzer):
                     frame.reg_tags[rd] = tag
                 stats = by_tag[tag]
                 stats.total += 1
-                if tracker is not None:
-                    if tracker.last_index != n:
-                        tracker.repeated_at(n)
-                    if tracker.last_was_repeated:
-                        stats.repeated += 1
+                if tracker.last_index != n:
+                    tracker.repeated_at(n)
+                if tracker.last_was_repeated:
+                    stats.repeated += 1
 
         elif op.name == "lui":
             dest = instr.dest_register() or 0
@@ -362,11 +348,10 @@ class LocalAnalyzer(Analyzer):
                     stack[-1].reg_tags[dest] = tag
                 stats = by_tag[tag]
                 stats.total += 1
-                if tracker is not None:
-                    if tracker.last_index != n:
-                        tracker.repeated_at(n)
-                    if tracker.last_was_repeated:
-                        stats.repeated += 1
+                if tracker.last_index != n:
+                    tracker.repeated_at(n)
+                if tracker.last_was_repeated:
+                    stats.repeated += 1
 
         else:
             # The rest are binned by the supersede of their source tags,
@@ -398,11 +383,10 @@ class LocalAnalyzer(Analyzer):
                     if dest:
                         stack[-1].reg_tags[dest] = INTERNAL
                     stats.total += 1
-                    if tracker is not None:
-                        if tracker.last_index != n:
-                            tracker.repeated_at(n)
-                        if tracker.last_was_repeated:
-                            stats.repeated += 1
+                    if tracker.last_index != n:
+                        tracker.repeated_at(n)
+                    if tracker.last_was_repeated:
+                        stats.repeated += 1
 
             else:
                 a = sources[0]
@@ -418,11 +402,10 @@ class LocalAnalyzer(Analyzer):
                         tags[dest] = INTERNAL if link or tag == UNINIT else tag
                     stats = by_tag[tag]
                     stats.total += 1
-                    if tracker is not None:
-                        if tracker.last_index != n:
-                            tracker.repeated_at(n)
-                        if tracker.last_was_repeated:
-                            stats.repeated += 1
+                    if tracker.last_index != n:
+                        tracker.repeated_at(n)
+                    if tracker.last_was_repeated:
+                        stats.repeated += 1
 
         self._shapes[shape] = step
         return step

@@ -250,13 +250,11 @@ class ValuePredictionAnalyzer(Analyzer):
     """Evaluates a value predictor over the execution stream.
 
     Eligible instructions are those producing a register value (loads,
-    ALU ops, ...).  Pass the shared tracker to also split accuracy over
-    repeated instances; attach the tracker earlier in the analyzer list.
+    ALU ops, ...).  Accuracy is also split over repeated instances, from
+    the shared tracker attached earlier in the analyzer list.
     """
 
-    def __init__(
-        self, predictor: ValuePredictor, tracker: Optional[RepetitionTracker] = None
-    ) -> None:
+    def __init__(self, predictor: ValuePredictor, tracker: RepetitionTracker) -> None:
         self.predictor = predictor
         self.tracker = tracker
         self.eligible = 0
@@ -269,7 +267,7 @@ class ValuePredictionAnalyzer(Analyzer):
         if record.dest_reg is None or record.dest_reg == 0:
             return
         self.eligible += 1
-        repeated = self.tracker is not None and self.tracker.was_repeated(record)
+        repeated = self.tracker.was_repeated(record)
         if repeated:
             self.repeated_eligible += 1
         value = record.dest_value

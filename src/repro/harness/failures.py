@@ -54,14 +54,6 @@ KIND_WORKER_CRASH = "worker-crash"
 KIND_TIMEOUT = "timeout"
 KIND_UNKNOWN = "unknown"
 
-FAILURE_KINDS = (
-    KIND_COMPILE,
-    KIND_SIM_TRAP,
-    KIND_WORKER_CRASH,
-    KIND_TIMEOUT,
-    KIND_UNKNOWN,
-)
-
 
 class WorkloadTimeout(Exception):
     """A workload exceeded its wall-clock budget.

@@ -100,6 +100,10 @@ class FaultSpec:
             if "@" in workload:
                 workload, attempt_text = workload.split("@", 1)
                 workload = workload or "*"
+                if not attempt_text.strip().isdigit():
+                    raise ValueError(
+                        f"malformed fault spec {token!r} (attempt: an integer)"
+                    )
                 attempt = int(attempt_text)
         times: Optional[int] = 1
         if len(parts) > 2 and parts[2]:

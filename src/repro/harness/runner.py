@@ -416,7 +416,7 @@ def _reports(analyzers: List[Analyzer], workload_name: str) -> list:
     reports = []
     for analyzer in analyzers:
         with obs_tracing.span(
-            "analyzer", analyzer=type(analyzer).__name__, workload=workload_name
+            "report-analyzer", analyzer=type(analyzer).__name__, workload=workload_name
         ):
             reports.append(analyzer.report())
     return reports

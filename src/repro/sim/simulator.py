@@ -241,6 +241,24 @@ class Simulator:
         for hook in hooks:
             hook(event)
 
+    def _emit_syscall(
+        self, pc: int, service: int, arg: int, result: Optional[int], warmup: bool
+    ) -> None:
+        hooks = self._syscall_hooks
+        if not hooks:
+            return
+        event = SyscallEvent(
+            pc,
+            service,
+            arg,
+            result,
+            service in SyscallHandler.INPUT_SERVICES,
+            service in SyscallHandler.OUTPUT_SERVICES,
+            warmup,
+        )
+        for hook in hooks:
+            hook(event)
+
     # ------------------------------------------------------------------
 
     def run(self, limit: Optional[int] = None, skip: int = 0) -> RunResult:
@@ -417,14 +435,11 @@ class Simulator:
         text = program.text
         text_base = program.text_base
         text_len = len(text)
-        syscall_hooks = self._syscall_hooks
-        input_services = SyscallHandler.INPUT_SERVICES
-        output_services = SyscallHandler.OUTPUT_SERVICES
         # On this path the pause flag can only change inside call/return/
         # syscall hooks, from a watching thread, or before run(); skip the
         # check when none applies.
         check_pause = (
-            bool(self._call_hooks or self._return_hooks or syscall_hooks)
+            bool(self._call_hooks or self._return_hooks or self._syscall_hooks)
             or self._pause_watched
             or self._pause_requested
         )
@@ -480,19 +495,7 @@ class Simulator:
                 elif tag is ctrl_return:
                     self._emit_return(pc, r[2], warmup)
                 else:  # syscall
-                    if syscall_hooks:
-                        service = r[2]
-                        event = SyscallEvent(
-                            pc,
-                            service,
-                            r[3],
-                            r[4],
-                            service in input_services,
-                            service in output_services,
-                            warmup,
-                        )
-                        for hook in syscall_hooks:
-                            hook(event)
+                    self._emit_syscall(pc, r[2], r[3], r[4], warmup)
                     if r[5]:
                         stop = "exit"
                         break
@@ -537,9 +540,6 @@ class Simulator:
         counts = self._kind_counts
         bind_observed = predecode.bind_observed
         bound = self._limit if self._limit is not None else _NO_LIMIT
-        syscall_hooks = self._syscall_hooks
-        input_services = SyscallHandler.INPUT_SERVICES
-        output_services = SyscallHandler.OUTPUT_SERVICES
         ctrl_call = predecode.CTRL_CALL
         ctrl_return = predecode.CTRL_RETURN
 
@@ -594,19 +594,7 @@ class Simulator:
                 elif tag is ctrl_return:
                     self._emit_return(pc, r[2], False)
                 else:  # syscall
-                    if syscall_hooks:
-                        service = r[2]
-                        event = SyscallEvent(
-                            pc,
-                            service,
-                            r[3],
-                            r[4],
-                            service in input_services,
-                            service in output_services,
-                            False,
-                        )
-                        for hook in syscall_hooks:
-                            hook(event)
+                    self._emit_syscall(pc, r[2], r[3], r[4], False)
                     if r[5]:
                         stop = "exit"
                         break

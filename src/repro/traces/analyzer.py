@@ -1,7 +1,7 @@
 """Analyzer-only trace reuse characterization (Table 10T).
 
 Segments the observed dynamic stream into back-to-back regions at the
-boundaries of :func:`~repro.traces.trace.boundary_kind`, probes the
+boundaries of :func:`~repro.isa.instructions.boundary_kind`, probes the
 trace table at every region start, and on a miss records the region as
 a new candidate.  No execution is skipped — this is pure measurement,
 the trace-level analogue of :class:`repro.core.reuse_buffer.ReuseBuffer`
@@ -30,11 +30,16 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.isa.instructions import Instruction, Kind
+from repro.isa.instructions import (
+    BOUNDARY_END,
+    BOUNDARY_EXCLUDE,
+    Instruction,
+    Kind,
+    boundary_kind,
+)
 from repro.isa.registers import NUM_REGISTERS, V0
 from repro.obs import metrics as obs_metrics
 from repro.sim.observer import Analyzer, StepFn
-from repro.traces.safety import SafetyPolicy
 from repro.traces.table import (
     DEFAULT_MAX_TRACE_LEN,
     DEFAULT_TRACE_CAPACITY,
@@ -42,14 +47,7 @@ from repro.traces.table import (
     TraceReuseTable,
 )
 from repro.traces.template import RegionTemplate, Step, register_reads
-from repro.traces.trace import (
-    BOUNDARY_END,
-    BOUNDARY_EXCLUDE,
-    CLASS_NAMES,
-    NUM_CLASSES,
-    Trace,
-    boundary_kind,
-)
+from repro.traces.trace import CLASS_NAMES, NUM_CLASSES, Trace
 
 #: Fixed histogram buckets for the trace-length distribution panel.
 LENGTH_BUCKETS: Tuple[Tuple[Optional[int], str], ...] = (
@@ -109,12 +107,6 @@ class TraceReuseReport:
     def mean_hit_length(self) -> float:
         return self.covered_instructions / self.hits if self.hits else 0.0
 
-    @property
-    def mean_recorded_length(self) -> float:
-        if not self.traces_recorded:
-            return 0.0
-        return self.recorded_length_total / self.traces_recorded
-
     def class_coverage_pct(self, name: str) -> float:
         """% of trace-covered instructions in class ``name``."""
         if not self.covered_instructions:
@@ -137,10 +129,8 @@ class TraceReuseAnalyzer(Analyzer):
         capacity: int = DEFAULT_TRACE_CAPACITY,
         ways: int = DEFAULT_TRACE_WAYS,
         max_trace_len: int = DEFAULT_MAX_TRACE_LEN,
-        policy: Optional[SafetyPolicy] = None,
     ) -> None:
         self.table = TraceReuseTable(capacity, ways, max_trace_len)
-        self.policy = policy if policy is not None else SafetyPolicy()
         self._shadow: list = [None] * NUM_REGISTERS
         self._shadow[0] = 0
         #: Shadow [hi, lo].
@@ -314,7 +304,7 @@ class TraceReuseAnalyzer(Analyzer):
         else:
             template = RegionTemplate(self._region_pc, steps)
         template.update_shadow(steps, self._shadow, self._shadow_hilo)
-        trace, reason = template.record(steps, self.table.max_trace_len, self.policy)
+        trace, reason = template.record(steps)
         if trace is None:
             self.rejections[reason] += 1
             return

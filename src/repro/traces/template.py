@@ -26,6 +26,11 @@ The live-in rules:
   wild pointer);
 * hi/lo reads before any in-region ``mult``/``div`` are hi/lo live-ins.
 
+A region shorter than :data:`MIN_TRACE_LEN` is rejected too
+(``too-short``): the instruction-level reuse buffer already covers
+single instructions.  Regions never run past the table's
+``max_trace_len``; the analyzer splits them there.
+
 The memory checks depend on addresses, so recording walks the loads and
 stores of every instance; everything else is gathered at fixed slots.
 """
@@ -35,21 +40,17 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.isa.convention import DATA_BASE, STACK_TOP
-from repro.isa.instructions import Instruction, Kind
+from repro.isa.instructions import BOUNDARY_EXCLUDE, Instruction, Kind, boundary_kind
 from repro.isa.registers import A0, V0
-from repro.traces.safety import (
-    REASON_OVERLAP,
-    REASON_UNTRACKED_STORE,
-    SafetyPolicy,
-    check_candidate,
-)
-from repro.traces.trace import (
-    BOUNDARY_EXCLUDE,
-    NUM_CLASSES,
-    Trace,
-    boundary_kind,
-    class_of,
-)
+from repro.traces.trace import NUM_CLASSES, Trace, class_of
+
+#: Rejection reasons, as counted in ``TraceReuseReport.rejections``.
+REASON_UNTRACKED_STORE = "untracked-store"
+REASON_OVERLAP = "partial-overlap"
+REASON_TOO_SHORT = "too-short"
+
+#: Regions shorter than this are not recorded.
+MIN_TRACE_LEN = 2
 
 _WIDTH_MASK = {1: 0xFF, 2: 0xFFFF, 4: 0xFFFFFFFF}
 
@@ -203,17 +204,16 @@ class RegionTemplate:
                 return REASON_OVERLAP, ()
         return None, tuple(mem_in)
 
-    def record(
-        self,
-        steps: Sequence[Step],
-        max_len: int,
-        policy: SafetyPolicy = SafetyPolicy(),
-    ) -> Tuple[Optional[Trace], Optional[str]]:
-        """``(trace, None)`` for an admitted instance, else ``(None, reason)``."""
+    def record(self, steps: Sequence[Step]) -> Tuple[Optional[Trace], Optional[str]]:
+        """``(trace, None)`` for an admitted instance, else ``(None, reason)``.
+
+        A memory violation outranks ``too-short``.
+        """
         unsafe, mem_in = self.memory(steps) if self.mem_ops else (None, ())
-        reason = check_candidate(unsafe, self.length, max_len, mem_in, policy)
-        if reason is not None:
-            return None, reason
+        if unsafe is not None:
+            return None, unsafe
+        if self.length < MIN_TRACE_LEN:
+            return None, REASON_TOO_SHORT
         reg_in = tuple(
             [(reg, steps[step][_INPUTS][position]) for reg, step, position in self.reg_slots]
         )

@@ -24,23 +24,13 @@ the run of static instructions ``start_pc, start_pc + 4, ...``.  The
 rule itself, :func:`~repro.isa.instructions.boundary_kind`, lives with
 the instruction set because the predecoded engine cuts its chains at
 the same boundaries (:func:`repro.sim.predecode.chain`).
-
-The numeric constants here are compared with ``is``/``==`` in hot loops;
-keep them small ints.
 """
 
 from __future__ import annotations
 
 from typing import Tuple
 
-from repro.isa.instructions import (  # noqa: F401  (the boundary rule is re-exported)
-    BOUNDARY_END,
-    BOUNDARY_EXCLUDE,
-    BOUNDARY_NONE,
-    Instruction,
-    Kind,
-    boundary_kind,
-)
+from repro.isa.instructions import Instruction, Kind
 
 #: Instruction-class taxonomy for the Coppieters-style decomposition of
 #: trace-covered instructions (Table 10T's class panel).

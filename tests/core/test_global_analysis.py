@@ -148,14 +148,6 @@ int main() {
         for name in report.categories:
             assert 0.0 <= report.propensity_pct(name) <= 100.0
 
-    def test_works_without_tracker(self):
-        program = compile_source("int main() { return 0; }")
-        analyzer = GlobalSourceAnalyzer(tracker=None)
-        Simulator(program, analyzers=[analyzer]).run()
-        report = analyzer.report()
-        assert report.dynamic_total > 0
-        assert report.dynamic_repeated == 0
-
 
 class TestUninit:
     def test_uninitialized_register_slice(self):
@@ -169,6 +161,7 @@ main:   addu $t0, $s0, $s1   # s0/s1 never written: uninit slice
         jr $ra
         .end main
 """
-        analyzer = GlobalSourceAnalyzer()
-        Simulator(assemble(source), analyzers=[analyzer]).run()
+        tracker = RepetitionTracker()
+        analyzer = GlobalSourceAnalyzer(tracker)
+        Simulator(assemble(source), analyzers=[tracker, analyzer]).run()
         assert analyzer.stats["uninit"].total >= 2

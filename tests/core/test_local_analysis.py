@@ -16,8 +16,9 @@ from repro.sim import Simulator
 
 
 def analyze_asm(source, input_data=b""):
-    analyzer = LocalAnalyzer()
-    Simulator(assemble(source), input_data=input_data, analyzers=[analyzer]).run()
+    tracker = RepetitionTracker()
+    analyzer = LocalAnalyzer(tracker)
+    Simulator(assemble(source), input_data=input_data, analyzers=[tracker, analyzer]).run()
     return analyzer
 
 

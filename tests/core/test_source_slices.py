@@ -12,16 +12,20 @@ from __future__ import annotations
 import pytest
 
 from repro.asm import assemble
-from repro.core import GlobalSourceAnalyzer
+from repro.core import GlobalSourceAnalyzer, RepetitionTracker
 from repro.sim import Simulator
 
 ENGINES = ("predecoded", "interpreter")
 
 
 def categories(source: str, engine: str, input_data: bytes = b"6") -> dict:
-    analyzer = GlobalSourceAnalyzer()
+    tracker = RepetitionTracker()
+    analyzer = GlobalSourceAnalyzer(tracker)
     result = Simulator(
-        assemble(source), input_data=input_data, analyzers=[analyzer], engine=engine
+        assemble(source),
+        input_data=input_data,
+        analyzers=[tracker, analyzer],
+        engine=engine,
     ).run()
     counts = {name: stats.total for name, stats in analyzer.stats.items() if stats.total}
     assert sum(counts.values()) == result.analyzed_instructions

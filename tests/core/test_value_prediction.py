@@ -137,16 +137,24 @@ class TestAnalyzer:
             dest_reg=8, dest_value=value,
         )
 
+    @staticmethod
+    def _feed(tracker, analyzer, step):
+        tracker.on_step(step)
+        analyzer.on_step(step)
+
     def test_eligibility(self):
-        analyzer = ValuePredictionAnalyzer(LastValuePredictor())
-        analyzer.on_step(self._alu(5))
-        analyzer.on_step(make_step(op="beq", inputs=(1, 1), outputs=(1,)))  # no dest
+        tracker = RepetitionTracker()
+        analyzer = ValuePredictionAnalyzer(LastValuePredictor(), tracker)
+        self._feed(tracker, analyzer, self._alu(5))
+        no_dest = make_step(op="beq", inputs=(1, 1), outputs=(1,))
+        self._feed(tracker, analyzer, no_dest)
         assert analyzer.eligible == 1
 
     def test_accuracy_counting(self):
-        analyzer = ValuePredictionAnalyzer(LastValuePredictor(threshold=1))
+        tracker = RepetitionTracker()
+        analyzer = ValuePredictionAnalyzer(LastValuePredictor(threshold=1), tracker)
         for _ in range(5):
-            analyzer.on_step(self._alu(9))
+            self._feed(tracker, analyzer, self._alu(9))
         report = analyzer.report()
         assert report.eligible == 5
         assert report.correct >= 3
@@ -156,9 +164,7 @@ class TestAnalyzer:
         tracker = RepetitionTracker()
         analyzer = ValuePredictionAnalyzer(LastValuePredictor(threshold=1), tracker)
         for _ in range(4):
-            step = self._alu(7)
-            tracker.on_step(step)
-            analyzer.on_step(step)
+            self._feed(tracker, analyzer, self._alu(7))
         report = analyzer.report()
         assert report.repeated_eligible == 3
         assert report.correct_on_repeated >= 2
@@ -183,7 +189,7 @@ int main() {
         assert report.accuracy_pct > 80.0
 
     def test_report_zero_division_safety(self):
-        report = ValuePredictionAnalyzer(LastValuePredictor()).report()
+        report = ValuePredictionAnalyzer(LastValuePredictor(), RepetitionTracker()).report()
         assert report.coverage_pct == 0.0
         assert report.accuracy_pct == 0.0
         assert report.repeated_capture_pct == 0.0

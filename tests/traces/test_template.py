@@ -5,30 +5,23 @@ from __future__ import annotations
 import pytest
 
 from repro.isa.convention import DATA_BASE, TEXT_BASE
-from repro.traces.safety import (
-    REASON_OVERLAP,
-    REASON_TOO_SHORT,
-    REASON_UNTRACKED_STORE,
-    SafetyPolicy,
-)
-from repro.traces.template import RegionTemplate
-from repro.traces.trace import (
+from repro.isa.instructions import (
     BOUNDARY_END,
     BOUNDARY_EXCLUDE,
     BOUNDARY_NONE,
-    CLASS_ALU,
-    CLASS_BRANCH,
-    CLASS_LOAD,
-    CLASS_STORE,
     boundary_kind,
 )
+from repro.traces.template import (
+    REASON_OVERLAP,
+    REASON_TOO_SHORT,
+    REASON_UNTRACKED_STORE,
+    RegionTemplate,
+)
+from repro.traces.trace import CLASS_ALU, CLASS_BRANCH, CLASS_LOAD, CLASS_STORE
 
 from tests.helpers import make_instruction
 
 PC = TEXT_BASE
-
-#: Admit single-instruction candidates so each rule can be seen alone.
-ANY_LENGTH = SafetyPolicy(min_len=1)
 
 
 def make_step(pc, op, inputs=(), outputs=(), value=0, address=None, **fields):
@@ -61,9 +54,9 @@ def branch(pc, rs, rt, a, b, taken, target):
     )
 
 
-def record(steps, max_len=16, policy=ANY_LENGTH):
+def record(steps):
     """``(trace, reason)`` of ``steps`` under a template of their own."""
-    return RegionTemplate(steps[0][0].addr, steps).record(steps, max_len, policy)
+    return RegionTemplate(steps[0][0].addr, steps).record(steps)
 
 
 class TestBoundaries:
@@ -125,7 +118,7 @@ class TestDataflow:
         assert trace.class_counts[CLASS_BRANCH] == 1
 
     def test_load_from_untouched_memory_is_live_in(self):
-        trace, _ = record([load(PC, 8, 9, DATA_BASE, 42)])
+        trace, _ = record([load(PC, 8, 9, DATA_BASE, 42), alu(PC + 4, 10, 8, 8, 42, 42)])
         assert trace.mem_in == ((DATA_BASE, 4, 42),)
 
     def test_load_covered_by_in_trace_store_is_internal(self):
@@ -157,7 +150,8 @@ class TestDataflow:
             make_step(
                 PC, "lb", inputs=(DATA_BASE,), outputs=(0xFFFFFFFF,),
                 value=0xFFFFFFFF, address=DATA_BASE, rt=8, rs=9,
-            )
+            ),
+            alu(PC + 4, 10, 8, 8, 0xFFFFFFFF, 0xFFFFFFFF),
         ])
         # The live-in holds the unextended memory byte, 0xFF.
         assert trace.mem_in == ((DATA_BASE, 1, 0xFF),)
@@ -174,12 +168,15 @@ class TestDataflow:
 
     def test_store_outside_tracked_segments_rejects(self):
         # A store into the text segment: self-modifying-code adjacent.
-        trace, reason = record([store(PC, 8, 9, TEXT_BASE + 0x100, 1)])
+        trace, reason = record([
+            alu(PC, 8, 9, 10, 1, 0),
+            store(PC + 4, 8, 9, TEXT_BASE + 0x100, 1),
+        ])
         assert trace is None
         assert reason == REASON_UNTRACKED_STORE
 
     def test_tracked_store_stays_safe(self):
-        trace, reason = record([store(PC, 8, 9, DATA_BASE, 1)])
+        trace, reason = record([alu(PC, 8, 9, 10, 1, 0), store(PC + 4, 8, 9, DATA_BASE, 1)])
         assert reason is None
         assert trace.mem_in == ()
 
@@ -191,10 +188,16 @@ class TestDataflow:
         ])
         assert reason == REASON_OVERLAP
 
-    def test_policy_applies(self):
-        trace, reason = record([alu(PC, 8, 9, 10, 1, 2)], policy=SafetyPolicy())
+    def test_too_short(self):
+        trace, reason = record([alu(PC, 8, 9, 10, 1, 2)])
         assert trace is None
         assert reason == REASON_TOO_SHORT
+        trace, reason = record([alu(PC, 8, 9, 10, 1, 2), alu(PC + 4, 11, 8, 8, 3, 3)])
+        assert reason is None
+        assert trace.length == 2
+        # A memory violation outranks too-short.
+        _, reason = record([store(PC, 8, 9, TEXT_BASE + 0x100, 1)])
+        assert reason == REASON_UNTRACKED_STORE
 
 
 class TestReuse:
@@ -216,8 +219,8 @@ class TestReuse:
     def test_gathered_equals_own_template(self, values):
         template = RegionTemplate(PC, self.instance(5, 6, DATA_BASE + 8, 9))
         steps = self.instance(*values)
-        shared, shared_reason = template.record(steps, 16)
-        own, own_reason = record(steps, policy=SafetyPolicy())
+        shared, shared_reason = template.record(steps)
+        own, own_reason = record(steps)
         assert shared_reason is own_reason is None
         assert shared.live_in_signature == own.live_in_signature
         assert shared.class_counts == own.class_counts
