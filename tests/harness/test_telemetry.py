@@ -382,6 +382,19 @@ class TestCliTelemetryFlags:
         assert "RepetitionTracker" in out
         assert "on_step" in out
 
+    def test_profile_phase_rows_are_not_named_analyzer(self, isolated_caches, capsys):
+        code = main(["table1", "--workloads", "compress", "--profile"])
+        assert code == 0
+        lines = capsys.readouterr().out.split("== profile ==")[1].splitlines()
+        header = next(
+            i for i, line in enumerate(lines) if line.split()[:2] == ["analyzer", "hook"]
+        )
+        phases = [line.split()[0] for line in lines[3:header] if line.strip()]
+        # The per-analyzer report span has its own name, so no phase row
+        # reads like the analyzer table's header below it.
+        assert "report-analyzer" in phases
+        assert "analyzer" not in phases
+
     def test_markdown_gets_sidecar_manifest(self, isolated_caches, tmp_path, capsys):
         report = tmp_path / "report.md"
         code = main(["table2", "--workloads", "compress", "--markdown", str(report)])
