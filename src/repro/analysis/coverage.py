@@ -26,8 +26,11 @@ def contributors_for_fractions(
     thousands of entries but hold only about a hundred distinct values
     (Figure 4's repeat counts), so the walk costs O(distinct values)
     after one C-level counting pass instead of a sort of every weight.
-    Within a group of equal weights ``w`` the count is solved for, then
-    confirmed with the same float comparison a one-by-one walk makes.
+    Within a group of equal weights ``w`` the count is solved for
+    directly: with integer weights summing below 2**53, ``target -
+    covered`` is exact and the division rounds monotonically, so the
+    ceiling is the count a one-by-one walk with the same float
+    comparison finds.
     """
     for fraction in fractions:
         if not 0.0 <= fraction <= 1.0:
@@ -47,10 +50,6 @@ def contributors_for_fractions(
             if covered + size * weight < target:
                 break
             k = min(max(math.ceil((target - covered) / weight), 1), size)
-            while k > 1 and covered + (k - 1) * weight >= target:
-                k -= 1
-            while covered + k * weight < target:
-                k += 1
             needed[pending.pop(0)] = count + k
         if not pending:
             break
@@ -88,9 +87,9 @@ def cumulative_share_curve(
     if points < 1:
         raise ValueError(f"points must be >= 1, got {points}")
     positive = sorted((w for w in weights if w > 0), reverse=True)
-    total = sum(positive)
-    if total == 0 or not positive:
+    if not positive:
         return [(0.0, 0.0), (1.0, 0.0)]
+    total = sum(positive)
     curve: List[Tuple[float, float]] = []
     covered = 0
     next_sample = 1
@@ -99,8 +98,7 @@ def cumulative_share_curve(
         while index >= next_sample * len(positive) / points:
             curve.append((index / len(positive), covered / total))
             next_sample += 1
-    if not curve or curve[-1][0] < 1.0:
-        curve.append((1.0, 1.0))
+    # The last index samples ``next_sample == points``: the curve ends at (1, 1).
     return curve
 
 

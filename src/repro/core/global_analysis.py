@@ -137,6 +137,7 @@ class GlobalSourceAnalyzer(Analyzer):
         closures hold the analyzer's state containers, never the analyzer
         itself, so the shape memo creates no reference cycle.
         """
+        self.tracker.check_compiled(pc)
         shape = (instr.op, instr.rd, instr.rs, instr.rt)
         step = self._shapes.get(shape)
         if step is not None:
@@ -165,8 +166,6 @@ class GlobalSourceAnalyzer(Analyzer):
                 reg_tags[rt] = INTERNAL if dest_is_zero else tag
                 stats = by_tag[tag]
                 stats.total += 1
-                if tracker.last_index != n:
-                    tracker.repeated_at(n)  # raises: out of order
                 if tracker.last_was_repeated:
                     stats.repeated += 1
 
@@ -181,8 +180,6 @@ class GlobalSourceAnalyzer(Analyzer):
                 mem_tags[address & ~3] = value_tag
                 stats = by_tag[tag]
                 stats.total += 1
-                if tracker.last_index != n:
-                    tracker.repeated_at(n)
                 if tracker.last_was_repeated:
                     stats.repeated += 1
 
@@ -197,8 +194,6 @@ class GlobalSourceAnalyzer(Analyzer):
                 hilo_tag[0] = tag
                 stats = by_tag[tag]
                 stats.total += 1
-                if tracker.last_index != n:
-                    tracker.repeated_at(n)
                 if tracker.last_was_repeated:
                     stats.repeated += 1
 
@@ -212,8 +207,6 @@ class GlobalSourceAnalyzer(Analyzer):
                     reg_tags[rd] = tag
                 stats = by_tag[tag]
                 stats.total += 1
-                if tracker.last_index != n:
-                    tracker.repeated_at(n)
                 if tracker.last_was_repeated:
                     stats.repeated += 1
 
@@ -246,8 +239,6 @@ class GlobalSourceAnalyzer(Analyzer):
                     if dest:
                         reg_tags[dest] = INTERNAL
                     stats.total += 1
-                    if tracker.last_index != n:
-                        tracker.repeated_at(n)
                     if tracker.last_was_repeated:
                         stats.repeated += 1
 
@@ -264,8 +255,6 @@ class GlobalSourceAnalyzer(Analyzer):
                         reg_tags[dest] = INTERNAL if link else tag
                     stats = by_tag[tag]
                     stats.total += 1
-                    if tracker.last_index != n:
-                        tracker.repeated_at(n)
                     if tracker.last_was_repeated:
                         stats.repeated += 1
 

@@ -159,7 +159,7 @@ def _frame_task_counter(
 
     def count(stats: CategoryStats, frame: _LocalFrame, n: int) -> None:
         stats.total += 1
-        repeated = tracker.repeated_at(n)
+        repeated = tracker.last_was_repeated
         if repeated:
             stats.repeated += 1
         if frame.function is not None:
@@ -233,6 +233,7 @@ class LocalAnalyzer(Analyzer):
         closure.  The closures hold the analyzer's state containers, never
         the analyzer itself, so the shape memo creates no reference cycle.
         """
+        self.tracker.check_compiled(pc)
         shape = (instr.op, instr.rd, instr.rs, instr.rt, instr.imm < 0)
         step = self._shapes.get(shape)
         if step is not None:
@@ -265,8 +266,6 @@ class LocalAnalyzer(Analyzer):
                 # address (SP/gp-derived) does not reclassify it.
                 stats = by_tag[value_tag]
                 stats.total += 1
-                if tracker.last_index != n:
-                    tracker.repeated_at(n)  # raises: out of order
                 if tracker.last_was_repeated:
                     stats.repeated += 1
 
@@ -291,8 +290,6 @@ class LocalAnalyzer(Analyzer):
                     frame.reg_tags[rt] = tag
                 stats = by_tag[tag]
                 stats.total += 1
-                if tracker.last_index != n:
-                    tracker.repeated_at(n)
                 if tracker.last_was_repeated:
                     stats.repeated += 1
 
@@ -315,8 +312,6 @@ class LocalAnalyzer(Analyzer):
                 frame.hilo_tag = tag
                 stats = by_tag[tag]
                 stats.total += 1
-                if tracker.last_index != n:
-                    tracker.repeated_at(n)
                 if tracker.last_was_repeated:
                     stats.repeated += 1
 
@@ -330,8 +325,6 @@ class LocalAnalyzer(Analyzer):
                     frame.reg_tags[rd] = tag
                 stats = by_tag[tag]
                 stats.total += 1
-                if tracker.last_index != n:
-                    tracker.repeated_at(n)
                 if tracker.last_was_repeated:
                     stats.repeated += 1
 
@@ -348,8 +341,6 @@ class LocalAnalyzer(Analyzer):
                     stack[-1].reg_tags[dest] = tag
                 stats = by_tag[tag]
                 stats.total += 1
-                if tracker.last_index != n:
-                    tracker.repeated_at(n)
                 if tracker.last_was_repeated:
                     stats.repeated += 1
 
@@ -383,8 +374,6 @@ class LocalAnalyzer(Analyzer):
                     if dest:
                         stack[-1].reg_tags[dest] = INTERNAL
                     stats.total += 1
-                    if tracker.last_index != n:
-                        tracker.repeated_at(n)
                     if tracker.last_was_repeated:
                         stats.repeated += 1
 
@@ -402,8 +391,6 @@ class LocalAnalyzer(Analyzer):
                         tags[dest] = INTERNAL if link or tag == UNINIT else tag
                     stats = by_tag[tag]
                     stats.total += 1
-                    if tracker.last_index != n:
-                        tracker.repeated_at(n)
                     if tracker.last_was_repeated:
                         stats.repeated += 1
 

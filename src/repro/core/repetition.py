@@ -14,7 +14,10 @@ unique-instance-count bucket), and Figure 4 (instance coverage of
 repetition).  Other analyses that need a per-step "was this repeated?"
 flag (Tables 3, 6, 7, 9, 10) read :attr:`last_was_repeated`, which is
 valid for the most recent step delivered to the tracker — attach the
-tracker *before* those analyzers so the flag is fresh.
+tracker *before* those analyzers so the flag is fresh.  Compiled
+dependants check that order once per static instruction
+(:meth:`RepetitionTracker.check_compiled`); ``on_step`` ones once per
+step (:meth:`RepetitionTracker.was_repeated`).
 """
 
 from __future__ import annotations
@@ -94,7 +97,7 @@ class RepetitionTracker(Analyzer):
         self._static: Dict[int, _StaticEntry] = {}
         #: True iff the most recent step was classified repeated.
         self.last_was_repeated = False
-        #: Index of the most recent step (for composition sanity checks).
+        #: Index of the most recent step (for :meth:`was_repeated`'s check).
         self.last_index = -1
 
     @property
@@ -133,17 +136,24 @@ class RepetitionTracker(Analyzer):
 
     # -- reporting ---------------------------------------------------------
 
+    def check_compiled(self, pc: int) -> None:
+        """Raise unless this tracker has compiled the instruction at ``pc``.
+
+        A compiled dependant calls this from its own ``compile_step``.
+        Both engines and trace replay compile a pc in stack order, so
+        this holds exactly when the tracker precedes the dependant in the
+        same stack, and then :attr:`last_was_repeated` is fresh at every
+        step of ``pc``.
+        """
+        if pc not in self._static:
+            raise RuntimeError(
+                f"RepetitionTracker has not compiled pc {pc:#x}; "
+                "attach the tracker before dependent analyzers"
+            )
+
     def was_repeated(self, record: StepRecord) -> bool:
         """Repetition flag for ``record`` (must be the most recent step)."""
-        return self.repeated_at(record.index)
-
-    def repeated_at(self, n: int) -> bool:
-        """Repetition flag for step ``n`` (must be the most recent step).
-
-        Compiled dependants test ``last_index == n`` inline and call this
-        only on a mismatch, for its error.
-        """
-        if n != self.last_index:
+        if record.index != self.last_index:
             raise RuntimeError(
                 "RepetitionTracker.was_repeated() queried out of order; "
                 "attach the tracker before dependent analyzers"

@@ -65,8 +65,6 @@ def source_digest() -> str:
     for path in sorted(root.rglob("*")):
         if not path.is_file() or "__pycache__" in path.parts:
             continue
-        if path.suffix == ".pyc":
-            continue
         digest.update(str(path.relative_to(root)).encode())
         digest.update(b"\0")
         digest.update(path.read_bytes())

@@ -14,7 +14,7 @@ from repro.analysis.coverage import INSTANCE_BUCKETS, contributors_for_fractions
 from repro.analysis.tables import format_panels, format_table
 from repro.core.global_analysis import CATEGORY_ORDER as GLOBAL_CATEGORIES
 from repro.core.local_analysis import CATEGORY_ORDER as LOCAL_CATEGORIES
-from repro.harness.runner import SuiteConfig, WorkloadResult, run_suite
+from repro.harness.runner import WorkloadResult
 from repro.traces.analyzer import LENGTH_BUCKET_LABELS
 from repro.traces.trace import CLASS_NAMES
 
@@ -27,9 +27,6 @@ class Experiment:
     paper_ref: str
     title: str
     builder: Callable[[Results], str]
-
-    def run(self, config: SuiteConfig = SuiteConfig(), jobs: int = 1) -> str:
-        return self.builder(run_suite(config, jobs=jobs))
 
     def render(self, results: Results) -> str:
         return self.builder(results)

@@ -31,11 +31,6 @@ def to_s32(value: int) -> int:
     return value
 
 
-def to_u16(value: int) -> int:
-    """Truncate an arbitrary Python int to an unsigned 16-bit value."""
-    return value & HALF_MASK
-
-
 def to_s16(value: int) -> int:
     """Interpret an unsigned 16-bit value as a signed 16-bit integer."""
     value &= HALF_MASK
@@ -60,26 +55,6 @@ def fits_s16(value: int) -> bool:
 def fits_u16(value: int) -> bool:
     """True if ``value`` fits in an unsigned 16-bit immediate field."""
     return 0 <= value < 2**16
-
-
-def add32(a: int, b: int) -> int:
-    """32-bit wrap-around addition of unsigned values."""
-    return (a + b) & WORD_MASK
-
-
-def sub32(a: int, b: int) -> int:
-    """32-bit wrap-around subtraction of unsigned values."""
-    return (a - b) & WORD_MASK
-
-
-def sll32(value: int, shamt: int) -> int:
-    """Logical left shift by ``shamt`` (0..31)."""
-    return (value << (shamt & 31)) & WORD_MASK
-
-
-def srl32(value: int, shamt: int) -> int:
-    """Logical right shift by ``shamt`` (0..31)."""
-    return (value & WORD_MASK) >> (shamt & 31)
 
 
 def sra32(value: int, shamt: int) -> int:

@@ -722,14 +722,12 @@ class _FunctionEmitter:
         return True
 
     def _scale_index(self, reg: str, size: int, scratch: str) -> str:
-        if size == 1:
-            return reg
+        # MiniC elements and pointees are 4-byte ints and pointers or
+        # 1-byte chars (arrays do not nest; ``void`` is a return type).
         if size == 4:
             self.line(f"sll {scratch}, {reg}, 2")
             return scratch
-        self.line(f"li $at, {size}")
-        self.line(f"mul {scratch}, {reg}, $at")
-        return scratch
+        return reg
 
     def _gen_logical(self, expr: ast.Binary) -> bool:
         false_label = self.cg.new_label("lfalse")

@@ -28,14 +28,12 @@ from repro.lang.optimizer import is_pure
 from repro.lang.sema import LocalSymbol
 
 
-def _copy_expr(expr: Optional[ast.Expr]) -> Optional[ast.Expr]:
+def _copy_expr(expr: ast.Expr) -> ast.Expr:
     """Structural copy of an expression tree.
 
     Nodes are fresh; symbol bindings, callee references, and type
     annotations are shared (they are immutable for our purposes).
     """
-    if expr is None:
-        return None
     if isinstance(expr, ast.IntLiteral):
         clone: ast.Expr = ast.IntLiteral(expr.line, expr.value)
     elif isinstance(expr, ast.StringLiteral):
@@ -71,13 +69,11 @@ def _substitute(expr: ast.Expr, mapping: Dict[int, ast.Expr]) -> ast.Expr:
     """Copy ``expr``, replacing parameter references via ``mapping``
     (keyed by ``id(symbol)``; each use gets a fresh copy of the
     argument)."""
-    if isinstance(expr, ast.Ident) and id(expr.symbol) in mapping:
-        return _copy_expr(mapping[id(expr.symbol)])  # type: ignore[return-value]
     clone = _copy_expr(expr)
 
     def rewrite(node: ast.Expr) -> ast.Expr:
         if isinstance(node, ast.Ident) and id(node.symbol) in mapping:
-            return _copy_expr(mapping[id(node.symbol)])  # type: ignore[return-value]
+            return _copy_expr(mapping[id(node.symbol)])
         if isinstance(node, ast.Unary):
             node.operand = rewrite(node.operand)  # type: ignore[arg-type]
         elif isinstance(node, ast.Binary):
@@ -140,8 +136,14 @@ class Inliner:
         }
         body_expr = func.body.statements[0].value  # type: ignore[union-attr]
         inlined = _substitute(body_expr, mapping)  # type: ignore[arg-type]
-        # The call produced the callee's return type; keep it.
-        inlined.ctype = call.ctype
+        # The call produced the callee's return type; keep it unless that
+        # changes the width of a load ('s[1]' of a 'char *s', returned as
+        # an int, stays a byte load).
+        if not (
+            isinstance(inlined, (ast.Index, ast.Deref))
+            and inlined.ctype.size != call.ctype.size  # type: ignore[union-attr]
+        ):
+            inlined.ctype = call.ctype
         self.inlined_calls += 1
         return inlined
 

@@ -75,9 +75,8 @@ def _fold_binary(op: str, left: int, right: int) -> Optional[int]:
         return int(ls >= rs)
     if op == "&&":
         return int(bool(ls) and bool(rs))
-    if op == "||":
-        return int(bool(ls) or bool(rs))
-    return None
+    assert op == "||", op  # the last of the parser's binary operators
+    return int(bool(ls) or bool(rs))
 
 
 def _literal(line: int, value: int) -> ast.IntLiteral:
@@ -98,12 +97,10 @@ def _power_of_two(value: int) -> Optional[int]:
     return None
 
 
-def is_pure(expr: Optional[ast.Expr]) -> bool:
+def is_pure(expr: ast.Expr) -> bool:
     """True if evaluating ``expr`` has no side effects (no calls, no
     assignments, no loads that could fault differently — loads are pure
     here since MiniC has no volatile)."""
-    if expr is None:
-        return True
     if isinstance(expr, (ast.IntLiteral, ast.StringLiteral, ast.Ident)):
         return True
     if isinstance(expr, ast.Unary):
@@ -337,7 +334,7 @@ def peephole_assembly(text: str) -> str:
     """Trivial safe cleanups of emitted assembly:
 
     * drop self-moves (``move $r, $r`` / ``addu $r, $r, $zero``);
-    * drop unconditional branches to the immediately following label.
+    * drop unconditional branches to a label on the very next line.
     """
     lines = text.splitlines()
     out: List[str] = []
@@ -349,19 +346,8 @@ def peephole_assembly(text: str) -> str:
                 continue
         if stripped.startswith("b "):
             target = stripped[2:].strip()
-            # Peek past blank lines for the label.
-            for following in lines[index + 1 :]:
-                follow = following.strip()
-                if not follow:
-                    continue
-                if follow == f"{target}:":
-                    break  # branch to fall-through: drop it
-                break
-            else:
-                out.append(line)
-                continue
-            if lines[index + 1].strip() == f"{target}:":
-                continue
+            if index + 1 < len(lines) and lines[index + 1].strip() == f"{target}:":
+                continue  # branch to the very next line: fall through
         out.append(line)
     return "\n".join(out) + ("\n" if text.endswith("\n") else "")
 

@@ -19,7 +19,7 @@ from repro.obs.manifest import (
     build_workload_manifest,
     write_manifest,
 )
-from repro.obs.metrics import REGISTRY, MetricsRegistry, disable, enable, enabled
+from repro.obs.metrics import REGISTRY, MetricsRegistry, disable, enable
 from repro.obs.profiling import AnalyzerProfile, format_profile_table, instrument
 from repro.obs.tracing import SpanTracer, current_tracer, install_tracer, span
 
@@ -35,7 +35,6 @@ __all__ = [
     "current_tracer",
     "disable",
     "enable",
-    "enabled",
     "format_profile_table",
     "install_tracer",
     "instrument",

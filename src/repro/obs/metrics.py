@@ -184,7 +184,3 @@ def enable() -> None:
 def disable() -> None:
     """Turn off metrics collection (existing values are kept)."""
     REGISTRY.enabled = False
-
-
-def enabled() -> bool:
-    return REGISTRY.enabled

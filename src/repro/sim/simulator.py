@@ -154,12 +154,6 @@ class Simulator:
         self._return_hooks: tuple = ()
         self._syscall_hooks: tuple = ()
 
-    def attach(self, analyzer: Analyzer) -> None:
-        """Attach an analyzer before running."""
-        if self._started:
-            raise SimError("cannot attach analyzers after run() started")
-        self._analyzers.append(analyzer)
-
     @property
     def engine(self) -> str:
         return self._engine
@@ -627,7 +621,6 @@ class Simulator:
         text = program.text
         text_base = program.text_base
         text_len = len(text)
-        analyzers = self._analyzers
         step_hooks = self._step_hooks
         syscalls = self.syscalls
 
@@ -667,7 +660,7 @@ class Simulator:
                 store_value: Optional[int] = None
                 call_edge: Optional[Tuple[int, int]] = None  # (target, return_addr)
                 return_edge: Optional[int] = None
-                syscall_event: Optional[SyscallEvent] = None
+                syscall: Optional[Tuple[int, int, Optional[int]]] = None
                 halt_after = False
 
                 fmt = op.fmt
@@ -859,15 +852,7 @@ class Simulator:
                         outputs = (result,)
                         dest_reg, dest_value = V0, result
                         regs[V0] = result
-                    syscall_event = SyscallEvent(
-                        pc,
-                        service,
-                        arg,
-                        result,
-                        service in SyscallHandler.INPUT_SERVICES,
-                        service in SyscallHandler.OUTPUT_SERVICES,
-                        warmup,
-                    )
+                    syscall = (service, arg, result)
                 elif kind == Kind.NOP:
                     pass
                 else:  # pragma: no cover - opcode table is exhaustive
@@ -889,9 +874,8 @@ class Simulator:
                     )
                     for hook in step_hooks:
                         hook(record)
-                if syscall_event is not None:
-                    for analyzer in analyzers:
-                        analyzer.on_syscall(syscall_event)
+                if syscall is not None:
+                    self._emit_syscall(pc, *syscall, warmup)
                 if call_edge is not None:
                     self._emit_call(pc, call_edge[0], call_edge[1], warmup)
                 elif return_edge is not None:

@@ -62,10 +62,8 @@ LENGTH_BUCKET_LABELS: Tuple[str, ...] = tuple(label for _, label in LENGTH_BUCKE
 
 
 def length_bucket(length: int) -> str:
-    for bound, label in LENGTH_BUCKETS:
-        if bound is None or length <= bound:
-            return label
-    return LENGTH_BUCKETS[-1][1]  # pragma: no cover - unreachable
+    # The last bucket has no bound, so one always matches.
+    return next(label for bound, label in LENGTH_BUCKETS if bound is None or length <= bound)
 
 
 @dataclass

@@ -122,11 +122,7 @@ class TraceReuseTable:
             if not linked:
                 continue
             for trace in tuple(linked):
-                bucket = self._set_for(trace.start_pc)
-                try:
-                    bucket.remove(trace)
-                except ValueError:
-                    pass
+                self._set_for(trace.start_pc).remove(trace)
                 self._unlink(trace)
                 count += 1
         self.invalidations += count

@@ -5,7 +5,7 @@ and secondary input generators; :data:`WORKLOADS` holds the suite in the
 paper's table order.
 """
 
-from repro.workloads.base import DeterministicRandom, Workload, numbers_text, words_text
+from repro.workloads.base import DeterministicRandom, Workload, words_text
 from repro.workloads.registry import WORKLOADS, WORKLOAD_ORDER, get_workload
 
 __all__ = [
@@ -14,6 +14,5 @@ __all__ = [
     "WORKLOAD_ORDER",
     "Workload",
     "get_workload",
-    "numbers_text",
     "words_text",
 ]

@@ -93,9 +93,3 @@ def words_text(seed: int, word_count: int, vocabulary_size: int = 180) -> bytes:
         index = min(rng.next_int(vocabulary_size), rng.next_int(vocabulary_size))
         words.append(vocabulary[index])
     return (" ".join(words) + "\n").encode("ascii")
-
-
-def numbers_text(seed: int, count: int, bound: int) -> bytes:
-    """Generate whitespace-separated decimal integers."""
-    rng = DeterministicRandom(seed)
-    return (" ".join(str(rng.next_int(bound)) for _ in range(count)) + "\n").encode("ascii")

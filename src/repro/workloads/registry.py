@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Dict, Tuple
 
-from repro.workloads.base import DeterministicRandom, Workload, numbers_text, words_text
+from repro.workloads.base import DeterministicRandom, Workload, words_text
 
 
 def _go_input(seed: int, scale: int) -> bytes:

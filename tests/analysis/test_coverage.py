@@ -161,13 +161,19 @@ class TestCumulativeShareCurve:
         with pytest.raises(ValueError):
             cumulative_share_curve([10, 5, 1], points=points)
 
-    @given(weights.filter(lambda v: sum(v) > 0))
-    def test_monotone(self, values):
-        curve = cumulative_share_curve(values, points=20)
+    def test_all_zero_weights(self):
+        assert cumulative_share_curve([0, 0], points=5) == [(0.0, 0.0), (1.0, 0.0)]
+        assert cumulative_share_curve([], points=5) == [(0.0, 0.0), (1.0, 0.0)]
+
+    @given(weights.filter(lambda v: sum(v) > 0), st.integers(min_value=1, max_value=50))
+    def test_monotone_and_ends_at_one(self, values, points):
+        curve = cumulative_share_curve(values, points=points)
         xs = [x for x, _ in curve]
         ys = [y for _, y in curve]
         assert xs == sorted(xs)
         assert ys == sorted(ys)
+        assert curve[-1] == (1.0, 1.0)
+        assert len(curve) == points
 
 
 class TestBuckets:

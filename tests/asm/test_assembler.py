@@ -8,6 +8,8 @@ from repro.asm import AsmError, assemble
 from repro.isa.convention import DATA_BASE, GP_VALUE, TEXT_BASE
 from repro.isa.registers import GP
 
+from tests.helpers import run_asm
+
 
 MINIMAL = """
         .text
@@ -279,3 +281,41 @@ class TestDisassembly:
         program = assemble(MINIMAL)
         text = program.disassemble()
         assert "main:" in text and "jr $ra" in text
+
+
+class TestRareSyntax:
+    """Directives and operand forms the compiler never emits."""
+
+    SOURCE = """
+# A comment-only line, a .globl in .data, a spaced '- 5' word.
+        .data
+        .globl vals
+        .byte 1
+        .align 2
+vals:   .word - 5, 7
+        .text
+        .ent main, 0
+main:   la $t0, vals + 8
+        lw $t0, -4($t0)
+        la $t1, vals - 4
+        lw $t1, 4($t1)
+        addu $a0, $t0, $t1
+        li $v0, 1
+        syscall
+        li $t2, 3
+        bltu $t2, 5, small
+        li $a0, 99
+        li $v0, 1
+        syscall
+small:  jr $ra
+        .end main
+"""
+
+    def test_layout(self):
+        program = assemble(self.SOURCE)
+        assert program.symbols["vals"] == DATA_BASE + 4  # .align 2 after one byte
+        assert program.data[4:8] == (-5 & 0xFFFFFFFF).to_bytes(4, "little")
+
+    def test_runs(self):
+        # vals[1] + vals[0] through 'sym + n' and 'sym - n'; 3 <u 5 skips the 99.
+        assert run_asm(self.SOURCE).output == "2"

@@ -14,6 +14,13 @@ from repro.obs import metrics as obs_metrics
 from repro.obs import tracing as obs_tracing
 
 
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers",
+        "wall_clock: asserts a wall-clock budget; runs untraced under tests.line_ledger",
+    )
+
+
 @pytest.fixture(scope="session")
 def suite_results():
     """Full eight-workload suite at scale 1 with the paper configuration."""

@@ -11,7 +11,8 @@ from repro.core import global_analysis as ga
 from repro.core import local_analysis as la
 from repro.core.value_prediction import LastValuePredictor, ValuePredictionAnalyzer
 from repro.lang import compile_source
-from repro.sim import Simulator
+from repro.sim import Simulator, TraceRecorder
+from repro.sim.simulator import ENGINES
 
 
 def run_with(program, analyzer_class, input_data):
@@ -91,6 +92,39 @@ callee: li $v0, 3
     def test_return_value_tagged_after_indirect_call(self):
         analyzer = run_asm_with(self.SOURCE, LocalAnalyzer)
         assert analyzer.stats["return"].total == 2  # both jr $ra
+
+
+class TestSourcelessSteps:
+    """``j`` and ``nop`` read no register: Global bins them as program
+    internals, Local as function internals."""
+
+    SOURCE = """
+.ent main, 0
+main:
+  li $t0, 3
+loop:
+  nop
+  j next
+next:
+  addiu $t0, $t0, -1
+  bgtz $t0, loop
+  jr $ra
+.end main
+"""
+
+    def test_global(self):
+        analyzer = run_asm_with(self.SOURCE, GlobalSourceAnalyzer)
+        internals = analyzer.stats["internals"]
+        assert internals.total == analyzer.dynamic_total == 14
+        # nop and j repeat on both later trips, addiu and bgtz never.
+        assert internals.repeated == analyzer.dynamic_repeated == 4
+
+    def test_local(self):
+        analyzer = run_asm_with(self.SOURCE, LocalAnalyzer)
+        # li, then nop, j, addiu, bgtz three times; jr $ra is the return.
+        assert analyzer.stats["function internals"].total == 13
+        assert analyzer.stats["function internals"].repeated == 4
+        assert analyzer.stats["return"].total == 1
 
 
 class TestDefaultTags:
@@ -186,3 +220,50 @@ class TestTrackerRequired:
         # Both slice analyses count into the same dataclass, so result
         # digests key their categories by one class name.
         assert la.CategoryStats is ga.CategoryStats
+
+
+def _stack(analyzer_class, order):
+    tracker = RepetitionTracker()
+    analyzer = analyzer_class(tracker)
+    return [analyzer, tracker] if order == "misordered" else [analyzer]
+
+
+class TestTrackerOrder:
+    """Global and Local check the tracker's place once per static
+    instruction, in ``compile_step``: the tracker must have compiled the
+    pc first, which it has exactly when it precedes them in the stack."""
+
+    ORDER_ERROR = "attach the tracker before dependent analyzers"
+
+    @pytest.mark.parametrize("order", ["misordered", "missing"])
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize(
+        "analyzer_class", [GlobalSourceAnalyzer, LocalAnalyzer], ids=["global", "local"]
+    )
+    def test_live_run_raises(self, analyzer_class, engine, order):
+        simulator = Simulator(
+            compile_source(LOOP), analyzers=_stack(analyzer_class, order), engine=engine
+        )
+        with pytest.raises(RuntimeError, match=self.ORDER_ERROR):
+            simulator.run()
+
+    @pytest.mark.parametrize("order", ["misordered", "missing"])
+    @pytest.mark.parametrize(
+        "analyzer_class", [GlobalSourceAnalyzer, LocalAnalyzer], ids=["global", "local"]
+    )
+    def test_replay_raises(self, analyzer_class, order):
+        recorder = TraceRecorder()
+        Simulator(compile_source(LOOP), analyzers=[recorder]).run()
+        with pytest.raises(RuntimeError, match=self.ORDER_ERROR):
+            recorder.trace().replay(_stack(analyzer_class, order))
+
+    @pytest.mark.parametrize(
+        "analyzer_class", [GlobalSourceAnalyzer, LocalAnalyzer], ids=["global", "local"]
+    )
+    def test_replay_in_order_counts_the_trackers(self, analyzer_class):
+        recorder = TraceRecorder()
+        Simulator(compile_source(LOOP), analyzers=[recorder]).run()
+        tracker = RepetitionTracker()
+        analyzer = analyzer_class(tracker)
+        recorder.trace().replay([tracker, analyzer])
+        assert 0 < analyzer.dynamic_repeated == tracker.dynamic_repeated

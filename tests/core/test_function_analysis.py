@@ -116,6 +116,11 @@ class TestPurity:
             make_step(op="sw", mem_addr=0x1000_0000, store_value=1, inputs=(1, 0))
         )
 
+    def test_return_without_a_call_is_ignored(self):
+        analyzer = FunctionAnalyzer()
+        ret(analyzer, FUNC2)
+        assert analyzer.report().pure_calls == 0
+
     def test_pure_call(self):
         analyzer = FunctionAnalyzer()
         call(analyzer, FUNC2, (1, 2))

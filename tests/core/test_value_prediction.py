@@ -121,6 +121,29 @@ class TestHybridPredictor:
         train(predictor, [1, 2, 3] * 6)
         assert predictor.predict(PC) == 1
 
+    def test_chooser_follows_the_component_that_was_right(self):
+        class Fixed:
+            def __init__(self, value):
+                self.value = value
+
+            def predict(self, pc):
+                return self.value
+
+            def update(self, pc, value):
+                pass
+
+        predictor = HybridPredictor()
+        predictor.context, predictor.stride = Fixed(1), Fixed(2)
+        assert predictor.predict(PC) == 1  # the chooser starts on context
+        predictor.update(PC, 2)  # only stride was right
+        assert predictor.predict(PC) == 2
+        predictor.update(PC, 3)  # both wrong: the chooser stays
+        assert predictor.predict(PC) == 2
+        predictor.update(PC, 1)  # only context was right
+        assert predictor.predict(PC) == 1
+        predictor.context = Fixed(None)
+        assert predictor.predict(PC) == 2  # one component silent: the other
+
     @given(st.lists(st.integers(0, 2**32 - 1), min_size=0, max_size=40))
     def test_never_crashes(self, values):
         predictor = HybridPredictor()
@@ -192,4 +215,5 @@ int main() {
         report = ValuePredictionAnalyzer(LastValuePredictor(), RepetitionTracker()).report()
         assert report.coverage_pct == 0.0
         assert report.accuracy_pct == 0.0
+        assert report.correct_of_all_pct == 0.0
         assert report.repeated_capture_pct == 0.0

@@ -191,6 +191,12 @@ class TestDiskLayer:
         set_cache_dir(None)
         assert cache_directory() is None
 
+    def test_cache_directory_from_environment(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        monkeypatch.setattr(runner, "_DISK_CACHE", None)
+        monkeypatch.setattr(runner, "_DISK_RESOLVED", False)
+        assert cache_directory() == str(tmp_path)
+
 
 class TestWorkloadPickling:
     def test_workload_reduces_to_registry_lookup(self):

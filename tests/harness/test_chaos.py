@@ -170,6 +170,8 @@ class TestEngineDegradation:
         assert manifest.degraded and manifest.degraded_from == "predecoded"
         assert manifest.engine == "interpreter"
         assert manifest.attempts == 2
+        assert report.degraded_workloads() == ["go"]
+        assert report.summary() == "1 ok, 1 degraded, 1 failed attempts"
         assert result_digest(report["go"]) == interp_digest
         assert metrics_enabled.value("degrade.engine_fallback") == 1
         assert metrics_enabled.value("fault.injected.engine.predecode_raise") == 1
@@ -328,6 +330,7 @@ class TestSuiteChildren:
         )
         assert report.failures["go"].kind == KIND_WORKER_CRASH
 
+    @pytest.mark.wall_clock
     def test_hang_past_its_grace(self, leaves_nothing_behind, monkeypatch):
         monkeypatch.setattr(runner, "CHILD_GRACE_S", 0.2)
         started = time.monotonic()

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pickle
+from types import SimpleNamespace
 
 import pytest
 
@@ -217,6 +218,24 @@ class TestSuiteReport:
         )
         assert report.partial and not report.ok
         assert "1 failed" in report.summary()
+
+    def test_summary_counts_degraded_and_recovered(self):
+        report = SuiteReport()
+        report["go"] = SimpleNamespace(manifest=SimpleNamespace(degraded=True))
+        report["li"] = SimpleNamespace(manifest=SimpleNamespace(degraded=False))
+        report.history.append(
+            FailureRecord(
+                kind=KIND_SIM_TRAP,
+                workload="go",
+                engine="predecoded",
+                attempt=1,
+                message="x",
+                exception_type="SimError",
+            )
+        )
+        assert report.ok
+        assert report.degraded_workloads() == ["go"]
+        assert report.summary() == "2 ok, 1 degraded, 1 failed attempts"
 
     def test_pickles_with_attributes(self):
         report = SuiteReport(config=SuiteConfig())

@@ -205,6 +205,11 @@ class TestChildFailures:
         assert exc.status == 3
         assert record.kind == KIND_WORKER_CRASH
 
+    def test_unpicklable_return_value_comes_back_as_an_error(self, leaves_nothing_behind):
+        child = runner._Child(lambda: (lambda: None), (), "compress", "predecoded", None)
+        with pytest.raises(RuntimeError, match="child payload does not pickle"):
+            child.join()
+
     def test_child_killed_by_a_signal(
         self, isolated_caches, leaves_nothing_behind, monkeypatch
     ):

@@ -11,7 +11,7 @@ import pytest
 
 from repro.core import RepetitionTracker
 from repro.harness import SuiteConfig, run_workload
-from repro.sim import EventTrace, Simulator, TraceRecorder
+from repro.sim import Simulator, TraceRecorder
 from repro.workloads import get_workload
 
 
@@ -89,25 +89,6 @@ class TestTraceEquivalence:
             replayed.report().unique_repeatable_instances
             == live.report().unique_repeatable_instances
         )
-
-    def test_trace_serialization_on_workload(self, tmp_path):
-        import io
-
-        workload = get_workload("li")
-        recorder = TraceRecorder()
-        program = workload.program()
-        Simulator(
-            program, input_data=workload.primary_input(1), analyzers=[recorder]
-        ).run(limit=20_000)
-        trace = recorder.trace()
-        buffer = io.BytesIO()
-        trace.save(buffer)
-        buffer.seek(0)
-        loaded = EventTrace.load(buffer, program)
-        a, b = RepetitionTracker(), RepetitionTracker()
-        trace.replay([a])
-        loaded.replay([b])
-        assert a.dynamic_repeated == b.dynamic_repeated
 
 
 class TestDeterminism:

@@ -455,3 +455,79 @@ int main() {
 }
 """
         assert minic_output(source) == "4302\n"
+
+
+class TestRareShapes:
+    """Code shapes the workloads never produce."""
+
+    @pytest.mark.parametrize(
+        "source,expected",
+        [
+            pytest.param(
+                'char *msg = "hey"; int main() { print_str(msg); return 0; }',
+                "hey",
+                id="global-pointer-to-string",
+            ),
+            pytest.param(
+                "int bump(int x) { int *p = &x; *p = *p + 1; return x; }"
+                " int main() { print_int(bump(4)); return 0; }",
+                "5",
+                id="parameter-in-frame",
+            ),
+            pytest.param(
+                "int main() { int x = 3; int *p = &x; x += 4; x++; print_int(*p); return 0; }",
+                "8",
+                id="compound-on-frame-local",
+            ),
+            pytest.param(
+                "int f(int x) { x += 2; return x; } int main() { print_int(f(5)); return 0; }",
+                "7",
+                id="compound-on-argument-register",
+            ),
+            pytest.param(
+                "int a[3] = {7, 8, 9}; int main() { int *p = 1 + a; print_int(*p); return 0; }",
+                "8",
+                id="integer-plus-pointer",
+            ),
+            pytest.param(
+                "int a[3] = {7, 8, 9};"
+                " int main() { int *p = &a[2]; int *q = &*p; print_int(*q); return 0; }",
+                "9",
+                id="address-of-index-and-deref",
+            ),
+            pytest.param(
+                "int a[3] = {7, 8, 9};"
+                " int main() { int c = 1; int *p = a + 2; int *q = 0;"
+                " int *r = c ? p - 1 : 0; int *s = c ? 0 : p;"
+                " int z = q;"
+                " print_int(q == 0); print_int(*r); print_int(s == 0); print_int(z); return 0; }",
+                "1810",
+                id="null-pointer-mixes",
+            ),
+        ],
+    )
+    def test_program(self, source, expected):
+        assert minic_output(source) == expected
+
+    @pytest.mark.parametrize("flag,expected", [(b"1", "19"), (b"0", "29")])
+    def test_conditional_in_a_spilled_position(self, flag, expected):
+        expression = "c ? 10 : 20"
+        for _ in range(9):  # deeper than the 8 temporary registers
+            expression = f"1 + ({expression})"
+        source = f"int main() {{ int c = read_int(); print_int({expression}); return 0; }}"
+        assert minic_output(source, flag) == expected
+
+    def test_scalar_global_beyond_gp_reach(self):
+        # Scalars fill the $gp window first; past 16K of them, the last
+        # is addressed with 'la' for loads, stores, compound ops and ++.
+        declarations = "".join(f"int g{i};" for i in range(16_400))
+        source = declarations + """
+int main() {
+    g16399 = 5;
+    g16399 += 2;
+    g16399++;
+    print_int(g16399);
+    return 0;
+}
+"""
+        assert minic_output(source) == "8"

@@ -5,7 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.lang import compile_source
-from repro.lang.inliner import Inliner
+from repro.lang import astnodes as ast
+from repro.lang.inliner import Inliner, _copy_expr
 from repro.lang.parser import parse
 from repro.lang.sema import analyze
 from repro.sim import Simulator
@@ -109,6 +110,50 @@ int main() {
 """,
             b"",
         ),
+        # A string-literal argument, copied into the inlined body.
+        (
+            """
+int second(char *s) { return s[1]; }
+int main() { print_int(second("hi!")); return 0; }
+""",
+            b"",
+        ),
+        # '*' and '&' operands, in the callee body and in the argument; a
+        # char load keeps its width when it is the whole inlined body.
+        (
+            """
+int cell = 41;
+int load(int *p) { return *p + 1; }
+int peek(char *p) { return *p; }
+int address(int **pp) { return *pp; }
+int main() {
+    int *p = &cell;
+    print_int(load(&cell));
+    print_int(peek("xyz" + 1));
+    print_int(address(&p) + 1 - address(&p));
+    return 0;
+}
+""",
+            b"",
+        ),
+        # Calls in a do-while body and condition, under a unary operator,
+        # and in a for loop without init and step; a callee whose body is
+        # a parameter alone or a unary operator on one.
+        (
+            """
+int add(int a, int b) { return a + b; }
+int same(int x) { return x; }
+int neg(int x) { return -x; }
+int main() {
+    int i = 0; int s = 0;
+    do { s = add(s, i); i = add(i, 1); } while (add(i, 0) < 5);
+    for (; i < 9;) { s = s + neg(-same(i)); i = add(i, 1); }
+    print_int(s);
+    return 0;
+}
+""",
+            b"",
+        ),
     ]
 
     @pytest.mark.parametrize("index", range(len(CASES)))
@@ -116,6 +161,12 @@ int main() {
         source, data = self.CASES[index]
         plain, inlined = run_both(source, data)
         assert plain.output == inlined.output
+        assert inlined.total_instructions < plain.total_instructions
+
+    def test_copy_rejects_a_node_with_effects(self):
+        # Candidates and arguments are pure, so the inliner never copies one.
+        with pytest.raises(TypeError, match="cannot copy Call"):
+            _copy_expr(ast.Call(1, "f", []))
 
     def test_inlining_removes_calls(self):
         source = """

@@ -7,6 +7,8 @@ are checked by counting dynamic instructions.
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from repro.lang import compile_source
@@ -62,6 +64,19 @@ int main() {
     int i; int s = 0;
     for (i = 0; i < 20; i += 1) { s += square(i) - 0 + (i << 0); }
     print_int(s);
+    return 0;
+}
+""",
+    # '*' and '&' operands, a for loop without init or step, a do-while
+    # with a false constant condition, a for loop that never runs.
+    """
+int cell = 5;
+int main() {
+    int i = 0; int *p = &cell;
+    for (; i < 3;) { *p = *p + 1; i += 1; }
+    do { print_int(*p); } while (0);
+    for (; 0;) { print_int(99); }
+    print_int(i);
     return 0;
 }
 """,
@@ -164,6 +179,71 @@ int main() {
         assert plain.output == optimized.output
 
 
+#: Edge operands; INT_MIN is written as an expression MiniC can lex.
+EDGE = ("0", "1", "-1", "(-2147483647 - 1)", "2147483647", "31", "32")
+BINARY = (
+    "+", "-", "*", "/", "%", "&", "|", "^", "<<", ">>",
+    "==", "!=", "<", "<=", ">", ">=", "&&", "||",
+)
+
+
+def _printed(statements, optimize):
+    body = "\n".join(f"    {statement} putchar(10);" for statement in statements)
+    source = f"int main() {{\n    int x; int y;\n{body}\n    return 0;\n}}\n"
+    return Simulator(compile_source(source, optimize=optimize)).run().output.split()
+
+
+class TestFoldingMatchesRuntime:
+    """Every rule of the optimizer, on edge operands, prints what the
+    unoptimized program computes at run time.
+
+    ``a OP b`` with two literals is folded at -O1; ``x OP b`` and
+    ``a OP y`` meet the algebraic identities and strength reduction
+    (32 is a power of two); ``x OP y`` at -O0 is the reference.
+    """
+
+    PAIRS = [(op, a, b) for op in BINARY for a, b in itertools.product(EDGE, EDGE)]
+
+    @pytest.fixture(scope="class")
+    def reference(self):
+        printed = _printed(
+            [f"x = {a}; y = {b}; print_int(x {op} y);" for op, a, b in self.PAIRS], False
+        )
+        assert len(printed) == len(self.PAIRS)
+        return printed
+
+    @pytest.mark.parametrize("form", ["folded", "literal-right", "literal-left"])
+    def test_binary(self, form, reference):
+        text = {
+            "folded": "print_int({a} {op} {b});",
+            "literal-right": "x = {a}; print_int(x {op} {b});",
+            "literal-left": "y = {b}; print_int({a} {op} y);",
+        }[form]
+        optimized = _printed([text.format(op=op, a=a, b=b) for op, a, b in self.PAIRS], True)
+        mismatches = [
+            (f"{a} {op} {b}", got, want)
+            for (op, a, b), got, want in zip(self.PAIRS, optimized, reference)
+            if got != want
+        ]
+        assert not mismatches
+
+    def test_unary(self):
+        cases = list(itertools.product("-~!", EDGE))
+        optimized = _printed([f"print_int({op}({a}));" for op, a in cases], True)
+        reference = _printed([f"x = {a}; print_int({op}x);" for op, a in cases], False)
+        assert optimized == reference
+
+    def test_only_division_by_zero_stays_unfolded(self):
+        source = "int main() {{ {} return 0; }}".format(
+            " ".join(f"print_int({a} {op} {b});" for op, a, b in self.PAIRS)
+        )
+        divides = [
+            line for line in compile_to_assembly(source, optimize=True).splitlines()
+            if line.split()[:1] in (["div"], ["divu"], ["rem"], ["remu"])
+        ]
+        assert len(divides) == 2 * len(EDGE)  # a / 0 and a % 0 for each a
+
+
 class TestPeephole:
     def test_self_move_removed(self):
         text = "  move $t0, $t0\n  move $t1, $t2\n"
@@ -180,3 +260,7 @@ class TestPeephole:
     def test_branch_elsewhere_kept(self):
         text = "  b L2\nL1:\n  nop\nL2:\n"
         assert "b L2" in peephole_assembly(text)
+
+    def test_branch_past_a_blank_line_or_last_kept(self):
+        assert "b L1" in peephole_assembly("  b L1\n\nL1:\n")
+        assert peephole_assembly("L1:\n  b L1") == "L1:\n  b L1"

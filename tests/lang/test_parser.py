@@ -27,8 +27,9 @@ class TestTopLevel:
         assert unit.globals[0].init == "hi"
 
     def test_const_expression_sizes(self):
-        unit = parse("int a[4 * 8]; int main() { return 0; }")
+        unit = parse("int a[4 * 8]; int b[(1 + 2) * 4 / 2 - 1]; int main() { return 0; }")
         assert unit.globals[0].declared_type.length == 32
+        assert unit.globals[1].declared_type.length == 5
 
     def test_pointer_types(self):
         unit = parse("int **pp; int main() { return 0; }")

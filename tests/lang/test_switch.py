@@ -75,6 +75,16 @@ class TestDispatch:
 """
         assert minic_output(classify_source(body)) == "183888"
 
+    def test_case_stacked_on_default(self):
+        body = """
+    switch (v) {
+        case 0: r = 1; break;
+        case 4:
+        default: r = 8; break;
+    }
+"""
+        assert minic_output(classify_source(body)) == "188888"
+
     def test_negative_and_char_case_values(self):
         source = """
 int main() {

@@ -6,8 +6,10 @@ import json
 
 import pytest
 
+from repro.asm import assemble
 from repro.obs import tracing as obs_tracing
 from repro.obs.tracing import SpanTracer
+from repro.sim import Simulator
 
 
 def _begins(tracer):
@@ -100,6 +102,18 @@ class TestChromeTraceFormat:
             begins = [e for e in tracer.events if e["ph"] == "B" and e["name"] == name]
             ends = [e for e in tracer.events if e["ph"] == "E" and e["name"] == name]
             assert len(begins) == len(ends) >= 1
+
+
+class TestSimulatorSpans:
+    def test_bare_run_with_warmup(self, tracer):
+        program = assemble(
+            ".ent main, 0\nmain: li $t0, 5\nloop: addiu $t0, $t0, -1\n"
+            "bgtz $t0, loop\njr $ra\n.end main"
+        )
+        result = Simulator(program).run(skip=3)
+        assert result.analyzed_instructions == result.total_instructions - 3
+        names = [event["name"] for event in tracer.events if event["ph"] == "B"]
+        assert names == ["warmup", "simulate"]
 
 
 class TestGlobalSlot:

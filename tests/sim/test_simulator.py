@@ -443,9 +443,3 @@ main:   li $t0, 0x00400100
         simulator.run()
         with pytest.raises(SimError):
             simulator.run()
-
-    def test_attach_after_run_rejected(self):
-        simulator = Simulator(assemble(".ent main, 0\nmain: jr $ra\n.end main"))
-        simulator.run()
-        with pytest.raises(SimError):
-            simulator.attach(_Recorder())

@@ -65,6 +65,11 @@ class TestLengthBucket:
 
 
 class TestAccounting:
+    def test_empty_report(self):
+        report = TraceReuseAnalyzer().report()
+        assert report.dynamic_total == 0
+        assert report.coverage_pct == 0.0
+
     def test_repeated_region_hits_exactly_once(self):
         analyzer = TraceReuseAnalyzer()
         feed(analyzer, region())

@@ -49,6 +49,19 @@ class TestGeometry:
 
 
 class TestLookup:
+    def test_hi_lo_live_ins_must_match(self):
+        # mfhi $8; mflo $9 with neither produced in the trace.
+        counts = [0] * NUM_CLASSES
+        counts[CLASS_ALU] = 2
+        trace = Trace(PC, 2, (), (), ((True, 3), (False, 4)), tuple(counts))
+        table = TraceReuseTable()
+        table.install(trace)
+        regs = [0] * NUM_REGS
+        assert table.lookup(PC, regs, 3, 4) is trace
+        assert table.lookup(PC, regs, 2, 4) is None
+        assert table.lookup(PC, regs, 3, 5) is None
+        assert table.lookup(PC, regs, None, 4) is None  # unknown in the shadow
+
     def test_install_then_hit(self):
         table = TraceReuseTable()
         trace = make_trace(PC)
