@@ -362,8 +362,6 @@ class Assembler:
             return ops[i].value  # type: ignore[union-attr]
 
         def sym_or_imm(i: int) -> Union[SymOp, int]:
-            if i >= len(ops):
-                raise self._operand_error(stmt)
             operand = ops[i]
             if isinstance(operand, SymOp):
                 return operand
@@ -382,8 +380,6 @@ class Assembler:
         if fmt == Format.LUI:
             return Proto(info.name, rt=reg(0), imm=imm(1))
         if fmt == Format.MEM:
-            if len(ops) != 2:
-                raise self._operand_error(stmt)
             mem = ops[1]
             if isinstance(mem, MemOp):
                 return Proto(info.name, rt=reg(0), rs=mem.base, imm=mem.offset)

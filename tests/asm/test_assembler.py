@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from repro.asm import AsmError, assemble
@@ -319,3 +321,54 @@ small:  jr $ra
     def test_runs(self):
         # vals[1] + vals[0] through 'sym + n' and 'sym - n'; 3 <u 5 skips the 99.
         assert run_asm(self.SOURCE).output == "2"
+
+
+def _in_main(line):
+    return f"        .text\n        .ent main, 0\nmain:   {line}\n        jr $ra\n        .end main\n"
+
+
+def _with_data(lines):
+    return f"        .data\n{lines}\n" + _in_main("nop")
+
+
+class TestMalformedInput:
+    """One case per message the assembler, its parser and the pseudo
+    expansions raise for bad input."""
+
+    @pytest.mark.parametrize(
+        "source, message",
+        [
+            (".data\nmain: .word 1\n" + _in_main("nop"), "duplicate symbol 'main'"),
+            (_with_data("x: .word ("), "bad directive argument '('"),
+            (_with_data("x: .word 1\nx: .word 2"), "duplicate symbol 'x'"),
+            (_with_data("addu $t0, $t0, $t0"), "instruction in .data segment"),
+            (_with_data("s: .asciiz 5"), ".asciiz needs a string"),
+            (_with_data("s: .ascii 5"), ".ascii needs a string"),
+            (_with_data("x: .quad 5"), "unknown data directive '.quad'"),
+            (_with_data("x: .word nowhere"), "undefined symbol 'nowhere' in .word"),
+            ("        .text\n        .ent\nmain: jr $ra\n        .end main\n", ".ent needs a function name"),
+            ("        .text\n        .ent main, 0\nmain: jr $ra\n        .end\n", ".end needs a function name"),
+            (_in_main(".word 5"), "directive '.word' not allowed in .text"),
+            (_in_main("frob $t0"), "unknown mnemonic 'frob'"),
+            (_in_main("addu $t0, 5, $t1"), "bad operands for 'addu'"),
+            (_in_main("addiu $t0, $t1, $t2"), "bad operands for 'addiu'"),
+            (_in_main("lw $t0, $t1"), "bad operands for 'lw'"),
+            (_in_main("j $t0"), "bad operands for 'j'"),
+            (_in_main("sll $t0, $t1, $t2"), "bad operands for 'sll'"),
+            (_in_main("beq $t0, 5, main"), "bad operands for 'beq'"),
+            (_in_main("jr 5"), "bad operands for 'jr'"),
+            (_in_main("addu $t0,"), "unexpected end of line"),
+            (_in_main("lw $t0, 4($t1"), "expected ')'"),
+            (_in_main("addu $t0, $zz, $t1"), "unknown register '$zz'"),
+            (_in_main("addu $t0, ), $t1"), "bad operand ')'"),
+            (_in_main("lw $t0, 4(5)"), "expected base register"),
+            (_in_main("5"), "expected mnemonic or directive, got '5'"),
+            (_in_main("move $t0, 5"), "expected register operand"),
+            (_in_main("li $t0, $t1"), "expected immediate operand"),
+            (_in_main("la $t0, 5"), "expected symbol operand"),
+            (_in_main("blt $t0, 70000, main"), "branch immediate out of 16-bit range"),
+        ],
+    )
+    def test_rejected(self, source, message):
+        with pytest.raises(AsmError, match=re.escape(message)):
+            assemble(source)
