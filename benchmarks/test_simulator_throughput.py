@@ -22,27 +22,6 @@ def test_bare_simulator_throughput(benchmark):
     benchmark(simulate_with, lambda: [], "m88ksim", 25_000)
 
 
-def test_bare_simulator_throughput_metrics_enabled(benchmark):
-    """Same bare run with the metrics registry armed.
-
-    Keeps the counting in the hot loop honest: CI derives
-    ``telemetry_overhead_pct`` from this pair and fails above 5%.  The
-    counts are checked too, so the gate cannot pass by timing a path
-    that counts nothing.
-    """
-    from repro.obs import metrics as obs_metrics
-
-    obs_metrics.enable()
-    obs_metrics.REGISTRY.reset()
-    try:
-        benchmark(simulate_with, lambda: [], "m88ksim", 25_000)
-        assert obs_metrics.REGISTRY.value("sim.branches") > 0
-        assert obs_metrics.REGISTRY.value("sim.memory_ops") > 0
-    finally:
-        obs_metrics.disable()
-        obs_metrics.REGISTRY.reset()
-
-
 def test_repetition_tracker_throughput(benchmark):
     benchmark(simulate_with, lambda: [RepetitionTracker()], "m88ksim", 25_000)
 

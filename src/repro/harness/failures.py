@@ -348,10 +348,8 @@ class Watchdog:
         self._simulator.request_pause()
 
     def __enter__(self) -> "Watchdog":
-        self._simulator.watch_pauses()
         self._timer.start()
         return self
 
     def __exit__(self, *exc_info) -> None:
         self._timer.cancel()
-        self._simulator.watch_pauses(False)

@@ -460,13 +460,12 @@ def _prime_factories(program, analyzers: List[Analyzer], config: SuiteConfig) ->
     instance takes one hook, its later ones one per stepping analyzer
     that compiles a step for it.
     """
-    counts = [0, 0] if obs_metrics.REGISTRY.enabled else None
     hooks = range(1, 1 + sum(takes_steps(type(a)) for a in analyzers))
     for instr in program.text:
         if config.skip_instructions:
-            predecode._factory(instr, predecode.FAST, counts, 0)
+            predecode._factory(instr, predecode.FAST, 0)
         for count in hooks:
-            predecode._factory(instr, predecode.OBSERVED, counts, count)
+            predecode._factory(instr, predecode.OBSERVED, count)
 
 
 def _suite_attempt(

@@ -98,6 +98,8 @@ class Parser:
         elif token.text == "char":
             base = CHAR
         elif token.text == "void":
+            if self.peek().is_op("*"):
+                raise self.error("void is a return type only, not a pointer target")
             base = VOID
         else:
             raise self.error("expected type", token)

@@ -160,6 +160,8 @@ class SemanticAnalyzer:
             raise self.error("global cannot have type void", decl)
         if isinstance(decl.init, list) and not isinstance(decl.declared_type, ArrayType):
             raise self.error("brace initializer on non-array", decl)
+        if isinstance(decl.init, int) and isinstance(decl.declared_type, ArrayType):
+            raise self.error("scalar initializer on array", decl)
         if isinstance(decl.init, str):
             if not (
                 isinstance(decl.declared_type, ArrayType)

@@ -4,10 +4,11 @@ One process-global :class:`MetricsRegistry` (``REGISTRY``) collects
 counts from the simulator, the result cache, the reuse buffer, and the
 parallel suite runner.  It is **disabled by default** and costs nothing
 while disabled: instrumented code checks ``REGISTRY.enabled`` once per
-run (never per step) and skips collection entirely, so the simulator hot
-loop is byte-for-byte the code that ran before telemetry existed.
+run (never per step).  The simulator publishes counts it keeps anyway
+at the end of a run, so its hot loop runs the same code whether the
+registry is on or off.
 
-Names are dotted paths (``sim.branches``, ``cache.disk.corrupt``).
+Names are dotted paths (``sim.calls``, ``cache.disk.corrupt``).
 Three instrument kinds exist:
 
 * :class:`Counter` — monotonically increasing integer (events, bytes);
@@ -22,8 +23,6 @@ so ``run_suite(jobs=N)`` aggregates exactly like a serial run.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from time import perf_counter
 from typing import Dict, Optional
 
 
@@ -70,10 +69,6 @@ class Timer:
         if self.max is None or seconds > self.max:
             self.max = seconds
 
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
 
 class MetricsRegistry:
     """A named collection of counters, gauges, and timers."""
@@ -110,25 +105,9 @@ class MetricsRegistry:
         if self.enabled:
             self.counter(name).inc(amount)
 
-    def set_gauge(self, name: str, value: float) -> None:
-        if self.enabled:
-            self.gauge(name).set(value)
-
     def observe(self, name: str, seconds: float) -> None:
         if self.enabled:
             self.timer(name).observe(seconds)
-
-    @contextmanager
-    def timed(self, name: str):
-        """Time a block into ``name`` (no-op while disabled)."""
-        if not self.enabled:
-            yield
-            return
-        started = perf_counter()
-        try:
-            yield
-        finally:
-            self.timer(name).observe(perf_counter() - started)
 
     # -- aggregation ---------------------------------------------------
 

@@ -19,7 +19,7 @@ this module holds one source template per opcode family (ALU, load,
 store, branch, ...) that places the expression between the family's
 operand reads, memory access, alignment trap and control tuple.  A
 template is turned into Python source, ``exec``'d once per process for
-each (opcode, flavor, counted, hook count) on first use, and the
+each (opcode, flavor, hook count) on first use, and the
 resulting factory is then called once per static instruction.
 
 Two closure flavors exist because the simulator has two execution modes.
@@ -51,9 +51,9 @@ Control tuples carried by both flavors:
 * ``(next_pc, CTRL_SYSCALL, service, arg, result, halt)`` for
   ``syscall``/``break``.
 
-With a ``counts`` list, branches add one to ``counts[0]`` and loads and
-stores to ``counts[1]`` each time they execute (the ``sim.branches`` and
-``sim.memory_ops`` metrics); the line is generated into their bodies.
+The closures are the same whether or not telemetry, profiling or a
+watchdog is on: nothing outside the step's own work is generated into
+them.
 """
 
 from __future__ import annotations
@@ -85,36 +85,34 @@ CTRL_SYSCALL = "syscall"
 FAST = "fast"
 OBSERVED = "observed"
 
-#: Factory per (opcode name, flavor, counted, hook count); ``jr $ra`` is
-#: keyed ``"return"`` because it binds to a different template than ``jr``.
-_FACTORIES: Dict[Tuple[str, str, bool, int], Callable] = {}
+#: Factory per (opcode name, flavor, hook count); ``jr $ra`` is keyed
+#: ``"return"`` because it binds to a different template than ``jr``.
+_FACTORIES: Dict[Tuple[str, str, int], Callable] = {}
 
 
-def bind_fast(sim, counts: Optional[List[int]] = None) -> List[Callable[[], object]]:
+def bind_fast(sim) -> List[Callable[[], object]]:
     """Bind the fast closures to one simulator's state."""
-    return [_factory(instr, FAST, counts, 0)(sim, instr, counts) for instr in sim.program.text]
+    return [_factory(instr, FAST, 0)(sim, instr) for instr in sim.program.text]
 
 
-def bind_observed(
-    sim, instr: Instruction, hooks: Sequence[Callable], counts: Optional[List[int]] = None
-) -> Callable[[int], object]:
+def bind_observed(sim, instr: Instruction, hooks: Sequence[Callable]) -> Callable[[int], object]:
     """Bind one observed closure: ``instr``'s step, then each of ``hooks``."""
-    return _factory(instr, OBSERVED, counts, len(hooks))(sim, instr, counts, hooks)
+    return _factory(instr, OBSERVED, len(hooks))(sim, instr, hooks)
 
 
-def bind_full(sim, counts: Optional[List[int]] = None) -> List[Callable[[int], object]]:
+def bind_full(sim) -> List[Callable[[int], object]]:
     """Bind an observed closure without hooks for every static instruction.
 
     The simulator binds observed closures one at a time, with their
     hooks, as instructions first retire (:func:`bind_observed`); this
     binds the whole text at once, for timing the binding itself.
     """
-    return [bind_observed(sim, instr, (), counts) for instr in sim.program.text]
+    return [bind_observed(sim, instr, ()) for instr in sim.program.text]
 
 
 #: Longest chain, in instructions.  Longer straight-line runs take more
 #: than one dispatch; the cap bounds the number of chain makers and how
-#: many instructions a watched pause request may wait for.
+#: many instructions a pause request from another thread may wait for.
 CHAIN_CAP = 16
 
 #: Chain maker per length; length 1 needs none (the closure itself).
@@ -182,9 +180,9 @@ def _chain_maker(length: int) -> Callable:
     return maker
 
 
-def _factory(instr: Instruction, flavor: str, counts, hooks: int) -> Callable:
+def _factory(instr: Instruction, flavor: str, hooks: int) -> Callable:
     variant = "return" if instr.is_return else instr.op.name
-    key = (variant, flavor, counts is not None, hooks)
+    key = (variant, flavor, hooks)
     factory = _FACTORIES.get(key)
     if factory is None:
         factory = _FACTORIES[key] = _generate(instr.op, *key)
@@ -381,9 +379,6 @@ _FAMILIES = {
     Kind.NOP: _nop,
 }
 
-#: Which ``counts`` cell a kind's closures add to, when counted.
-_COUNT_CELL = {Kind.BRANCH: 0, Kind.LOAD: 1, Kind.STORE: 1}
-
 
 # ---------------------------------------------------------------------------
 # Code generation
@@ -458,12 +453,12 @@ def _inline(lines: List[str]) -> List[str]:
     return out
 
 
-def _source(op: OpcodeInfo, variant: str, flavor: str, counted: bool, hooks: int = 0) -> str:
+def _source(op: OpcodeInfo, variant: str, flavor: str, hooks: int = 0) -> str:
     """Python source of the factory that binds one static instruction.
 
-    The fast factory is ``bind(sim, instr, counts) -> step()``; the
-    observed one is ``bind(sim, instr, counts, hooks) -> step(n)`` and
-    calls its ``hooks`` hooks, named ``h0``, ``h1``, ..., in order.
+    The fast factory is ``bind(sim, instr) -> step()``; the observed one
+    is ``bind(sim, instr, hooks) -> step(n)`` and calls its ``hooks``
+    hooks, named ``h0``, ``h1``, ..., in order.
     """
     sources, dest = _register_fields(op)
     operands = _OPERANDS[: len(sources)]
@@ -487,9 +482,6 @@ def _source(op: OpcodeInfo, variant: str, flavor: str, counted: bool, hooks: int
             text = re.sub(rf"\b{operand}\b", f"regs[{field}]", text)
         else:
             reads.append(f"{operand} = regs[{field}]")
-    cell = _COUNT_CELL.get(op.kind)
-    if counted and cell is not None:
-        reads.insert(0, f"counts[{cell}] += 1")
     step = _inline(reads + text.splitlines())
 
     prologue = []
@@ -506,9 +498,9 @@ def _source(op: OpcodeInfo, variant: str, flavor: str, counted: bool, hooks: int
     setup = [f"{name} = {expr}" for name, expr in bind_names.items() if name in needed]
     setup += [f"h{i} = hooks[{i}]" for i in range(hooks)]
     if flavor == FAST:
-        header, signature = "def bind(sim, instr, counts):", "step()"
+        header, signature = "def bind(sim, instr):", "step()"
     else:
-        header, signature = "def bind(sim, instr, counts, hooks):", "step(n)"
+        header, signature = "def bind(sim, instr, hooks):", "step(n)"
     return "\n".join(
         [header]
         + [f"    {line}" for line in setup + prologue]
@@ -534,12 +526,9 @@ def _hook_calls(observed: Tuple[str, ...], hooks: int) -> List[str]:
     return lines + [f"h{i}({call})" for i in range(hooks)]
 
 
-def _generate(
-    op: OpcodeInfo, variant: str, flavor: str, counted: bool, hooks: int = 0
-) -> Callable:
-    source = _source(op, variant, flavor, counted, hooks)
-    filename = f"<{variant} {flavor}{' counted' if counted else ''}"
-    filename += f" {hooks} hooks>" if hooks else ">"
+def _generate(op: OpcodeInfo, variant: str, flavor: str, hooks: int = 0) -> Callable:
+    source = _source(op, variant, flavor, hooks)
+    filename = f"<{variant} {flavor} {hooks} hooks>" if hooks else f"<{variant} {flavor}>"
     namespace = dict(_NAMESPACE)
     exec(compile(source, filename, "exec"), namespace)
     return namespace["bind"]

@@ -131,17 +131,13 @@ class Simulator:
         self._started = False
         self._paused = False
         self._pause_requested = False
-        self._pause_watched = False
         self._total = 0
         self._analyzed = 0
         self._limit: Optional[int] = None
         self._skip = 0
-        # Telemetry: call/return edges are rare enough to count always;
-        # branch/memop counts live in a cell list only when the metrics
-        # registry is enabled at run() time (see _run_fast/_run_full).
+        # Telemetry: call/return edges are rare enough to count always.
         self.call_count = 0
         self.return_count = 0
-        self._kind_counts: Optional[List[int]] = None
         self._published: Optional[List[int]] = None
         # Predecoded engine state, bound lazily on first use.  The observed
         # closures are bound per text index on first execution.
@@ -170,32 +166,19 @@ class Simulator:
         """Ask the simulator to stop at the next dispatch boundary.
 
         Callable from analyzer hooks (the basis for breakpoints and
-        watchpoints) and, once :meth:`watch_pauses` is armed, from
-        another thread (the harness watchdog's timer); resume with
-        :meth:`resume`.  Every loop checks the flag once per dispatch.
-        The observed loop and the interpreter dispatch every
-        instruction, so a request stops at the next one.  The predecoded
-        engine's record-free loop (the warm-up window, and runs without
-        step analyzers) dispatches a straight-line run of up to
-        :data:`~repro.sim.predecode.CHAIN_CAP` instructions at a time.
-        A call, return or syscall is always dispatched alone, so a
-        request from one of their hooks still stops at the next
+        watchpoints) and from another thread (the harness watchdog's
+        timer); resume with :meth:`resume`.  Every loop checks the flag
+        once per dispatch.  The observed loop and the interpreter
+        dispatch every instruction, so a request stops at the next one.
+        The predecoded engine's record-free loop (the warm-up window,
+        and runs without step analyzers) dispatches a straight-line run
+        of up to :data:`~repro.sim.predecode.CHAIN_CAP` instructions at
+        a time.  A call, return or syscall is always dispatched alone,
+        so a request from one of their hooks still stops at the next
         instruction; a request from another thread stops at the end of
-        the current run.  That loop checks the flag only when an
-        analyzer has call, return or syscall hooks or the run is
-        watched; an unwatched request from another thread may go unseen
-        until the analysis window starts or the run ends.
+        the current run.
         """
         self._pause_requested = True
-
-    def watch_pauses(self, armed: bool = True) -> None:
-        """Declare that another thread may call :meth:`request_pause`.
-
-        While armed, every run loop checks the pause flag once per
-        dispatch (see :meth:`request_pause`).  Unwatched runs without
-        hooks that could pause skip that check.
-        """
-        self._pause_watched = armed
 
     # ------------------------------------------------------------------
 
@@ -280,8 +263,6 @@ class Simulator:
         self._call_hooks = _hooks_for(self._analyzers, "on_call")
         self._return_hooks = _hooks_for(self._analyzers, "on_return")
         self._syscall_hooks = _hooks_for(self._analyzers, "on_syscall")
-        if obs_metrics.REGISTRY.enabled:
-            self._kind_counts = [0, 0]
         for analyzer in self._analyzers:
             analyzer.on_start(program)
         # Program entry is modelled as a call so the call stack is rooted.
@@ -326,26 +307,15 @@ class Simulator:
     # ------------------------------------------------------------------
 
     def _execute_predecoded(self) -> RunResult:
-        tracer = obs_tracing.current_tracer()
         stop = None
         # A window with no room (``limit=0``) retires nothing, warm-up
         # included: the analysis loop stops it before the first fetch.
         if self._total < self._skip and (self._limit is None or self._analyzed < self._limit):
-            if tracer is None:
+            with obs_tracing.span("warmup", engine=self._engine):
                 stop = self._run_fast(warmup=True)
-            else:
-                with tracer.span("warmup", engine=self._engine):
-                    stop = self._run_fast(warmup=True)
         if stop is None:
-            if tracer is None:
+            with obs_tracing.span("simulate", engine=self._engine):
                 stop = self._run_full() if self._step_hooks else self._run_fast(warmup=False)
-            else:
-                with tracer.span("simulate", engine=self._engine):
-                    stop = (
-                        self._run_full()
-                        if self._step_hooks
-                        else self._run_fast(warmup=False)
-                    )
         return self._finish_run(stop)
 
     def _finish_run(self, stop_reason: str) -> RunResult:
@@ -376,8 +346,6 @@ class Simulator:
     _METRIC_NAMES = (
         "sim.instructions.total",
         "sim.instructions.analyzed",
-        "sim.branches",
-        "sim.memory_ops",
         "sim.calls",
         "sim.returns",
         "sim.syscalls",
@@ -389,12 +357,9 @@ class Simulator:
         if published is None:
             published = self._published = [0] * len(self._METRIC_NAMES)
             registry.counter("sim.runs").inc()
-        counts = self._kind_counts
         values = (
             self._total,
             self._analyzed,
-            counts[0] if counts is not None else 0,
-            counts[1] if counts is not None else 0,
             self.call_count,
             self.return_count,
             self.syscalls.invocations,
@@ -422,21 +387,13 @@ class Simulator:
         """
         code = self._fast_code
         if code is None:
-            code = self._fast_code = predecode.bind_fast(self, self._kind_counts)
+            code = self._fast_code = predecode.bind_fast(self)
             self._chains = {}
         chains = self._chains
         program = self.program
         text = program.text
         text_base = program.text_base
         text_len = len(text)
-        # On this path the pause flag can only change inside call/return/
-        # syscall hooks, from a watching thread, or before run(); skip the
-        # check when none applies.
-        check_pause = (
-            bool(self._call_hooks or self._return_hooks or self._syscall_hooks)
-            or self._pause_watched
-            or self._pause_requested
-        )
         ctrl_call = predecode.CTRL_CALL
         ctrl_return = predecode.CTRL_RETURN
 
@@ -472,7 +429,7 @@ class Simulator:
                         break  # in warm-up: the caller continues in analysis mode
                     chain = code[(pc - text_base) >> 2]
                     end = done + 1
-                if check_pause and self._pause_requested:
+                if self._pause_requested:
                     self._pause_requested = False
                     stop = "paused"
                     break
@@ -531,7 +488,6 @@ class Simulator:
         text_base = program.text_base
         text_len = len(text)
         compilers = self._step_compilers
-        counts = self._kind_counts
         bind_observed = predecode.bind_observed
         bound = self._limit if self._limit is not None else _NO_LIMIT
         ctrl_call = predecode.CTRL_CALL
@@ -546,11 +502,11 @@ class Simulator:
                     for step in (make(pc, instr) for make in compilers)
                     if step is not None
                 ]
-                code[index] = bind_observed(self, instr, steps, counts)
+                code[index] = bind_observed(self, instr, steps)
                 for step in steps:
                     step(n, inputs, outputs, value, address)
 
-            return bind_observed(self, instr, (compile_and_deliver,), counts)
+            return bind_observed(self, instr, (compile_and_deliver,))
 
         pc = self.pc
         analyzed = self._analyzed
@@ -604,10 +560,7 @@ class Simulator:
     # ------------------------------------------------------------------
 
     def _execute_interpreter(self) -> RunResult:
-        tracer = obs_tracing.current_tracer()
-        if tracer is None:
-            return self._finish_run(self._interpret_loop())
-        with tracer.span("simulate", engine="interpreter"):
+        with obs_tracing.span("simulate", engine="interpreter"):
             stop_reason = self._interpret_loop()
         return self._finish_run(stop_reason)
 
@@ -615,7 +568,6 @@ class Simulator:
         program = self.program
         limit = self._limit
         skip = self._skip
-        kind_counts = self._kind_counts
         regs = self.regs
         memory = self.memory
         text = program.text
@@ -685,8 +637,6 @@ class Simulator:
                     if dest_reg:
                         regs[dest_reg] = result
                 elif kind == Kind.LOAD:
-                    if kind_counts is not None:
-                        kind_counts[1] += 1
                     base = regs[instr.rs]
                     address = (base + instr.imm) & 0xFFFFFFFF
                     inputs = (base,)
@@ -707,8 +657,6 @@ class Simulator:
                     if dest_reg:
                         regs[dest_reg] = value
                 elif kind == Kind.STORE:
-                    if kind_counts is not None:
-                        kind_counts[1] += 1
                     data = regs[instr.rt]
                     base = regs[instr.rs]
                     address = (base + instr.imm) & 0xFFFFFFFF
@@ -774,8 +722,6 @@ class Simulator:
                     if dest_reg:
                         regs[dest_reg] = result
                 elif kind == Kind.BRANCH:
-                    if kind_counts is not None:
-                        kind_counts[0] += 1
                     a = regs[instr.rs]
                     if fmt == Format.BR2:
                         b = regs[instr.rt]

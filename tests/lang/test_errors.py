@@ -30,7 +30,9 @@ for _ in range(40):  # deeper than the 32 expression-stack slots
         (_in_main("int i = 0; do { i++; } until (i);"), ParseError, "expected 'while' after do-body"),
         ("int main() { switch (1) { case 1: return 0;", ParseError, "unterminated switch"),
         (_in_main("switch (1) { return 0; case 1: break; }"), ParseError, "statement before first case label"),
+        (_in_main("int x = 1; void *q = &x;"), ParseError, "void is a return type only, not a pointer target"),
         ("void g; int main() { return 0; }", SemaError, "global cannot have type void"),
+        ("int a[2] = 5; int main() { return 0; }", SemaError, "scalar initializer on array"),
         ("int h(void x) { return 0; } int main() { return 0; }", SemaError, "parameter cannot be void"),
         (_VOID + "int g() { return v(); } int main() { return 0; }", SemaError, "cannot return void as int"),
         (_in_main("int *q = v();"), SemaError, "cannot initialize int* with void"),

@@ -240,10 +240,6 @@ int main() { print_int(depth1()); return 0; }
 
     def test_telemetry_matches_step_classes(self, engine, metrics_enabled):
         recorder, result = record_minic(LOOP, engine)
-        assert metrics_enabled.value("sim.branches") == recorder.kinds[Kind.BRANCH]
-        assert metrics_enabled.value("sim.memory_ops") == (
-            recorder.kinds[Kind.LOAD] + recorder.kinds[Kind.STORE]
-        )
         assert metrics_enabled.value("sim.calls") == sum(recorder.calls.values())
         assert metrics_enabled.value("sim.returns") == sum(recorder.returns.values())
         assert sum(recorder.kinds.values()) == result.analyzed_instructions

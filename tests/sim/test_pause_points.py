@@ -10,6 +10,8 @@ call stack and the output at each stop.
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from repro.isa.registers import A0
@@ -210,3 +212,44 @@ class TestInspection:
         paused = stops(simulator, simulator.run())[-1]
         plain = Simulator(PROGRAM, engine=engine).run()
         assert paused == plain
+
+
+#: About 3M instructions, 15 per iteration: 0.5 s on the bare engine
+#: (CPython 3.11, shared 2-CPU x86 host).
+LONG_LOOP = compile_source(
+    """
+int main() {
+    int i;
+    int total = 0;
+    for (i = 0; i < 200000; i++) {
+        total += i & 7;
+    }
+    print_int(total);
+    return 0;
+}
+"""
+)
+
+
+@pytest.mark.wall_clock
+def test_a_request_from_another_thread_stops_a_bare_run():
+    """The watchdog's case: no analyzer, and a timer thread asks to pause.
+
+    The record-free loop checks the flag on every dispatch, so the run
+    stops at the end of the straight-line run it is in (at most
+    :data:`~repro.sim.predecode.CHAIN_CAP` instructions), long before the
+    program ends, and resumes to the same output.
+    """
+    simulator = Simulator(LONG_LOOP)
+    timer = threading.Timer(0.01, simulator.request_pause)
+    timer.start()
+    try:
+        result = simulator.run()
+    finally:
+        timer.cancel()
+    assert result.stop_reason == "paused"
+    # A third of the run takes about 0.17 s, 17 times the timer's delay.
+    assert result.analyzed_instructions < 1_000_000
+    result = simulator.resume()
+    assert result.stop_reason == "halt"
+    assert result.output == "700000"

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core import RepetitionTracker
 from repro.isa.instructions import BOUNDARY_END, BOUNDARY_EXCLUDE, OPCODES, boundary_kind
-from repro.sim import predecode
+from repro.obs import tracing as obs_tracing
+from repro.sim import Simulator, predecode
 from repro.workloads import WORKLOAD_ORDER, get_workload
 
 
@@ -15,14 +17,33 @@ from repro.workloads import WORKLOAD_ORDER, get_workload
     # The observed flavor keeps the id of the record-building flavor it replaced.
     [predecode.FAST, pytest.param(predecode.OBSERVED, id="record")],
 )
-@pytest.mark.parametrize("counted", [False, True])
-def test_every_opcode_generates_both_flavors(name, flavor, counted):
+def test_every_opcode_generates_both_flavors(name, flavor):
     variants = [name, "return"] if name == "jr" else [name]
     hook_counts = [0] if flavor == predecode.FAST else [0, 1, 3]
     for variant in variants:
         for hooks in hook_counts:
-            factory = predecode._generate(OPCODES[name], variant, flavor, counted, hooks)
+            factory = predecode._generate(OPCODES[name], variant, flavor, hooks)
             assert callable(factory)
+
+
+def test_watching_a_run_generates_no_other_closures(metrics_enabled, tracer):
+    """Telemetry and tracing on, the engine runs the closures a plain run made."""
+    program = get_workload("compress").program()
+
+    def run():
+        # A fast warm-up, then observed closures with one hook per analyzer.
+        Simulator(program, analyzers=[RepetitionTracker()]).run(limit=5_000, skip=5_000)
+
+    metrics_enabled.enabled = False
+    obs_tracing.install_tracer(None)
+    run()
+    plain = set(predecode._FACTORIES)
+    metrics_enabled.enabled = True
+    obs_tracing.install_tracer(tracer)
+    run()
+    assert set(predecode._FACTORIES) == plain
+    assert metrics_enabled.value("sim.instructions.total") == 10_000
+    assert tracer.span_count("warmup") == tracer.span_count("simulate") == 1
 
 
 @pytest.mark.parametrize("name", WORKLOAD_ORDER)
