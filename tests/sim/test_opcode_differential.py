@@ -10,19 +10,26 @@ observer (step records rebuilt by the per-pc adapter), and its observed
 closures feeding a compiled step directly (positional values, no
 record).  Registers, hi/lo, data memory, output, the trap message and
 the event stream must agree; the steps must agree between the
-interpreter's records and both observed paths.
+interpreter's records and both observed paths.  Each case also runs
+watched, with the metrics registry on, a span tracer installed and a
+watchdog armed: every engine loop must end in the same state as its
+plain run, and the predecoded engine must generate no closure the plain
+run did not.
 """
 
 from __future__ import annotations
 
+import contextlib
 import random
 from typing import Dict, List
 
 import pytest
 
 from repro.asm import assemble
+from repro.harness.failures import Watchdog
 from repro.isa.instructions import OPCODES, Format, Kind
-from repro.sim import Analyzer, SimError, Simulator
+from repro.obs import tracing as obs_tracing
+from repro.sim import Analyzer, SimError, Simulator, predecode
 
 #: Operand values at the edges of the 32-bit, 16-bit and 8-bit views
 #: and of the shift-amount range.
@@ -282,11 +289,14 @@ CASES = _cases()
 _INPUT = b"x-1234\n"
 
 
-def _run(program, engine: str, recorder: Analyzer) -> dict:
+def _run(program, engine: str, recorder: Analyzer, watched: bool = False) -> dict:
     sim = Simulator(program, input_data=_INPUT, analyzers=[recorder], engine=engine)
     trap = None
+    # A deadline no case reaches: the watchdog's timer is armed, never fired.
+    watchdog = Watchdog(sim, 600.0) if watched else contextlib.nullcontext()
     try:
-        result = sim.run(limit=200_000)
+        with watchdog:
+            result = sim.run(limit=200_000)
         stop = (result.stop_reason, result.exit_code)
     except SimError as exc:
         trap = str(exc)
@@ -303,14 +313,15 @@ def _run(program, engine: str, recorder: Analyzer) -> dict:
     }
 
 
+CASE_IDS = [(name, index) for name in sorted(CASES) for index in range(len(CASES[name]))]
+
+
 def test_cases_cover_every_opcode():
     assert set(CASES) == set(OPCODES)
 
 
 @pytest.mark.parametrize(
-    "name,index",
-    [(name, index) for name in sorted(CASES) for index in range(len(CASES[name]))],
-)
+    "name,index", CASE_IDS)
 def test_paths_agree(name, index):
     program = assemble(_program(CASES[name][index]) + _DOUBLE)
     assert name in {instr.op.name for instr in program.text}
@@ -323,3 +334,32 @@ def test_paths_agree(name, index):
     assert fast == steps_removed
     values_only = dict(interpreter, events=[_values(e) for e in interpreter["events"]])
     assert compiled == values_only
+
+
+#: The three engine loops: the interpreter, the predecoded record-free
+#: loop (no step analyzer) and the predecoded observed loop.
+LOOPS = {
+    "interpreter": ("interpreter", StepRecorder),
+    "fast": ("predecoded", EventRecorder),
+    "observed": ("predecoded", ValueRecorder),
+}
+
+
+@pytest.mark.parametrize("name,index", CASE_IDS)
+@pytest.mark.parametrize("loop", list(LOOPS))
+def test_watched_runs_agree(loop, name, index, metrics_enabled, tracer, monkeypatch):
+    """Telemetry, tracing and a watchdog leave the code and the result alone."""
+    # An empty factory cache, so the plain run generates every closure it uses.
+    monkeypatch.setattr(predecode, "_FACTORIES", {})
+    program = assemble(_program(CASES[name][index]) + _DOUBLE)
+    engine, recorder = LOOPS[loop]
+    metrics_enabled.enabled = False
+    obs_tracing.install_tracer(None)
+    plain = _run(program, engine, recorder())
+    factories = set(predecode._FACTORIES)
+    metrics_enabled.enabled = True
+    obs_tracing.install_tracer(tracer)
+    watched = _run(program, engine, recorder(), watched=True)
+    assert watched == plain
+    assert set(predecode._FACTORIES) == factories
+    assert tracer.span_count("simulate") == 1
