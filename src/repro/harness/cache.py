@@ -48,10 +48,11 @@ logger = logging.getLogger("repro.harness.cache")
 #: eviction/occupancy telemetry fields.
 #: v3: WorkloadResult gained the trace_reuse report (Table 10T) and
 #: SuiteConfig the trace-table geometry knobs.
-#: v4: RunManifest gained recovery provenance (degraded / attempts /
-#: failures) and SuiteConfig the fault_plan knob — degraded or faulted
-#: results must never be served against pre-recovery keys.
-CACHE_FORMAT_VERSION = 4
+#: v4: RunManifest gained recovery provenance (attempts / failures) and
+#: SuiteConfig the fault_plan knob — faulted results must never be
+#: served against pre-recovery keys.
+#: v5: RunManifest lost its two engine-fallback fields.
+CACHE_FORMAT_VERSION = 5
 
 #: Environment variable that opts experiment runs into disk caching.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"

@@ -158,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PLAN",
         default=None,
         help="fault-injection plan, e.g. 'worker.crash:go' or "
-        "'engine.predecode_raise:*:2' (grammar: repro.harness.faults)",
+        "'engine.trap:*:2' (grammar: repro.harness.faults)",
     )
     return parser
 

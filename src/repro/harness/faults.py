@@ -1,7 +1,7 @@
 """Deterministic fault injection for the suite harness.
 
-Every recovery path in the harness (retry, watchdog, engine
-degradation, cache self-healing — see :mod:`repro.harness.failures`)
+Every recovery path in the harness (retry, watchdog, permanent
+failure, cache self-healing — see :mod:`repro.harness.failures`)
 is exercised through *this* registry rather than through prod-only test
 hooks: the production code calls :func:`check` / :func:`should_fire` at
 a small catalog of named sites, and an armed :class:`FaultPlan` decides
@@ -22,7 +22,7 @@ Spec grammar (comma-separated)::
 
     worker.crash:go            crash go's worker (every attempt)
     worker.crash:go@1          crash only go's first attempt
-    engine.predecode_raise:*:2 fail the first two predecoded runs
+    engine.trap:*:2            trap the first two runs (either engine)
     cache.corrupt:compress     corrupt compress's cache entry on store
 
 ``times`` bounds how often a spec fires: an integer, or ``*`` for
@@ -30,8 +30,9 @@ unlimited (default 1).  Counts are per installed plan: each forked
 attempt of ``run_suite(jobs>1)`` installs the plan from the config
 afresh, so worker-site specs fire per *attempt* (which is what chaos
 tests want), while a serial suite shares one plan across all its
-workloads.  The engine sites fire in the runner just before it builds
-the simulator, before any analyzer state is touched.
+workloads.  The engine site fires in the runner just before it builds
+the simulator (whatever the engine), before any analyzer state is
+touched.
 """
 
 from __future__ import annotations
@@ -56,8 +57,7 @@ SITES: Dict[str, str] = {
     "worker.hang": f"suite child sleeps {HANG_SECONDS:.0f}s (parent deadline)",
     "cache.corrupt": "persistent-cache entry is scribbled after a store",
     "cache.torn_write": "persistent-cache store dies mid-write (before replace)",
-    "engine.predecode_raise": "predecoded engine raises SimError at run start",
-    "engine.interp_raise": "interpreter engine raises SimError at run start",
+    "engine.trap": "either engine raises SimError at run start",
     "asm.error": "workload assembly raises AsmError",
 }
 
@@ -246,7 +246,7 @@ def check(site: str, workload: Optional[str] = None) -> None:
     if site == "worker.hang":
         time.sleep(HANG_SECONDS)
         return
-    if site in ("engine.predecode_raise", "engine.interp_raise"):
+    if site == "engine.trap":
         error = SimError(f"injected fault at {site}")
         error.injected = True
         raise error

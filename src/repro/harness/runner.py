@@ -70,9 +70,6 @@ from repro.workloads import WORKLOAD_ORDER, Workload, get_workload
 
 logger = logging.getLogger("repro.harness.runner")
 
-#: Engine the recovery loop degrades to when a faster engine traps.
-REFERENCE_ENGINE = "interpreter"
-
 
 @dataclass(frozen=True)
 class SuiteConfig:
@@ -383,14 +380,13 @@ def _simulate(
     """One simulation of ``workload`` feeding ``analyzers``, in order.
 
     Both analysis processes run this, each with its group; a one-process
-    run passes the whole stack.  The engine fault sites fire here, before
-    any analyzer state is touched, so a failed attempt pollutes nothing
-    a retry would reuse.  ``profile`` instruments the analyzers while the
-    registry is enabled.
+    run passes the whole stack.  The ``engine.trap`` fault site fires
+    here, on either engine, before any analyzer state is touched, so a
+    failed attempt pollutes nothing a retry would reuse.  ``profile``
+    instruments the analyzers while the registry is enabled.
     """
     if faults.armed():
-        interpreter = config.engine == "interpreter"
-        faults.check("engine.interp_raise" if interpreter else "engine.predecode_raise")
+        faults.check("engine.trap")
     registry = obs_metrics.REGISTRY
     if profile and registry.enabled:
         for analyzer in analyzers:
@@ -436,7 +432,7 @@ def _analyze_stream(
     The child simulates the same program, input, engine and window as
     the parent, with the stream group.
     """
-    # The parent's run checks the engine fault sites; none fires twice.
+    # The parent's run checks the engine fault site; it never fires twice.
     faults.install_plan(None)
     # The parent traces the engine phases; the child only its own spans.
     tracer = obs_tracing.current_tracer()
@@ -666,15 +662,13 @@ class _Recovery:
     """
 
     def __init__(
-        self, name: str, config: SuiteConfig, policy: RecoveryPolicy, transient_timeouts: bool
+        self, name: str, engine: str, policy: RecoveryPolicy, transient_timeouts: bool
     ) -> None:
         self.name = name
-        #: The next attempt's config (the reference engine once degraded).
-        self.config = config
+        self.engine = engine
         self.policy = policy
         self.transient_timeouts = transient_timeouts
         self.attempt = 1
-        self.degraded_from: Optional[str] = None
         self.history: List[FailureRecord] = []
         self.result: Optional[WorkloadResult] = None
 
@@ -684,16 +678,13 @@ class _Recovery:
         ``None`` when the failure is terminal; re-raises ``exc`` under a
         strict policy.
         """
-        engine = self.config.engine
-        record = classify_failure(exc, workload=self.name, engine=engine, attempt=self.attempt)
+        record = classify_failure(exc, workload=self.name, engine=self.engine, attempt=self.attempt)
         self.history.append(record)
         note_failure(record)
         if self.policy.strict:
             raise exc
         action = plan_next_action(
             record,
-            engine=engine,
-            degraded=self.degraded_from is not None,
             attempt=self.attempt,
             retries=self.policy.retries,
             transient_timeouts=self.transient_timeouts,
@@ -702,21 +693,8 @@ class _Recovery:
         if action == "fail":
             registry.inc("suite.partial_failures")
             return None
-        backoff = 0.0
-        if action == "degrade":
-            registry.inc("degrade.engine_fallback")
-            logger.warning(
-                "workload %s failed on engine %s (%s); degrading to %s",
-                self.name,
-                engine,
-                record.message,
-                REFERENCE_ENGINE,
-            )
-            self.degraded_from = engine
-            self.config = dataclasses.replace(self.config, engine=REFERENCE_ENGINE)
-        else:
-            registry.inc("retry.attempts")
-            backoff = backoff_seconds(self.name, self.attempt)
+        registry.inc("retry.attempts")
+        backoff = backoff_seconds(self.name, self.attempt)
         self.attempt += 1
         return backoff
 
@@ -724,16 +702,11 @@ class _Recovery:
         """End with ``result``; its manifest records the recovery story.
 
         On a copy (``dataclasses.replace``), so the cache layers keep
-        the pristine object: a degraded interpreter result is a clean
-        cache entry *for the interpreter config* — only the caller that
-        asked for predecode sees the degradation flag.
+        the pristine object: a later cache hit reports a clean run.
         """
-        # A degrade always follows a failed attempt, so history covers it.
         if self.history and result.manifest is not None:
             manifest = dataclasses.replace(
                 result.manifest,
-                degraded=self.degraded_from is not None,
-                degraded_from=self.degraded_from,
                 attempts=self.attempt,
                 failures=[record.to_dict() for record in self.history],
             )
@@ -754,14 +727,14 @@ def _run_serial(
     stories = []
     with faults.armed_plan(config.fault_plan):
         for name in names:
-            story = _Recovery(name, config, policy, transient_timeouts=False)
+            story = _Recovery(name, config.engine, policy, transient_timeouts=False)
             stories.append(story)
             while story.result is None:
                 try:
                     with faults.scope(workload=name, attempt=story.attempt):
                         result = run_workload(
                             get_workload(name),
-                            story.config,
+                            config,
                             profile=profile,
                             deadline_s=policy.timeout_s,
                         )
@@ -792,7 +765,7 @@ def _run_forked(
     and reaps the other children, then raises.
     """
     registry = obs_metrics.REGISTRY
-    stories = [_Recovery(name, config, policy, transient_timeouts=True) for name in names]
+    stories = [_Recovery(name, config.engine, policy, transient_timeouts=True) for name in names]
     queue: List[Tuple[float, _Recovery]] = []
     for story in stories:
         story.result = cached_result(get_workload(story.name), config)
@@ -812,7 +785,7 @@ def _run_forked(
                 queue.append((time.monotonic() + backoff, story))
             return
         # The child already wrote the disk entry.
-        install_result(result, story.config, to_disk=False)
+        install_result(result, config, to_disk=False)
         registry.inc("parallel.tasks")
         registry.inc(f"parallel.worker.{child.pid}.tasks")
         registry.observe(f"parallel.worker.{child.pid}.seconds", seconds)
@@ -826,9 +799,9 @@ def _run_forked(
                 story = entry[1]
                 child = _Child(
                     _suite_attempt,
-                    (story.name, story.config, story.attempt, profile, policy.timeout_s),
+                    (story.name, config, story.attempt, profile, policy.timeout_s),
                     story.name,
-                    story.config.engine,
+                    config.engine,
                     policy.timeout_s,
                 )
                 running[child.fd] = (child, story)

@@ -225,10 +225,6 @@ class Instruction:
         return self.op.kind == Kind.STORE
 
     @property
-    def is_call(self) -> bool:
-        return self.op.kind == Kind.CALL
-
-    @property
     def is_return(self) -> bool:
         return self.op.kind == Kind.JUMP_REG and self.rs == RA
 

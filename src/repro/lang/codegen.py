@@ -370,6 +370,8 @@ class _FunctionEmitter:
         # Copy parameters to their homes.
         for symbol in self.info.params:
             areg = _A_REGS[symbol.param_index]  # type: ignore[index]
+            if symbol.ctype == CHAR:
+                self._narrow_to_char(areg)
             if symbol.sreg is not None:
                 self.line(f"move {_S_REGS[symbol.sreg]}, {areg}")
             elif symbol.frame_offset is not None:
@@ -416,6 +418,14 @@ class _FunctionEmitter:
             return _T_REGS[entry.pos]
         self.line(f"lw {scratch}, {4 * entry.pos}($sp)")
         return scratch
+
+    def _narrow_to_char(self, reg: str) -> None:
+        """Keep only the sign-extended low byte of ``reg``, as C converts
+        an int to ``char``.  Memory narrows through ``sb``/``lb``; a char
+        held in a register (a local, a parameter, a return value) needs
+        this."""
+        self.line(f"sll {reg}, {reg}, 24")
+        self.line(f"sra {reg}, {reg}, 24")
 
     def _spill_all(self) -> None:
         for entry in self.stack:
@@ -556,6 +566,8 @@ class _FunctionEmitter:
         if stmt.value is not None:
             self._gen_expr(stmt.value)
             reg = self._pop()
+            if self.func.return_type == CHAR:
+                self._narrow_to_char(reg)
             self.line(f"move $v0, {reg}")
         self.line(f"b {self.epilogue_label}")
 
@@ -569,6 +581,10 @@ class _FunctionEmitter:
         self._store_to_local(symbol, reg)
 
     def _store_to_local(self, symbol: LocalSymbol, reg: str) -> None:
+        """Store ``reg`` to ``symbol``'s home; a char narrows ``reg`` too,
+        so an assignment's value is the stored one."""
+        if symbol.ctype == CHAR:
+            self._narrow_to_char(reg)
         if symbol.sreg is not None:
             self.line(f"move {_S_REGS[symbol.sreg]}, {reg}")
         elif symbol.frame_offset is not None:

@@ -26,6 +26,7 @@ from typing import Dict, List, Optional
 from repro.lang import astnodes as ast
 from repro.lang.optimizer import is_pure
 from repro.lang.sema import LocalSymbol
+from repro.lang.types import CHAR, INT
 
 
 def _copy_expr(expr: ast.Expr) -> ast.Expr:
@@ -93,6 +94,20 @@ def _substitute(expr: ast.Expr, mapping: Dict[int, ast.Expr]) -> ast.Expr:
     return rewrite(clone)  # type: ignore[arg-type]
 
 
+def _as_char(expr: ast.Expr) -> ast.Expr:
+    """``expr`` converted to ``char``: ``(expr << 24) >> 24`` unless it
+    already is one (the conversion a call makes for a char parameter or
+    return value)."""
+    if expr.ctype == CHAR:
+        return expr
+    for op in ("<<", ">>"):
+        shift = ast.IntLiteral(expr.line, 24)
+        shift.ctype = INT
+        expr = ast.Binary(expr.line, op, expr, shift)
+        expr.ctype = INT
+    return expr
+
+
 class Inliner:
     """Inlines calls to single-return-expression functions."""
 
@@ -132,10 +147,13 @@ class Inliner:
             return None
         params = self.sema.function_info[func.name].params
         mapping = {
-            id(param): arg for param, arg in zip(params, call.args)
+            id(param): _as_char(arg) if param.ctype == CHAR else arg
+            for param, arg in zip(params, call.args)
         }
         body_expr = func.body.statements[0].value  # type: ignore[union-attr]
         inlined = _substitute(body_expr, mapping)  # type: ignore[arg-type]
+        if func.return_type == CHAR:
+            inlined = _as_char(inlined)
         # The call produced the callee's return type; keep it unless that
         # changes the width of a load ('s[1]' of a 'char *s', returned as
         # an int, stays a byte load).

@@ -27,10 +27,11 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 #: Manifest schema version (bump on incompatible layout changes).
-#: v2: recovery provenance (degraded / degraded_from / attempts /
-#: failures) for fault-tolerant suite runs.
+#: v2: recovery provenance (attempts / failures, and two fields for an
+#: engine fallback) for fault-tolerant suite runs.
 #: v3: analysis processes (analysis_processes / split_timing).
-MANIFEST_SCHEMA = 3
+#: v4: the engine-fallback fields removed with the fallback.
+MANIFEST_SCHEMA = 4
 
 #: Cache dispositions a result can carry.
 DISPOSITIONS = ("computed", "memory-hit", "disk-hit")
@@ -61,10 +62,6 @@ class RunManifest:
     timing: Dict[str, float] = field(default_factory=dict)
     package_version: str = field(default_factory=_package_version)
     schema: int = MANIFEST_SCHEMA
-    #: Recovery provenance: True when this result came from an engine
-    #: fallback (``degraded_from`` names the engine that failed).
-    degraded: bool = False
-    degraded_from: Optional[str] = None
     #: How many attempts the recovery loop made to produce this result.
     attempts: int = 1
     #: FailureRecord dicts for the failed attempts that preceded it.

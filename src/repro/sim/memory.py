@@ -93,8 +93,3 @@ class Memory:
                 return bytes(out)
             out.append(byte)
         raise SimError(f"unterminated string at {address:#010x}")
-
-    @property
-    def resident_pages(self) -> int:
-        """Number of pages touched so far (for diagnostics)."""
-        return len(self._pages)

@@ -51,10 +51,6 @@ class InputStream:
             return EOF_WORD
         return to_u32(int(data[start:pos]))
 
-    @property
-    def exhausted(self) -> bool:
-        return self._pos >= len(self._data)
-
 
 class SyscallHandler:
     """Implements the syscall services against an input/output pair."""

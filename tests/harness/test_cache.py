@@ -78,18 +78,18 @@ class TestCacheKeying:
         assert len(source_digest()) == 64
 
     def test_previous_format_version_reads_as_miss(self, tmp_path, monkeypatch):
-        # An entry written under format v3 (pre recovery-provenance
-        # manifests) must be invisible to the current version, not an
-        # unpickling error.
+        # An entry written under format v4 (manifests with the two
+        # engine-fallback fields) must be invisible to the current
+        # version, not an unpickling error.
         from repro.harness import cache as cache_module
 
         cache = ResultCache(tmp_path)
         config = SuiteConfig()
-        monkeypatch.setattr(cache_module, "CACHE_FORMAT_VERSION", 3)
+        monkeypatch.setattr(cache_module, "CACHE_FORMAT_VERSION", 4)
         cache.store("go", config, {"legacy": True})
         assert cache.load("go", config) == {"legacy": True}
         monkeypatch.undo()
-        assert CACHE_FORMAT_VERSION == 4
+        assert CACHE_FORMAT_VERSION == 5
         assert cache.load("go", config) is None
 
     def test_missing_and_corrupt_entries_are_misses(self, tmp_path):

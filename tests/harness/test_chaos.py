@@ -22,6 +22,7 @@ from repro.harness.failures import (
     KIND_COMPILE,
     KIND_SIM_TRAP,
     KIND_TIMEOUT,
+    KIND_UNKNOWN,
     KIND_WORKER_CRASH,
     RecoveryPolicy,
     SuiteReport,
@@ -31,11 +32,9 @@ from repro.harness.failures import (
 from repro.harness.runner import SuiteConfig, run_suite, set_cache_dir
 from repro.obs import metrics as obs_metrics
 from repro.sim.errors import SimError
-from repro.workloads import get_workload
 
 #: Small windows keep the matrix fast; the analyzers all still run.
 _CHAOS = SuiteConfig(limit_instructions=3_000)
-_INTERP = dataclasses.replace(_CHAOS, engine="interpreter")
 _NAMES = ("go", "compress")
 
 
@@ -62,16 +61,12 @@ def isolated_state():
 
 @pytest.fixture(scope="module")
 def baselines():
-    """Fault-free digests: both workloads (predecoded) + go (interpreter)."""
+    """Fault-free digests of both workloads (predecoded engine)."""
     saved = dict(runner._CACHE)
     runner._CACHE.clear()
     try:
         clean = run_suite(_CHAOS, names=_NAMES)
-        interp = run_suite(_INTERP, names=("go",))
-        yield (
-            {name: result_digest(result) for name, result in clean.items()},
-            result_digest(interp["go"]),
-        )
+        yield {name: result_digest(result) for name, result in clean.items()}
     finally:
         runner._CACHE.clear()
         runner._CACHE.update(saved)
@@ -81,7 +76,6 @@ class TestWorkerCrash:
     def test_partial_results_with_terminal_crash(self, baselines, metrics_enabled):
         """Acceptance: crasher fails with attempts == retries + 1, the
         survivors are bit-identical to a fault-free run."""
-        clean_digests, _ = baselines
         report = run_suite(
             _plan("worker.crash:go"),
             names=_NAMES,
@@ -94,31 +88,29 @@ class TestWorkerCrash:
         assert record.kind == KIND_WORKER_CRASH
         assert record.attempts == 1 + 1  # retries + 1
         assert "go" not in report
-        assert result_digest(report["compress"]) == clean_digests["compress"]
+        assert result_digest(report["compress"]) == baselines["compress"]
         assert metrics_enabled.value("suite.partial_failures") == 1
         assert metrics_enabled.value("retry.attempts") >= 1
 
     def test_first_attempt_crash_recovers(self, baselines, metrics_enabled):
-        clean_digests, _ = baselines
         report = run_suite(
             _plan("worker.crash:go@1"), names=_NAMES, jobs=2, strict=False
         )
         assert report.ok
-        assert result_digest(report["go"]) == clean_digests["go"]
-        assert result_digest(report["compress"]) == clean_digests["compress"]
+        assert result_digest(report["go"]) == baselines["go"]
+        assert result_digest(report["compress"]) == baselines["compress"]
         assert report["go"].manifest.attempts >= 2
         assert report["go"].manifest.failures  # the crash is on record
         assert metrics_enabled.value("retry.attempts") >= 1
         assert metrics_enabled.value("suite.partial_failures") == 0
 
     def test_crash_costs_its_siblings_nothing(self, baselines):
-        clean_digests, _ = baselines
         report = run_suite(
             _plan("worker.crash:go"), names=_NAMES, jobs=2, strict=False, retries=0
         )
         assert set(report.failures) == {"go"}
         assert [record.workload for record in report.history] == ["go"]
-        assert result_digest(report["compress"]) == clean_digests["compress"]
+        assert result_digest(report["compress"]) == baselines["compress"]
         assert report["compress"].manifest.attempts == 1
 
     def test_retried_crash_charges_only_the_crasher(self, metrics_enabled):
@@ -155,56 +147,57 @@ class TestWorkerCrash:
         assert chaos_sim == clean_sim
 
 
-class TestEngineDegradation:
-    def test_serial_predecode_trap_degrades_to_interpreter(
-        self, baselines, metrics_enabled
-    ):
-        """Acceptance: the fallback result is identical to a native
-        interpreter run, flagged degraded, and the predecode cache key
-        is never populated."""
-        _, interp_digest = baselines
-        config = _plan("engine.predecode_raise:go")
-        report = run_suite(config, names=("go",), strict=False)
-        assert report.ok
+class TestEngineTrap:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("engine", ["predecoded", "interpreter"])
+    def test_trap_is_permanent(self, jobs, engine, baselines, metrics_enabled):
+        """A sim-trap fails its workload on the first attempt, on either
+        engine (both trap alike, so a re-run cannot change the outcome),
+        and the survivor is bit-identical to a clean run."""
+        report = run_suite(
+            _plan("engine.trap:go", engine=engine), names=_NAMES, jobs=jobs, strict=False
+        )
+        record = report.failures["go"]
+        assert record.kind == KIND_SIM_TRAP and record.injected
+        assert record.engine == engine
+        assert record.attempts == 1
+        assert [failure.workload for failure in report.history] == ["go"]
+        assert "go" not in report
+        assert result_digest(report["compress"]) == baselines["compress"]
+        assert report["compress"].manifest.attempts == 1
+        assert report.summary() == "1 ok, 1 failed"
+        if jobs == 1:  # a failed child sends back no registry snapshot
+            assert metrics_enabled.value("fault.injected.engine.trap") == 1
+        assert metrics_enabled.value("retry.attempts") == 0
+        assert metrics_enabled.value("suite.partial_failures") == 1
+
+    @pytest.mark.parametrize("engine", ["predecoded", "interpreter"])
+    def test_strict_raises_the_trap(self, engine):
+        with pytest.raises(SimError, match="engine.trap"):
+            run_suite(_plan("engine.trap:go", engine=engine), names=("go",))
+
+
+class TestSerialRetry:
+    def test_transient_failure_reruns_in_process(self, baselines, monkeypatch, metrics_enabled):
+        """A serial attempt that fails transiently backs off and runs the
+        workload again in this process; the result equals a clean run."""
+        run_workload = runner.run_workload
+        calls = []
+
+        def flaky(workload, *args, **kwargs):
+            calls.append(workload.name)
+            if len(calls) == 1:
+                raise RuntimeError("flaky")
+            return run_workload(workload, *args, **kwargs)
+
+        monkeypatch.setattr(runner, "run_workload", flaky)
+        report = run_suite(_CHAOS, names=("go",), strict=False)
+        assert report.ok and calls == ["go", "go"]
+        assert result_digest(report["go"]) == baselines["go"]
         manifest = report["go"].manifest
-        assert manifest.degraded and manifest.degraded_from == "predecoded"
-        assert manifest.engine == "interpreter"
         assert manifest.attempts == 2
-        assert report.degraded_workloads() == ["go"]
-        assert report.summary() == "1 ok, 1 degraded, 1 failed attempts"
-        assert result_digest(report["go"]) == interp_digest
-        assert metrics_enabled.value("degrade.engine_fallback") == 1
-        assert metrics_enabled.value("fault.injected.engine.predecode_raise") == 1
-        # Never promoted as a clean predecode entry.
-        assert runner.cached_result(get_workload("go"), config) is None
-
-    def test_parallel_predecode_trap_degrades(self, baselines, metrics_enabled):
-        _, interp_digest = baselines
-        report = run_suite(
-            _plan("engine.predecode_raise:go"), names=_NAMES, jobs=2, strict=False
-        )
-        assert report.ok
-        assert report["go"].manifest.degraded
-        assert result_digest(report["go"]) == interp_digest
-        assert metrics_enabled.value("degrade.engine_fallback") == 1
-
-    def test_interpreter_trap_is_terminal(self, baselines):
-        """No engine left to degrade to: sim-trap on the reference
-        engine fails without burning retries."""
-        clean_digests, _ = baselines
-        report = run_suite(
-            _plan("engine.interp_raise:go", engine="interpreter"),
-            names=_NAMES,
-            jobs=1,
-            strict=False,
-        )
-        assert report.failures["go"].kind == KIND_SIM_TRAP
-        assert report.failures["go"].attempts == 1
-        assert result_digest(report["compress"]) == clean_digests["compress"]
-
-    def test_strict_raises_the_trap(self):
-        with pytest.raises(SimError, match="engine.predecode_raise"):
-            run_suite(_plan("engine.predecode_raise:go"), names=("go",))
+        assert [failure["kind"] for failure in manifest.failures] == [KIND_UNKNOWN]
+        assert metrics_enabled.value("retry.attempts") == 1
 
 
 class TestAsmError:
@@ -228,7 +221,6 @@ class TestAsmError:
 
 class TestCacheFaults:
     def test_corrupt_entry_self_heals(self, tmp_path, baselines, metrics_enabled):
-        clean_digests, _ = baselines
         set_cache_dir(str(tmp_path / "cache"))
         config = _plan("cache.corrupt:compress")
         first = run_suite(config, names=("compress",), strict=False)
@@ -238,7 +230,7 @@ class TestCacheFaults:
         runner._CACHE.clear()
         second = run_suite(config, names=("compress",), strict=False)
         assert second.ok
-        assert result_digest(second["compress"]) == clean_digests["compress"]
+        assert result_digest(second["compress"]) == baselines["compress"]
         assert metrics_enabled.value("cache.disk.corrupt") == 1
 
     def test_torn_write_does_not_fail_the_run(self, tmp_path, metrics_enabled):
@@ -254,8 +246,7 @@ class TestCacheFaults:
 
 
 class TestWatchdog:
-    def test_serial_timeout_is_a_terminal_failure(self, baselines):
-        clean_digests, _ = baselines
+    def test_serial_timeout_is_a_terminal_failure(self):
         # No instruction limit: compress runs long enough (~190k steps)
         # for a 1ms watchdog to fire mid-simulation.
         config = SuiteConfig()
@@ -272,7 +263,6 @@ class TestWatchdog:
             run_suite(SuiteConfig(), names=("compress",), timeout_s=0.001)
 
     def test_parallel_hang_hits_parent_deadline(self, baselines, metrics_enabled):
-        clean_digests, _ = baselines
         report = run_suite(
             _plan("worker.hang:go"),
             names=_NAMES,
@@ -284,7 +274,7 @@ class TestWatchdog:
         record = report.failures["go"]
         assert record.kind == KIND_TIMEOUT
         assert record.attempts == 1  # retries=0
-        assert result_digest(report["compress"]) == clean_digests["compress"]
+        assert result_digest(report["compress"]) == baselines["compress"]
         assert metrics_enabled.value("suite.partial_failures") == 1
 
 
@@ -296,12 +286,11 @@ class TestZeroFaultRuns:
         assert report.ok and not report.history
         counters = metrics_enabled.snapshot()["counters"]
         assert metrics_enabled.value("retry.attempts") == 0
-        assert metrics_enabled.value("degrade.engine_fallback") == 0
         assert metrics_enabled.value("suite.partial_failures") == 0
         assert not [k for k in counters if k.startswith("fault.injected")]
         for result in report.values():
             assert result.manifest.attempts == 1
-            assert not result.manifest.degraded
+            assert not result.manifest.failures
 
 
 class TestFailureSpans:
@@ -347,9 +336,8 @@ class TestSuiteChildren:
         assert "compress" in report
 
     def test_without_fork_runs_serially(self, baselines, monkeypatch):
-        clean_digests, _ = baselines
         monkeypatch.delattr(os, "fork")
         report = run_suite(_CHAOS, names=_NAMES, jobs=2)
-        assert {name: result_digest(r) for name, r in report.items()} == clean_digests
+        assert {name: result_digest(r) for name, r in report.items()} == baselines
         for result in report.values():
             assert result.manifest.analysis_processes == 1

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import pickle
-from types import SimpleNamespace
 
 import pytest
 
@@ -124,77 +123,27 @@ class TestPlanNextAction:
             exception_type="X",
         )
 
-    def test_compile_errors_fail_immediately(self):
-        action = plan_next_action(
-            self._record(KIND_COMPILE),
-            engine="predecoded",
-            degraded=False,
-            attempt=1,
-            retries=5,
-        )
-        assert action == "fail"
-
-    def test_sim_trap_degrades_predecode_once(self):
-        kwargs = dict(attempt=1, retries=5)
-        assert (
-            plan_next_action(
-                self._record(KIND_SIM_TRAP),
-                engine="predecoded",
-                degraded=False,
-                **kwargs,
-            )
-            == "degrade"
-        )
-        # Already on the reference engine (or already degraded): terminal.
-        assert (
-            plan_next_action(
-                self._record(KIND_SIM_TRAP),
-                engine="interpreter",
-                degraded=False,
-                **kwargs,
-            )
-            == "fail"
-        )
-        assert (
-            plan_next_action(
-                self._record(KIND_SIM_TRAP),
-                engine="interpreter",
-                degraded=True,
-                **kwargs,
-            )
-            == "fail"
-        )
+    @pytest.mark.parametrize("kind", [KIND_COMPILE, KIND_SIM_TRAP])
+    def test_permanent_failures_fail_immediately(self, kind):
+        """Neither a compile error nor a trap changes on a re-run: both
+        engines trap alike."""
+        assert plan_next_action(self._record(kind), attempt=1, retries=5) == "fail"
 
     def test_transient_failures_retry_until_budget(self):
         record = self._record(KIND_WORKER_CRASH)
-        common = dict(engine="predecoded", degraded=False, retries=2)
-        assert plan_next_action(record, attempt=1, **common) == "retry"
-        assert plan_next_action(record, attempt=2, **common) == "retry"
-        assert plan_next_action(record, attempt=3, **common) == "fail"
+        assert plan_next_action(record, attempt=1, retries=2) == "retry"
+        assert plan_next_action(record, attempt=2, retries=2) == "retry"
+        assert plan_next_action(record, attempt=3, retries=2) == "fail"
 
     def test_serial_timeouts_are_permanent(self):
         record = self._record(KIND_TIMEOUT)
         assert (
-            plan_next_action(
-                record,
-                engine="predecoded",
-                degraded=False,
-                attempt=1,
-                retries=5,
-                transient_timeouts=False,
-            )
+            plan_next_action(record, attempt=1, retries=5, transient_timeouts=False)
             == "fail"
         )
         # Pool timeouts stay retryable (hung worker = infra flake).
         assert (
-            plan_next_action(
-                record,
-                engine="predecoded",
-                degraded=False,
-                attempt=1,
-                retries=5,
-                transient_timeouts=True,
-            )
+            plan_next_action(record, attempt=1, retries=5, transient_timeouts=True)
             == "retry"
         )
 
@@ -219,10 +168,10 @@ class TestSuiteReport:
         assert report.partial and not report.ok
         assert "1 failed" in report.summary()
 
-    def test_summary_counts_degraded_and_recovered(self):
+    def test_summary_counts_recovered_attempts(self):
         report = SuiteReport()
-        report["go"] = SimpleNamespace(manifest=SimpleNamespace(degraded=True))
-        report["li"] = SimpleNamespace(manifest=SimpleNamespace(degraded=False))
+        report["go"] = "result"
+        report["li"] = "result"
         report.history.append(
             FailureRecord(
                 kind=KIND_SIM_TRAP,
@@ -234,8 +183,7 @@ class TestSuiteReport:
             )
         )
         assert report.ok
-        assert report.degraded_workloads() == ["go"]
-        assert report.summary() == "2 ok, 1 degraded, 1 failed attempts"
+        assert report.summary() == "2 ok, 1 failed attempts"
 
     def test_pickles_with_attributes(self):
         report = SuiteReport(config=SuiteConfig())
@@ -279,7 +227,7 @@ class TestResultDigest:
 
         go = suite_results["go"]
         annotated = dataclasses.replace(
-            go, manifest=dataclasses.replace(go.manifest, degraded=True, attempts=3)
+            go, manifest=dataclasses.replace(go.manifest, attempts=3, failures=[{"kind": "x"}])
         )
         assert result_digest(annotated) == result_digest(go)
 

@@ -142,12 +142,11 @@ class TestArming:
 
 
 class TestCheckActions:
-    def test_engine_sites_raise_injected_sim_error(self):
-        for site in ("engine.predecode_raise", "engine.interp_raise"):
-            faults.install_plan(FaultPlan.parse(site))
-            with pytest.raises(SimError) as excinfo:
-                faults.check(site)
-            assert excinfo.value.injected is True
+    def test_engine_site_raises_injected_sim_error(self):
+        faults.install_plan(FaultPlan.parse("engine.trap"))
+        with pytest.raises(SimError) as excinfo:
+            faults.check("engine.trap")
+        assert excinfo.value.injected is True
 
     def test_asm_site_raises_injected_asm_error(self):
         faults.install_plan(FaultPlan.parse("asm.error"))

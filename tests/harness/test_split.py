@@ -17,6 +17,7 @@ from unittest import mock
 
 import pytest
 
+from repro.asm import assemble
 from repro.core.reuse_buffer import ReuseBuffer
 from repro.core.value_profile import GlobalLoadValueProfiler
 from repro.harness import runner
@@ -33,7 +34,9 @@ from repro.harness.failures import (
 from repro.harness.runner import SuiteConfig, WorkloadResult, run_suite, run_workload
 from repro.sim.errors import SimError
 from repro.traces.analyzer import TraceReuseAnalyzer
-from repro.workloads import WORKLOAD_ORDER, get_workload
+from repro.workloads import WORKLOAD_ORDER, Workload, get_workload
+from tests.sim.test_trap_counts import PROGRAM as JUMP_INTO_DATA
+from tests.sim.test_trap_counts import UNALIGNED_LOAD
 
 pytestmark = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 
@@ -223,7 +226,7 @@ class TestChildFailures:
         assert record.kind == KIND_WORKER_CRASH
 
     def test_parent_run_raises(self, isolated_caches, leaves_nothing_behind):
-        config = dataclasses.replace(SMALL, fault_plan="engine.predecode_raise")
+        config = dataclasses.replace(SMALL, fault_plan="engine.trap")
         _, split = _failure("compress", config, cpus=2)
         _, single = _failure("compress", config, cpus=1)
         assert split.kind == single.kind == KIND_SIM_TRAP
@@ -282,3 +285,52 @@ class TestChildFailures:
         exc, record = _failure("compress", SMALL, cpus=2)
         assert "disagree" in str(exc)
         assert record.kind == KIND_UNKNOWN
+
+
+@dataclasses.dataclass(frozen=True)
+class _AsmWorkload(Workload):
+    """A workload whose program is hand-written assembly."""
+
+    assembly: str = ""
+
+    def program(self):
+        return assemble(self.assembly)
+
+
+class TestTrapsAgree:
+    """A real trap fails ``run_workload`` alike on both engines, in one
+    process and split, so running it again on the other engine could
+    not change the outcome."""
+
+    @pytest.mark.parametrize(
+        "assembly, retired",
+        [(JUMP_INTO_DATA, 5), (UNALIGNED_LOAD, 4)],
+        ids=["fetch", "load"],
+    )
+    @pytest.mark.parametrize("skip", [0, 2])
+    def test_same_sim_error(
+        self, isolated_caches, leaves_nothing_behind, assembly, retired, skip
+    ):
+        workload = _AsmWorkload(
+            "trap", "", "", "", lambda scale: b"", lambda scale: b"", assembly
+        )
+        seen = {}
+        for engine in ("predecoded", "interpreter"):
+            config = SuiteConfig(engine=engine, skip_instructions=skip)
+            for cpus in (1, 2):
+                with mock.patch.object(runner, "_usable_cpus", return_value=cpus):
+                    with pytest.raises(SimError) as info:
+                        run_workload(workload, config)
+                error = info.value
+                assert error.engine == engine
+                assert not error.injected
+                record = classify_failure(error, workload="trap", engine=engine)
+                assert record.kind == KIND_SIM_TRAP
+                seen[engine, cpus] = (
+                    str(error),
+                    error.pc,
+                    error.retired_total,
+                    error.retired_analyzed,
+                )
+        assert len(set(seen.values())) == 1, seen
+        assert seen["interpreter", 1][2:] == (retired, retired - skip)

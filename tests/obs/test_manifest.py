@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import pickle
 
@@ -9,6 +10,7 @@ from repro import __version__
 from repro.harness.runner import SuiteConfig
 from repro.obs.manifest import (
     MANIFEST_SCHEMA,
+    RunManifest,
     build_suite_manifest,
     build_workload_manifest,
     write_manifest,
@@ -43,8 +45,24 @@ class TestWorkloadManifest:
         manifest = _manifest()
         assert pickle.loads(pickle.dumps(manifest)).to_dict() == manifest.to_dict()
 
-    def test_schema_3_records_analysis_processes(self):
-        assert MANIFEST_SCHEMA == 3
+    def test_schema_4_fields(self):
+        assert MANIFEST_SCHEMA == 4
+        assert [field.name for field in dataclasses.fields(RunManifest)] == [
+            "workload",
+            "engine",
+            "config",
+            "source_digest",
+            "cache",
+            "timing",
+            "package_version",
+            "schema",
+            "attempts",
+            "failures",
+            "analysis_processes",
+            "split_timing",
+        ]
+
+    def test_records_analysis_processes(self):
         single = _manifest()
         assert single.analysis_processes == 1
         assert single.split_timing == {}

@@ -293,7 +293,7 @@ int main() { print_int(helper(-3)); return 0; }
 
     def test_call_sites_target_function_entries(self):
         program = compile_source(CALLS)
-        calls = [i for i in program.text if i.is_call]
+        calls = [i for i in program.text if i.op.kind is Kind.CALL]
         assert len(calls) == 3
         for call in calls:
             assert program.function_by_entry(call.target) is not None

@@ -95,9 +95,3 @@ class TestBulk:
         memory.load_bytes(0x6000, b"x" * 16)
         with pytest.raises(SimError):
             memory.read_cstring(0x6000, limit=8)
-
-    def test_resident_pages(self):
-        memory = Memory()
-        memory.write_word(0, 1)
-        memory.write_word(PAGE_SIZE * 10, 1)
-        assert memory.resident_pages == 2

@@ -16,7 +16,6 @@ class TestInputStream:
         assert stream.read_char() == ord("a")
         assert stream.read_char() == ord("b")
         assert stream.read_char() == EOF_WORD
-        assert stream.exhausted
 
     def test_read_int_skips_whitespace(self):
         stream = InputStream(b"  42\n 7")
