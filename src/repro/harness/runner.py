@@ -470,25 +470,22 @@ def _suite_attempt(
     attempt: int,
     profile: bool,
     deadline_s: Optional[float],
-) -> Tuple[WorkloadResult, float]:
+) -> WorkloadResult:
     """One attempt at one workload in a ``run_suite(jobs>1)`` child.
 
     The plan is installed afresh from the config, so worker-site specs
     fire per attempt: ``worker.crash:go`` crashes every attempt,
-    ``worker.crash:go@1`` only the first.  Returns the result and the
-    attempt's seconds.
+    ``worker.crash:go@1`` only the first.
     """
     global _IN_SUITE_CHILD
     _IN_SUITE_CHILD = True
-    started = time.perf_counter()
     with faults.scope(workload=name, attempt=attempt):
         plan = config.fault_plan
         faults.install_plan(faults.FaultPlan.parse(plan) if plan else None)
         if faults.armed():
             faults.check("worker.crash", name)
             faults.check("worker.hang", name)
-        result = run_workload(get_workload(name), config, profile=profile, deadline_s=deadline_s)
-    return result, time.perf_counter() - started
+        return run_workload(get_workload(name), config, profile=profile, deadline_s=deadline_s)
 
 
 class _ChildTraceback(Exception):
@@ -508,10 +505,11 @@ class _Child:
     The child starts from an empty metrics registry and an empty event
     list on the inherited tracer (so its spans share the parent's clock
     origin), then sends back ``fn``'s return value, its registry
-    snapshot and its trace events, or else its exception and traceback,
-    and leaves with ``os._exit``.  The parent reads the pipe to its end
-    (:meth:`join`, or the suite's poll loop through :meth:`read`),
-    merges the telemetry, and raises what the child raised:
+    snapshot and its trace events, or else its exception and traceback
+    with the same telemetry, and leaves with ``os._exit``.  The parent
+    reads the pipe to its end (:meth:`join`, or the suite's poll loop
+    through :meth:`read`), merges the telemetry, and raises what the
+    child raised:
 
     * a child that dies without a whole payload raises
       :class:`AnalysisChildCrash`;
@@ -587,10 +585,7 @@ class _Child:
             payload = pickle.loads(b"".join(self.chunks))
         except Exception:
             raise AnalysisChildCrash(self.workload, status) from None
-        if payload[0] == "err":
-            _, exc, text = payload
-            raise exc from _ChildTraceback(text)
-        _, value, metrics, events = payload
+        kind, value, text, metrics, events = payload
         registry = obs_metrics.REGISTRY
         if registry.enabled:
             if self.skip_metrics is not None:
@@ -602,6 +597,8 @@ class _Child:
         tracer = obs_tracing.current_tracer()
         if tracer is not None and events:
             tracer.extend(events)
+        if kind == "err":
+            raise value from _ChildTraceback(text)
         return value
 
     def expire(self) -> None:
@@ -636,16 +633,16 @@ def _child_main(write_fd: int, fn, args: tuple) -> None:
         if tracer is not None:
             tracer.events = []
         try:
-            value = fn(*args)
-            events = tracer.events if tracer is not None else None
-            payload = ("ok", value, registry.snapshot(), events)
+            outcome = ("ok", fn(*args), None)
         except Exception as exc:
-            payload = ("err", exc, traceback.format_exc())
+            outcome = ("err", exc, traceback.format_exc())
+        # A failed attempt's telemetry comes back too, as a serial run keeps it.
+        telemetry = (registry.snapshot(), tracer.events if tracer is not None else None)
         try:
-            data = pickle.dumps(payload, pickle.HIGHEST_PROTOCOL)
+            data = pickle.dumps(outcome + telemetry, pickle.HIGHEST_PROTOCOL)
         except Exception as exc:
             error = RuntimeError(f"child payload does not pickle: {exc!r}")
-            data = pickle.dumps(("err", error, traceback.format_exc()))
+            data = pickle.dumps(("err", error, traceback.format_exc()) + telemetry)
         with os.fdopen(write_fd, "wb") as pipe:
             pipe.write(data)
         status = 0
@@ -775,10 +772,10 @@ def _run_forked(
     poller = select.poll()
 
     def settle(fd: int, outcome) -> None:
-        child, story = running.pop(fd)
+        _, story = running.pop(fd)
         poller.unregister(fd)
         try:
-            result, seconds = outcome()
+            result = outcome()
         except Exception as exc:
             backoff = story.failed(exc)
             if backoff is not None:
@@ -787,8 +784,6 @@ def _run_forked(
         # The child already wrote the disk entry.
         install_result(result, config, to_disk=False)
         registry.inc("parallel.tasks")
-        registry.inc(f"parallel.worker.{child.pid}.tasks")
-        registry.observe(f"parallel.worker.{child.pid}.seconds", seconds)
         story.succeeded(result)
 
     try:

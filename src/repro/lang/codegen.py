@@ -286,6 +286,8 @@ class _FunctionEmitter:
         self.epilogue_label = cg.new_label(f"ret_{func.name}")
         self.frame_vars: Dict[int, _FrameVar] = {}
         self._spill_used = False
+        #: The expression whose value the current statement discards.
+        self._discarded: Optional[ast.Expr] = None
         self._plan_frame()
 
     # -- emission helpers -------------------------------------------------
@@ -427,6 +429,12 @@ class _FunctionEmitter:
         self.line(f"sll {reg}, {reg}, 24")
         self.line(f"sra {reg}, {reg}, 24")
 
+    def _stored_char_value(self, expr: ast.Expr, ctype: Type, reg: str) -> None:
+        """Narrow ``reg``, just stored to a char in memory, so ``expr``'s
+        value is the stored one; a statement that discards it needs none."""
+        if ctype == CHAR and expr is not self._discarded:
+            self._narrow_to_char(reg)
+
     def _spill_all(self) -> None:
         for entry in self.stack:
             if entry.in_reg:
@@ -473,7 +481,9 @@ class _FunctionEmitter:
             raise CodegenError(f"unknown statement {type(stmt).__name__}", stmt.line)
 
     def _gen_expr_statement(self, expr: ast.Expr) -> None:
+        self._discarded = expr
         produced = self._gen_expr(expr)
+        self._discarded = None
         if produced:
             self.stack.pop()  # discard the value (no code needed)
 
@@ -805,6 +815,7 @@ class _FunctionEmitter:
         addr = self._pop("$t8")
         store = "sb" if elem_type == CHAR else "sw"
         self.line(f"{store} {value}, 0({addr})")
+        self._stored_char_value(expr, elem_type, value)
         self._push_from(value)
         return True
 
@@ -834,6 +845,7 @@ class _FunctionEmitter:
         else:
             self.line(f"la $t8, {symbol.label}")
             self.line(f"{store} {value}, 0($t8)")
+        self._stored_char_value(expr, symbol.ctype, value)
         self._push_from(value)
         return True
 
@@ -901,6 +913,8 @@ class _FunctionEmitter:
                 # via la, which only uses $at-safe sequences.
                 self.line(f"la $at, {symbol.label}")
                 self.line(f"{store} $t9, 0($at)")
+            if expr.is_prefix:
+                self._stored_char_value(expr, symbol.ctype, "$t9")
             self._push_from("$t9" if expr.is_prefix else old_reg)
             return True
         # Indirect target: *p or a[i].
@@ -921,6 +935,7 @@ class _FunctionEmitter:
         store = "sb" if elem_type == CHAR else "sw"
         self.line(f"{store} $t9, 0({addr_reg})")
         if expr.is_prefix:
+            self._stored_char_value(expr, elem_type, "$t9")
             self._push_from("$t9")
         else:
             self.line(f"addiu $t9, $t9, {-delta}")  # recover the old value

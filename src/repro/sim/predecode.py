@@ -27,8 +27,10 @@ They share a template and return the same thing; besides that, a fast
 ALU or ``mfhi``/``mflo`` closure whose destination is ``$zero`` is bound
 to one that only returns the next pc:
 
-* **fast** closures (``() -> next_pc``) mutate machine state and return
-  the next pc; used during warm-up and whenever no analyzer takes steps.
+* **fast** closures (``(n=0) -> next_pc``) mutate machine state and
+  return the next pc; used during warm-up and whenever no analyzer takes
+  steps.  They ignore the step number ``n``, which lets the run loop call
+  every entry the same way.
   Control-transfer instructions that must emit events return a tuple
   ``(next_pc, CTRL_*, ...)`` instead of a bare int — the run loop
   distinguishes the two with a single ``type(r) is int`` check.
@@ -90,7 +92,7 @@ OBSERVED = "observed"
 _FACTORIES: Dict[Tuple[str, str, int], Callable] = {}
 
 
-def bind_fast(sim) -> List[Callable[[], object]]:
+def bind_fast(sim) -> List[Callable[..., object]]:
     """Bind the fast closures to one simulator's state."""
     return [_factory(instr, FAST, 0)(sim, instr) for instr in sim.program.text]
 
@@ -123,12 +125,13 @@ _CHAIN_FIRST_LINE = 3
 
 
 def chain(
-    code: Sequence[Callable[[], object]], text: Sequence[Instruction], start: int
-) -> Tuple[Callable[[], object], int]:
+    code: Sequence[Callable[..., object]], text: Sequence[Instruction], start: int
+) -> Tuple[Callable[[int], object], int]:
     """One dispatch's worth of fast closures, from text index ``start``.
 
-    A chain runs a straight-line run in order and returns its last
-    closure's result.  It is cut where Table 10T cuts its traces
+    ``chain(n)`` runs a straight-line run in order, ignoring the step
+    number ``n`` as fast closures do, and returns its last closure's
+    result.  It is cut where Table 10T cuts its traces
     (:func:`~repro.isa.instructions.boundary_kind`): it ends with the
     first branch, ``j`` or non-return ``jr``, and stops before any
     call, return, syscall or ``break``.  So every closure in it but the
@@ -150,7 +153,7 @@ def chain(
     return _chain_maker(length)(*code[start:end]), length
 
 
-def chain_retired(tb, chain: Callable[[], object]) -> int:
+def chain_retired(tb, chain: Callable[[int], object]) -> int:
     """How many closures of ``chain`` retired before an exception.
 
     ``tb`` is the traceback entry of the frame that called ``chain``.
@@ -165,12 +168,12 @@ def chain_retired(tb, chain: Callable[[], object]) -> int:
 
 
 def _chain_maker(length: int) -> Callable:
-    """``make(c0, ..., c{length-1}) -> chain()``, generated once per length."""
+    """``make(c0, ..., c{length-1}) -> chain(n)``, generated once per length."""
     maker = _CHAIN_MAKERS.get(length)
     if maker is None:
         names = [f"c{i}" for i in range(length)]
         source = "\n".join(
-            [f"def make({', '.join(names)}):", "    def chain():"]
+            [f"def make({', '.join(names)}):", "    def chain(n):"]
             + [f"        {name}()" for name in names[:-1]]
             + [f"        return {names[-1]}()", "    return chain"]
         )
@@ -456,7 +459,7 @@ def _inline(lines: List[str]) -> List[str]:
 def _source(op: OpcodeInfo, variant: str, flavor: str, hooks: int = 0) -> str:
     """Python source of the factory that binds one static instruction.
 
-    The fast factory is ``bind(sim, instr) -> step()``; the observed one
+    The fast factory is ``bind(sim, instr) -> step(n=0)``; the observed one
     is ``bind(sim, instr, hooks) -> step(n)`` and calls its ``hooks``
     hooks, named ``h0``, ``h1``, ..., in order.
     """
@@ -486,7 +489,7 @@ def _source(op: OpcodeInfo, variant: str, flavor: str, hooks: int = 0) -> str:
 
     prologue = []
     if shortcut:
-        prologue = ["if not dest:", "    return lambda: next_pc"]
+        prologue = ["if not dest:", "    return lambda n=0: next_pc"]
     used = "\n".join(prologue + step)
     bind_names = dict(_BIND_NAMES, **{field: f"instr.{field}" for field in sources})
     if dest is not None:
@@ -498,7 +501,7 @@ def _source(op: OpcodeInfo, variant: str, flavor: str, hooks: int = 0) -> str:
     setup = [f"{name} = {expr}" for name, expr in bind_names.items() if name in needed]
     setup += [f"h{i} = hooks[{i}]" for i in range(hooks)]
     if flavor == FAST:
-        header, signature = "def bind(sim, instr):", "step()"
+        header, signature = "def bind(sim, instr):", "step(n=0)"
     else:
         header, signature = "def bind(sim, instr, hooks):", "step(n)"
     return "\n".join(

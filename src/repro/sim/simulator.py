@@ -14,13 +14,15 @@ instructions.
 Two execution engines share this interface (``engine=`` knob):
 
 * ``"predecoded"`` (default) — each static instruction is compiled once
-  into a specialized step closure (:mod:`repro.sim.predecode`).  In
-  analysis mode the closure hands each step's values positionally to
-  the analyzers' compiled steps; a
+  into a specialized step closure (:mod:`repro.sim.predecode`), and one
+  dispatch loop runs both windows over a pc-keyed table of entries.  In
+  analysis mode an entry is one observed closure, which hands the
+  step's values positionally to the analyzers' compiled steps; a
   :class:`~repro.sim.events.StepRecord` is built only for an analyzer
-  that overrides ``on_step``.  The warm-up window and runs without step
-  analyzers use the fast closures, which do no analysis work, one
-  straight-line run per dispatch (:func:`repro.sim.predecode.chain`).
+  that overrides ``on_step``.  In the warm-up window and in runs without
+  step analyzers an entry is a chain of fast closures, which do no
+  analysis work, one straight-line run per dispatch
+  (:func:`repro.sim.predecode.chain`).
 * ``"interpreter"`` — the original decode-per-step reference backend,
   kept verbatim so differential tests can lock the engines together.
 """
@@ -139,11 +141,11 @@ class Simulator:
         self.call_count = 0
         self.return_count = 0
         self._published: Optional[List[int]] = None
-        # Predecoded engine state, bound lazily on first use.  The observed
-        # closures are bound per text index on first execution.
+        # Predecoded engine state: the fast closures, bound on first use,
+        # and the pc-keyed entry tables of the two modes (see _run).
         self._fast_code: Optional[list] = None
-        self._chains: Optional[dict] = None
-        self._full_code: Optional[list] = None
+        self._chains: Optional[dict] = {}
+        self._observed: Optional[dict] = {}
         self._step_hooks: tuple = ()
         self._step_compilers: tuple = ()
         self._call_hooks: tuple = ()
@@ -167,14 +169,15 @@ class Simulator:
 
         Callable from analyzer hooks (the basis for breakpoints and
         watchpoints) and from another thread (the harness watchdog's
-        timer); resume with :meth:`resume`.  Every loop checks the flag
-        once per dispatch.  The observed loop and the interpreter
-        dispatch every instruction, so a request stops at the next one.
-        The predecoded engine's record-free loop (the warm-up window,
-        and runs without step analyzers) dispatches a straight-line run
-        of up to :data:`~repro.sim.predecode.CHAIN_CAP` instructions at
-        a time.  A call, return or syscall is always dispatched alone,
-        so a request from one of their hooks still stops at the next
+        timer); resume with :meth:`resume`.  Each engine has one loop,
+        which checks the flag once per dispatch.  The interpreter, and
+        the predecoded engine in analysis mode, dispatch every
+        instruction, so a request stops at the next one.  In the warm-up
+        window and in runs without step analyzers the predecoded engine
+        dispatches a straight-line run of up to
+        :data:`~repro.sim.predecode.CHAIN_CAP` instructions at a time.
+        A call, return or syscall is always dispatched alone, so a
+        request from one of their hooks still stops at the next
         instruction; a request from another thread stops at the end of
         the current run.
         """
@@ -309,13 +312,13 @@ class Simulator:
     def _execute_predecoded(self) -> RunResult:
         stop = None
         # A window with no room (``limit=0``) retires nothing, warm-up
-        # included: the analysis loop stops it before the first fetch.
+        # included: the analysis window stops it before the first fetch.
         if self._total < self._skip and (self._limit is None or self._analyzed < self._limit):
             with obs_tracing.span("warmup", engine=self._engine):
-                stop = self._run_fast(warmup=True)
+                stop = self._run(warmup=True)
         if stop is None:
             with obs_tracing.span("simulate", engine=self._engine):
-                stop = self._run_full() if self._step_hooks else self._run_fast(warmup=False)
+                stop = self._run(warmup=False)
         return self._finish_run(stop)
 
     def _finish_run(self, stop_reason: str) -> RunResult:
@@ -329,7 +332,7 @@ class Simulator:
             # their closures refer back to this simulator, and without the
             # cycle the run's state (analyzers included) is freed as soon
             # as the caller lets go, not at the next full collection.
-            self._fast_code = self._full_code = self._chains = None
+            self._fast_code = self._chains = self._observed = None
         registry = obs_metrics.REGISTRY
         if registry.enabled:
             self._publish_metrics(registry)
@@ -370,72 +373,83 @@ class Simulator:
                 registry.counter(name).inc(delta)
                 published[index] = values[index]
 
-    def _run_fast(self, warmup: bool) -> Optional[str]:
-        """Record-free execution (warm-up, or no step observers).
+    def _run(self, warmup: bool) -> Optional[str]:
+        """The predecoded engine's one dispatch loop, for both windows.
 
-        Dispatches once per straight-line run: ``self._chains`` maps a pc
-        to ``(chain, length)`` (:func:`repro.sim.predecode.chain`), built
-        on the first dispatch to that pc.  A chain runs whole only while
-        it fits before the window's bound; otherwise single closures
-        step up to it, so the limit and the end of warm-up fall on the
-        same instruction as stepping every instruction would.  One
-        counter serves both modes: ``done`` counts toward ``skip`` in
-        warm-up and toward ``limit`` in analysis.
+        ``table`` maps a pc to ``(entry, length)``: ``entry(n)`` runs
+        ``length`` instructions, the first of which is step ``n``.  The
+        mode only decides how a missing entry is built: a chain of fast
+        closures (:func:`repro.sim.predecode.chain`) in warm-up and in
+        runs without step analyzers, one observed closure per pc in
+        analysis mode (:meth:`_first_step`).  An entry runs whole only
+        while it fits in the window (``done + length <= bound``);
+        otherwise single fast closures step up to the bound, so the limit
+        and the end of warm-up fall on the same instruction as stepping
+        every instruction would.  ``done`` counts toward ``skip`` in
+        warm-up, toward ``limit`` in analysis.
 
         Returns the stop reason, or ``None`` when the warm-up window
         completed and execution should continue in analysis mode.
         """
-        code = self._fast_code
-        if code is None:
-            code = self._fast_code = predecode.bind_fast(self)
-            self._chains = {}
-        chains = self._chains
-        program = self.program
-        text = program.text
-        text_base = program.text_base
-        text_len = len(text)
+        text = self.program.text
+        text_base = self.program.text_base
         ctrl_call = predecode.CTRL_CALL
         ctrl_return = predecode.CTRL_RETURN
 
+        code = self._fast_code
+        if warmup or not self._step_hooks:
+            if code is None:
+                code = self._fast_code = predecode.bind_fast(self)
+            table = self._chains
+
+            def build(pc: int, index: int) -> tuple:
+                return predecode.chain(code, text, index)
+
+        else:
+            table = self._observed
+            build = self._first_step
         if warmup:
-            done = self._total
-            bound = self._skip
+            done, bound = self._total, self._skip
         else:
             done = self._analyzed
             bound = self._limit if self._limit is not None else _NO_LIMIT
-        start = done
+        # Steps are numbered from 1: ``n`` is the next one's and ``past``
+        # the first outside the window.  Passing ``n``, not ``done + 1``,
+        # spares each dispatch an int allocation (about 2% of a bare run).
+        n = end = done + 1
+        past = bound + 1
         pc = self.pc
-        chain = None
-        end = done
+        entry = None
         stop: Optional[str] = None
 
         try:
             while True:
                 try:
-                    chain, length = chains[pc]
+                    entry, length = table[pc]
                 except KeyError:
                     if pc == HALT_ADDRESS:
                         stop = "halt"
                         break
                     index = (pc - text_base) >> 2
-                    if index < 0 or index >= text_len or pc & 3:
+                    if index < 0 or index >= len(text) or pc & 3:
                         raise SimError("pc outside text segment", pc) from None
-                    chain, length = chains[pc] = predecode.chain(code, text, index)
-                end = done + length
-                if end > bound:
-                    if done >= bound:
+                    entry, length = table[pc] = build(pc, index)
+                end = n + length
+                if end > past:
+                    if n >= past:
                         if not warmup:
                             stop = "limit"
                         break  # in warm-up: the caller continues in analysis mode
-                    chain = code[(pc - text_base) >> 2]
-                    end = done + 1
+                    # Only a chain can overrun the window; fast code exists.
+                    entry = code[(pc - text_base) >> 2]
+                    end = n + 1
                 if self._pause_requested:
                     self._pause_requested = False
                     stop = "paused"
                     break
 
-                r = chain()
-                done = end
+                r = entry(n)
+                n = end
                 if r.__class__ is int:
                     pc = r
                     continue
@@ -454,106 +468,42 @@ class Simulator:
         except BaseException as exc:
             # A trap inside a chain: the closures before the trapping one
             # retired, and the trapping instruction's pc is the stop pc.
-            if end - done > 1:
-                retired = predecode.chain_retired(exc.__traceback__, chain)
-                done += retired
+            if end - n > 1:
+                retired = predecode.chain_retired(exc.__traceback__, entry)
+                n += retired
                 pc += 4 * retired
             raise
         finally:
             # Also on a trap, so SimError carries the retired counts.
             self.pc = pc
             if warmup:
-                self._total = done
+                self._total = n - 1
             else:
-                self._analyzed = done
-                self._total += done - start
+                self._total += n - 1 - self._analyzed
+                self._analyzed = n - 1
         return stop
 
-    def _run_full(self) -> str:
-        """Analysis-mode execution: each retired step reaches the analyzers.
+    def _first_step(self, pc: int, index: int) -> tuple:
+        """Analysis-mode entry for an instruction that has not retired yet.
 
-        Each text index gets an observed closure that calls the
-        analyzers' compiled steps for that instruction with its values
-        (:mod:`repro.sim.observer`).  It is bound when the instruction
-        first retires: that first instance runs a closure whose only
-        hook compiles the steps, binds the index's closure and then
-        delivers the step, so an instruction that traps leaves no
-        analyzer state behind.  Closures return what fast ones do.
+        Its observed closure's only hook runs when the instruction first
+        retires: it compiles the analyzers' steps for the instruction
+        (:mod:`repro.sim.observer`), puts the observed closure that calls
+        them in the table in its own place, then delivers the step.  So
+        an instruction that traps leaves no analyzer state behind.
         """
-        code = self._full_code
-        if code is None:
-            code = self._full_code = [None] * len(self.program.text)
-        program = self.program
-        text = program.text
-        text_base = program.text_base
-        text_len = len(text)
+        instr = self.program.text[index]
+        table = self._observed
         compilers = self._step_compilers
-        bind_observed = predecode.bind_observed
-        bound = self._limit if self._limit is not None else _NO_LIMIT
-        ctrl_call = predecode.CTRL_CALL
-        ctrl_return = predecode.CTRL_RETURN
 
-        def first_step(index: int, pc: int):
-            instr = text[index]
+        def compile_and_deliver(n, inputs, outputs, value, address) -> None:
+            steps = [make(pc, instr) for make in compilers]
+            steps = [step for step in steps if step is not None]
+            table[pc] = (predecode.bind_observed(self, instr, steps), 1)
+            for step in steps:
+                step(n, inputs, outputs, value, address)
 
-            def compile_and_deliver(n, inputs, outputs, value, address) -> None:
-                steps = [
-                    step
-                    for step in (make(pc, instr) for make in compilers)
-                    if step is not None
-                ]
-                code[index] = bind_observed(self, instr, steps)
-                for step in steps:
-                    step(n, inputs, outputs, value, address)
-
-            return bind_observed(self, instr, (compile_and_deliver,))
-
-        pc = self.pc
-        analyzed = self._analyzed
-        analyzed_start = analyzed
-        stop = "halt"
-
-        try:
-            while True:
-                if pc == HALT_ADDRESS:
-                    stop = "halt"
-                    break
-                index = (pc - text_base) >> 2
-                if index < 0 or index >= text_len or pc & 3:
-                    raise SimError("pc outside text segment", pc)
-                if analyzed >= bound:
-                    stop = "limit"
-                    break
-                if self._pause_requested:
-                    self._pause_requested = False
-                    stop = "paused"
-                    break
-
-                step = code[index]
-                if step is None:
-                    step = first_step(index, pc)
-                r = step(analyzed + 1)
-                analyzed += 1
-                if r.__class__ is int:
-                    pc = r
-                    continue
-
-                tag = r[1]
-                if tag is ctrl_call:
-                    self._emit_call(pc, r[2], r[3], False)
-                elif tag is ctrl_return:
-                    self._emit_return(pc, r[2], False)
-                else:  # syscall
-                    self._emit_syscall(pc, r[2], r[3], r[4], False)
-                    if r[5]:
-                        stop = "exit"
-                        break
-                pc = r[0]
-        finally:
-            self.pc = pc
-            self._analyzed = analyzed
-            self._total += analyzed - analyzed_start
-        return stop
+        return predecode.bind_observed(self, instr, (compile_and_deliver,)), 1
 
     # ------------------------------------------------------------------
     # Reference interpreter (original decode-per-step backend)

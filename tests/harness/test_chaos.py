@@ -166,8 +166,7 @@ class TestEngineTrap:
         assert result_digest(report["compress"]) == baselines["compress"]
         assert report["compress"].manifest.attempts == 1
         assert report.summary() == "1 ok, 1 failed"
-        if jobs == 1:  # a failed child sends back no registry snapshot
-            assert metrics_enabled.value("fault.injected.engine.trap") == 1
+        assert metrics_enabled.value("fault.injected.engine.trap") == 1
         assert metrics_enabled.value("retry.attempts") == 0
         assert metrics_enabled.value("suite.partial_failures") == 1
 

@@ -81,11 +81,11 @@ def test_chain_runs_its_closures_in_order_and_locates_a_trap():
         return step
 
     chain = predecode._chain_maker(3)(*(closure(i) for i in range(3)))
-    assert chain() == 102
+    assert chain(1) == 102
     assert calls == [0, 1, 2]
     trapping = predecode._chain_maker(5)(*(closure(i) for i in range(5)))
     try:
-        trapping()
+        trapping(1)
     except RuntimeError as exc:
         # The traceback entry of this frame, whose callee is the chain.
         assert predecode.chain_retired(exc.__traceback__, trapping) == 3

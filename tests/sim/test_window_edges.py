@@ -1,10 +1,13 @@
 """Window edges on both engines: where ``skip`` and ``limit`` stop a run.
 
-The predecoded engine's record-free loop dispatches a straight-line run
-of instructions at a time (:func:`repro.sim.predecode.chain`).  The end
-of warm-up and the analysis limit must still fall on exactly the
-instruction the reference interpreter stops at, wherever inside a run
-they land.
+The predecoded engine has one dispatch loop for both windows
+(``Simulator._run``).  In warm-up, and in runs without step analyzers,
+it dispatches a straight-line run of instructions at a time
+(:func:`repro.sim.predecode.chain`); in analysis mode it dispatches one
+observed closure per instruction.  The end of warm-up and the analysis
+limit must still fall on exactly the instruction the reference
+interpreter stops at, wherever inside a run they land, with and without
+a step analyzer (``bare`` and ``observed``).
 """
 
 from __future__ import annotations
@@ -90,11 +93,16 @@ def _both_engines(compress, observed: bool, **window):
     return states
 
 
+_MODES = pytest.mark.parametrize("observed", [False, True], ids=["bare", "observed"])
+
+
+@_MODES
 @pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("skip", [0, 1, 5, 1_000])
-def test_zero_limit_retires_nothing(compress, engine, skip):
+def test_zero_limit_retires_nothing(compress, engine, skip, observed):
     program, input_data = compress
-    simulator = Simulator(program, input_data, engine=engine)
+    analyzers = [RepetitionTracker()] if observed else []
+    simulator = Simulator(program, input_data, analyzers, engine=engine)
     run = simulator.run(limit=0, skip=skip)
     assert run.stop_reason == "limit"
     assert run.total_instructions == 0
@@ -102,7 +110,7 @@ def test_zero_limit_retires_nothing(compress, engine, skip):
     assert simulator.pc == program.entry
 
 
-@pytest.mark.parametrize("observed", [False, True], ids=["bare", "observed"])
+@_MODES
 def test_warmup_end_at_every_offset(compress, long_run, observed):
     first, length = long_run
     for offset in range(length + 1):
@@ -111,21 +119,23 @@ def test_warmup_end_at_every_offset(compress, long_run, observed):
         assert fast[0].total_instructions == first + offset + 3 * length
 
 
-def test_limit_at_every_offset(compress, long_run):
+@_MODES
+def test_limit_at_every_offset(compress, long_run, observed):
     first, length = long_run
     for offset in range(length + 1):
-        fast, reference = _both_engines(compress, False, limit=first + offset)
+        fast, reference = _both_engines(compress, observed, limit=first + offset)
         assert fast == reference, f"limit={first + offset}"
         assert fast[0].stop_reason == "limit"
         assert fast[0].analyzed_instructions == first + offset
 
 
-def test_skip_and_limit_inside_runs(compress, long_run):
+@_MODES
+def test_skip_and_limit_inside_runs(compress, long_run, observed):
     first, length = long_run
     for offset in range(length + 1):
         # The warm-up ends inside one run; the limit falls at every
         # offset of the runs that follow.
         window = dict(skip=first + length // 2, limit=offset + 2 * length)
-        fast, reference = _both_engines(compress, False, **window)
+        fast, reference = _both_engines(compress, observed, **window)
         assert fast == reference, f"{window}"
 
